@@ -8,17 +8,7 @@ sweeps against channel-sounder measurements.
 
 from .antenna import AntennaPattern, Band, BandDefaults, band_defaults
 from .config import ConfigError, ScenarioConfig, dump_config, parse_config
-from .engine import (
-    AttenuationFactors,
-    RayContribution,
-    SumMode,
-    alpha_curved,
-    alpha_flat,
-    contribution,
-    convex_received_power,
-    flat_received_power,
-    received_power,
-)
+from .engine import SumMode, alpha_curved, alpha_flat
 from .metrics import (
     ComparisonReport,
     PowerProfile,
@@ -32,15 +22,12 @@ from .profile_io import export_profile, import_measured, read_profile_json
 from .runner import run_sweep, sweep_profile
 from .scene import (
     ConvexReflectorSpec,
-    FacetRay,
     FlatReflectorSpec,
     GeometryError,
     Scenario,
     ScenarioGeometry,
     build_default_scenario,
     facetize_flat,
-    path_geometry,
-    section_convex,
     specular_point,
 )
 
@@ -48,18 +35,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntennaPattern",
-    "AttenuationFactors",
     "Band",
     "BandDefaults",
     "ComparisonReport",
     "ConfigError",
     "ConvexReflectorSpec",
-    "FacetRay",
     "FlatReflectorSpec",
     "GeometryError",
     "PowerProfile",
     "ProfileStats",
-    "RayContribution",
     "Scenario",
     "ScenarioConfig",
     "ScenarioGeometry",
@@ -70,20 +54,14 @@ __all__ = [
     "band_defaults",
     "build_default_scenario",
     "compare",
-    "contribution",
-    "convex_received_power",
     "dump_config",
     "export_profile",
     "facetize_flat",
-    "flat_received_power",
     "flat_vs_convex_gap_db",
     "import_measured",
     "parse_config",
-    "path_geometry",
     "read_profile_json",
-    "received_power",
     "run_sweep",
-    "section_convex",
     "smoothed_envelope_db",
     "specular_point",
     "sweep_profile",

@@ -68,7 +68,7 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _write_json(path: Optional[Path], payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -140,8 +140,8 @@ def _oracle_checks() -> list[tuple[str, bool, str]]:
 
     # Uniform 6x6 facet grid offsets across a 16-inch plate.
     scn = scene.build_default_scenario(Band.GHZ28, "flat")
-    facets, _ = scene.facetize_flat(scn.reflector, scn.geometry)
-    got = sorted({round(float(f.launch_point[1]), 12) for f in facets})
+    facets = scene.facetize_flat(scn.reflector, scn.geometry)
+    got = sorted({round(float(y), 12) for y in facets[:, 1]})
     side = scene.REFLECTOR_SIDE_16IN_M
     want = sorted(round(k * side / 12.0, 12) for k in (-5, -3, -1, 1, 3, 5))
     checks.append(("facet_grid_offsets", got == want, f"{got} vs {want}"))
@@ -171,7 +171,7 @@ def _oracle_checks() -> list[tuple[str, bool, str]]:
         Band.GHZ28, "flat", facets_per_side=1, alpha_flat_override=1.0
     )
     rx = scene.specular_point(single.geometry)
-    got_db = engine.flat_received_power(single, rx, SumMode.PHYSICAL)
+    got_db = float(engine.flat_sweep_power(single, rx[None, :], SumMode.PHYSICAL)[0])
     lam = single.wavelength_m
     want_db = (single.tx_power_dbm + 2 * 17.0
                + 20.0 * math.log10(lam / (4.0 * math.pi * 5.0)))

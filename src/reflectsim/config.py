@@ -7,6 +7,7 @@ falls back to the bundled measurement-style defaults for the selected band.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -89,9 +90,12 @@ class ScenarioConfig:
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"expected a number, got {text!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_length(text: str) -> float:

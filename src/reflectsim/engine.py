@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,18 +13,19 @@ from .scene import (
     ConvexReflectorSpec,
     FlatReflectorSpec,
     GeometryError,
-    RayPath,
     Scenario,
     convex_ray_paths,
     facetize_flat,
     path_geometry_batch,
-    vec3,
 )
 
 FOUR_PI = 4.0 * math.pi
 
 # Sentinel for "no capturable field at this RX position".
 NO_POWER_DB = float("-inf")
+
+# RX positions per flat-sweep block: bounds the (positions x facets) arrays.
+_RX_BLOCK = 200
 
 
 class SumMode(enum.Enum):
@@ -53,31 +53,6 @@ class SumMode(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-@dataclass(frozen=True)
-class AttenuationFactors:
-    """Power attenuation from beam-footprint mismatch (flat) plus the extra
-    divergence of a convex surface (curved < flat for any finite radius)."""
-
-    flat: float
-    curved: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.flat <= 1.0):
-            raise ValueError("flat attenuation factor must be in (0, 1]")
-        if not (0.0 < self.curved <= 1.0):
-            raise ValueError("curved attenuation factor must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class RayContribution:
-    """One ray's resolved path, per-plane gain factors, and complex amplitude."""
-
-    distance_m: float
-    gains: tuple[float, float, float, float]  # TX az/el, RX az/el (linear)
-    phase_rad: float
-    amplitude: complex
 
 
 def _reflector_area_m2(scenario: Scenario) -> float:
@@ -124,10 +99,6 @@ def alpha_curved(scenario: Scenario) -> float:
     return alpha_flat(scenario) * r / (r + 2.0 * d_rx)
 
 
-def attenuation_factors(scenario: Scenario) -> AttenuationFactors:
-    return AttenuationFactors(flat=alpha_flat(scenario), curved=alpha_curved(scenario))
-
-
 def _amplitudes(
     tx_pattern: AntennaPattern,
     rx_pattern: AntennaPattern,
@@ -144,12 +115,15 @@ def _amplitudes(
     mode: SumMode,
     normalization: float,
 ):
-    """Complex per-ray terms for either sum mode (vectorized)."""
+    """Complex per-ray terms for either sum mode (vectorized).
+
+    The phase is referenced to `d_ref_m`; `normalization` carries the 1/N
+    ray-set averaging factor in PHYSICAL mode and is ignored by LITERAL mode.
+    """
     d = np.asarray(distance_m, dtype=float)
     gain_tx = tx_pattern.gain(tx_az, tx_el)
     gain_rx = rx_pattern.gain(rx_az, rx_el)
-    phase = -2.0 * math.pi * (d - d_ref_m) / wavelength_m
-    phasor = np.exp(1j * phase)
+    phasor = np.exp(1j * (-2.0 * math.pi * (d - d_ref_m) / wavelength_m))
     if mode is SumMode.PHYSICAL:
         amp = (
             normalization
@@ -163,63 +137,12 @@ def _amplitudes(
             * wavelength_m ** 2
             * alpha
         )
-    return amp * phasor, phase
-
-
-def contribution(
-    tx_pattern: AntennaPattern,
-    rx_pattern: AntennaPattern,
-    path: RayPath,
-    wavelength_m: float,
-    d_ref_m: float,
-    alpha: float,
-    efficiency: float,
-    mode: SumMode,
-    tx_power_mw: float = 1.0,
-    normalization: float = 1.0,
-) -> RayContribution:
-    """Resolve one ray path into its complex amplitude term.
-
-    `normalization` carries the 1/N ray-set averaging factor in PHYSICAL mode
-    (the caller knows the set size); it is ignored by LITERAL mode.
-    """
-    if path.distance_m <= 0.0:
-        raise GeometryError("ray with non-positive path length is degenerate")
-    amp, phase = _amplitudes(
-        tx_pattern,
-        rx_pattern,
-        path.distance_m,
-        path.tx_az_deg,
-        path.tx_el_deg,
-        path.rx_az_deg,
-        path.rx_el_deg,
-        wavelength_m,
-        d_ref_m,
-        alpha,
-        efficiency,
-        tx_power_mw,
-        mode,
-        normalization,
-    )
-    floor = -tx_pattern.sidelobe_floor_db
-    gains = (
-        float(10.0 ** (-min(12.0 * (path.tx_az_deg / tx_pattern.hpbw_az_deg) ** 2, floor) / 10.0)),
-        float(10.0 ** (-min(12.0 * (path.tx_el_deg / tx_pattern.hpbw_el_deg) ** 2, floor) / 10.0)),
-        float(10.0 ** (-min(12.0 * (path.rx_az_deg / rx_pattern.hpbw_az_deg) ** 2,
-                            -rx_pattern.sidelobe_floor_db) / 10.0)),
-        float(10.0 ** (-min(12.0 * (path.rx_el_deg / rx_pattern.hpbw_el_deg) ** 2,
-                            -rx_pattern.sidelobe_floor_db) / 10.0)),
-    )
-    return RayContribution(
-        distance_m=path.distance_m,
-        gains=gains,
-        phase_rad=float(phase),
-        amplitude=complex(amp),
-    )
+    return amp * phasor
 
 
 def _power_db_from_sum(total: np.ndarray, mode: SumMode) -> np.ndarray:
-    mag = np.abs(np.atleast_1d(total))
+    """Power (dB) of each coherent sum; a zero sum maps to the -inf sentinel."""
+    mag = np.abs(total)
     out = np.full(mag.shape, NO_POWER_DB)
     nz = mag > 0.0
     if mode is SumMode.PHYSICAL:
@@ -230,107 +153,47 @@ def _power_db_from_sum(total: np.ndarray, mode: SumMode) -> np.ndarray:
 
 
 def flat_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -> np.ndarray:
-    """Received power (dB) at each RX point for a flat-reflector scenario.
+    """Received power (dB) at each of the (M, 3) RX points for a flat-reflector scenario.
 
     PHYSICAL mode sums field amplitudes over the facet grid with 1/N
     averaging (dBm); LITERAL mode additionally includes the center reference
-    ray and the sqrt(N) prefactor. Facet order is row-major and fixed, so
-    results are bit-reproducible.
+    ray and the sqrt(N) prefactor. Facet order is row-major and fixed, and
+    RX points are evaluated in blocks of _RX_BLOCK, so memory stays bounded
+    and results are bit-reproducible.
     """
     spec = scenario.reflector
     if not isinstance(spec, FlatReflectorSpec):
         raise ValueError("flat_sweep_power requires a flat reflector spec")
-    facets, center_ray = facetize_flat(spec, scenario.geometry)
-    rays = [center_ray] + facets if mode is SumMode.LITERAL else facets
-    launches = np.array([ray.launch_point for ray in rays])
-
-    rx = np.atleast_2d(np.asarray(rx_points, dtype=float))
-    d, tx_az, tx_el, rx_az, rx_el = path_geometry_batch(
-        scenario.geometry.tx_position,
-        launches,
-        rx,
-        scenario.tx_boresight,
-        scenario.rx_boresight,
-    )
+    geom = scenario.geometry
+    launches = facetize_flat(spec, geom)
+    if mode is SumMode.LITERAL:
+        launches = np.vstack([geom.reflector_center, launches])
     alpha = alpha_flat(scenario)
     tx_power_mw = 10.0 ** (scenario.tx_power_dbm / 10.0)
-    amp, _ = _amplitudes(
-        scenario.tx_pattern,
-        scenario.rx_pattern,
-        d,
-        tx_az,
-        tx_el,
-        rx_az,
-        rx_el,
-        scenario.wavelength_m,
-        scenario.reference_path_m,
-        alpha,
-        spec.reflection_efficiency,
-        tx_power_mw,
-        mode,
-        normalization=1.0 / spec.facet_count,
-    )
-    total = amp.sum(axis=1)
+    tx_boresight, rx_boresight = scenario.tx_boresight, scenario.rx_boresight
+
+    rx = np.asarray(rx_points, dtype=float)
+    total = np.empty(len(rx), dtype=complex)
+    for start in range(0, len(rx), _RX_BLOCK):
+        block = slice(start, start + _RX_BLOCK)
+        paths = path_geometry_batch(geom.tx_position, launches, rx[block],
+                                    tx_boresight, rx_boresight)
+        amp = _amplitudes(
+            scenario.tx_pattern,
+            scenario.rx_pattern,
+            *paths,
+            scenario.wavelength_m,
+            scenario.reference_path_m,
+            alpha,
+            spec.reflection_efficiency,
+            tx_power_mw,
+            mode,
+            normalization=1.0 / spec.facet_count,
+        )
+        total[block] = amp.sum(axis=1)
     if mode is SumMode.LITERAL:
         total = math.sqrt(spec.facet_count) * total
     return _power_db_from_sum(total, mode)
-
-
-def flat_received_power(scenario: Scenario, rx: np.ndarray, mode: SumMode) -> float:
-    """Received power (dB) at one RX point for a flat-reflector scenario."""
-    return float(flat_sweep_power(scenario, np.asarray(rx, dtype=float)[None, :], mode)[0])
-
-
-def convex_received_power(scenario: Scenario, rx: np.ndarray, mode: SumMode) -> float:
-    """Received power (dB) at one RX point for a convex-reflector scenario.
-
-    Sums captured rays over height sections and azimuth intercepts with the
-    curved-surface attenuation factor. Each ray is evaluated along its
-    specular path from the TX over the arc to its intercept on the RX
-    capture segment (the bundle the antenna aperture actually collects), so
-    the divergence of the curved surface dephases the bundle physically.
-    PHYSICAL mode averages over the captured-ray count; LITERAL applies the
-    sqrt(N_el * N_az) prefactor. Returns -inf when no ray is capturable.
-    """
-    spec = scenario.reflector
-    if not isinstance(spec, ConvexReflectorSpec):
-        raise ValueError("convex_received_power requires a convex reflector spec")
-    if spec.is_planar_limit:
-        return flat_received_power(_planar_limit_scenario(scenario), rx, mode)
-    paths = convex_ray_paths(
-        spec,
-        scenario.geometry,
-        vec3(rx),
-        scenario.rx_pattern,
-        scenario.capture_range_m,
-        scenario.tx_boresight,
-        scenario.rx_boresight,
-    )
-    if paths is None:
-        return NO_POWER_DB
-    n_rays = paths.distance_m.size
-    alpha = alpha_curved(scenario)
-    tx_power_mw = 10.0 ** (scenario.tx_power_dbm / 10.0)
-    amp, _ = _amplitudes(
-        scenario.tx_pattern,
-        scenario.rx_pattern,
-        paths.distance_m,
-        paths.tx_az_deg,
-        paths.tx_el_deg,
-        paths.rx_az_deg,
-        paths.rx_el_deg,
-        scenario.wavelength_m,
-        scenario.reference_path_m,
-        alpha,
-        spec.reflection_efficiency,
-        tx_power_mw,
-        mode,
-        normalization=1.0 / n_rays,
-    )
-    total = amp.sum()
-    if mode is SumMode.LITERAL:
-        total = math.sqrt(paths.n_sections * paths.n_az_nominal) * total
-    return float(_power_db_from_sum(np.array([total]), mode)[0])
 
 
 def _planar_limit_scenario(scenario: Scenario) -> Scenario:
@@ -355,16 +218,59 @@ def _planar_limit_scenario(scenario: Scenario) -> Scenario:
 
 
 def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -> np.ndarray:
-    """Received power (dB) at each RX point for a convex-reflector scenario."""
-    rx = np.atleast_2d(np.asarray(rx_points, dtype=float))
+    """Received power (dB) at each of the (M, 3) RX points for a convex-reflector scenario.
+
+    At each position, sums captured rays over height sections and azimuth
+    intercepts with the curved-surface attenuation factor. Each ray is
+    evaluated along its specular path from the TX over the arc to its
+    intercept on the RX capture segment (the bundle the antenna aperture
+    actually collects), so the divergence of the curved surface dephases the
+    bundle physically. PHYSICAL mode averages over the captured-ray count;
+    LITERAL applies the sqrt(N_el * N_az) prefactor. A position where no ray
+    is capturable gets -inf. Radii at the planar-limit flag are evaluated as
+    the equivalent flat plate.
+    """
     spec = scenario.reflector
-    if isinstance(spec, ConvexReflectorSpec) and spec.is_planar_limit:
+    if not isinstance(spec, ConvexReflectorSpec):
+        raise ValueError("convex_sweep_power requires a convex reflector spec")
+    rx = np.asarray(rx_points, dtype=float)
+    if spec.is_planar_limit:
         return flat_sweep_power(_planar_limit_scenario(scenario), rx, mode)
-    return np.array([convex_received_power(scenario, p, mode) for p in rx])
+    alpha = alpha_curved(scenario)
+    tx_power_mw = 10.0 ** (scenario.tx_power_dbm / 10.0)
+    tx_boresight, rx_boresight = scenario.tx_boresight, scenario.rx_boresight
 
-
-def received_power(scenario: Scenario, rx: np.ndarray, mode: SumMode) -> float:
-    """Dispatch to the flat or convex evaluator based on the reflector spec."""
-    if scenario.is_convex:
-        return convex_received_power(scenario, rx, mode)
-    return flat_received_power(scenario, rx, mode)
+    total = np.zeros(len(rx), dtype=complex)  # uncaptured positions stay 0 -> -inf
+    for i, point in enumerate(rx):
+        paths = convex_ray_paths(
+            spec,
+            scenario.geometry,
+            point,
+            scenario.rx_pattern,
+            scenario.capture_range_m,
+            tx_boresight,
+            rx_boresight,
+        )
+        if paths is None:
+            continue
+        amp = _amplitudes(
+            scenario.tx_pattern,
+            scenario.rx_pattern,
+            paths.distance_m,
+            paths.tx_az_deg,
+            paths.tx_el_deg,
+            paths.rx_az_deg,
+            paths.rx_el_deg,
+            scenario.wavelength_m,
+            scenario.reference_path_m,
+            alpha,
+            spec.reflection_efficiency,
+            tx_power_mw,
+            mode,
+            normalization=1.0 / paths.distance_m.size,
+        )
+        ray_sum = amp.sum()
+        if mode is SumMode.LITERAL:
+            ray_sum = math.sqrt(paths.n_sections * paths.n_az_nominal) * ray_sum
+        total[i] = ray_sum
+    return _power_db_from_sum(total, mode)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,13 +56,19 @@ class ProfileStats:
     rhs_decay_db: float
 
     def to_dict(self) -> dict:
+        """JSON-ready statistics; a statistic that is not finite (e.g. an
+        envelope that reaches the -inf sentinel) is written as None."""
         return {
-            "peak_db": self.peak_db,
-            "peak_position_m": self.peak_position_m,
+            "peak_db": _finite_or_none(self.peak_db),
+            "peak_position_m": _finite_or_none(self.peak_position_m),
             "fringe_count": self.fringe_count,
-            "envelope_dynamic_range_db": self.envelope_dynamic_range_db,
-            "rhs_decay_db": self.rhs_decay_db,
+            "envelope_dynamic_range_db": _finite_or_none(self.envelope_dynamic_range_db),
+            "rhs_decay_db": _finite_or_none(self.rhs_decay_db),
         }
+
+
+def _finite_or_none(value: float) -> Optional[float]:
+    return value if math.isfinite(value) else None
 
 
 @dataclass(frozen=True)
@@ -133,8 +140,10 @@ def analyze(
     envelope = smoothed_envelope_db(power, smoothing_window)
     peak_idx = int(np.argmax(power))
 
-    detrended = power - envelope
-    detrended[~np.isfinite(detrended)] = 0.0
+    # Detrend only where both are finite; -inf stretches count as flat.
+    detrended = np.zeros_like(power)
+    finite = np.isfinite(power) & np.isfinite(envelope)
+    detrended[finite] = power[finite] - envelope[finite]
     peaks, _ = find_peaks(detrended, prominence=fringe_prominence_db)
 
     return ProfileStats(

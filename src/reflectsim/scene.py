@@ -174,19 +174,6 @@ ReflectorSpec = Union[FlatReflectorSpec, ConvexReflectorSpec]
 
 
 @dataclass(frozen=True, eq=False)
-class FacetRay:
-    """One ray launch point on the reflector surface with its local normal."""
-
-    launch_point: np.ndarray
-    outward_normal: np.ndarray
-    index: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "launch_point", vec3(self.launch_point))
-        object.__setattr__(self, "outward_normal", vec3(self.outward_normal))
-
-
-@dataclass(frozen=True, eq=False)
 class Scenario:
     """Full experiment description: band, link hardware, reflector, poses."""
 
@@ -348,10 +335,8 @@ def build_default_scenario(
     )
 
 
-def facetize_flat(
-    spec: FlatReflectorSpec, geom: ScenarioGeometry
-) -> tuple[list[FacetRay], FacetRay]:
-    """Uniform facet-center grid over the plate, plus the center reference ray.
+def facetize_flat(spec: FlatReflectorSpec, geom: ScenarioGeometry) -> np.ndarray:
+    """Uniform facet-center grid over the plate as an (n^2, 3) array of launch points.
 
     Facets are ordered row-major: rows climb the surface vertical axis,
     columns run along the surface horizontal axis.
@@ -359,20 +344,10 @@ def facetize_flat(
     e_h, e_v = surface_axes(geom.reflector_normal)
     n = spec.facets_per_side
     frac = (np.arange(n) + 0.5) / n - 0.5
-    h_offsets = frac * spec.width_m
-    v_offsets = frac * spec.height_m
-    center = geom.reflector_center
-    facets = [
-        FacetRay(
-            launch_point=center + h_offsets[col] * e_h + v_offsets[row] * e_v,
-            outward_normal=geom.reflector_normal,
-            index=(row, col),
-        )
-        for row in range(n)
-        for col in range(n)
-    ]
-    center_ray = FacetRay(center, geom.reflector_normal, index=(-1, -1))
-    return facets, center_ray
+    h_offsets = (frac * spec.width_m)[None, :, None]
+    v_offsets = (frac * spec.height_m)[:, None, None]
+    grid = geom.reflector_center + h_offsets * e_h + v_offsets * e_v
+    return grid.reshape(n * n, 3)
 
 
 def capture_length_m(pattern: AntennaPattern, distance_m: float) -> float:
@@ -518,43 +493,6 @@ def _convex_section_offsets(spec: ConvexReflectorSpec) -> np.ndarray:
     return ((np.arange(n_el) + 0.5) / n_el - 0.5) * spec.height_m
 
 
-def section_convex(
-    spec: ConvexReflectorSpec,
-    geom: ScenarioGeometry,
-    rx: np.ndarray,
-    pattern: AntennaPattern,
-    far_field_distance_m: float,
-) -> list[list[FacetRay]]:
-    """Launch rays on the convex surface that the RX can capture.
-
-    The surface is split into ceil(height / section_height) height sections;
-    every section reuses the azimuth capture solution (the cylinder axis is
-    vertical). Returns rays grouped by height section, ordered bottom-up;
-    empty when nothing is capturable.
-    """
-    capture = solve_convex_capture(spec, geom, rx, pattern, far_field_distance_m)
-    if capture is None:
-        return []
-    e_h, e_v = surface_axes(geom.reflector_normal)
-    r = spec.radius_of_curvature_m
-    center = geom.reflector_center
-    sections: list[list[FacetRay]] = []
-    for row, z in enumerate(_convex_section_offsets(spec)):
-        rays = [
-            FacetRay(
-                launch_point=center
-                + r * (math.cos(b) - 1.0) * geom.reflector_normal
-                + r * math.sin(b) * e_h
-                + z * e_v,
-                outward_normal=math.cos(b) * geom.reflector_normal + math.sin(b) * e_h,
-                index=(row, int(col)),
-            )
-            for col, b in zip(capture.columns, capture.arc_angles)
-        ]
-        sections.append(rays)
-    return sections
-
-
 class ConvexRayPaths(NamedTuple):
     """Vectorized specular ray paths from the TX over the arc to the capture
     segment of one RX position, ordered section-major then by intercept."""
@@ -651,16 +589,6 @@ def specular_point(geom: ScenarioGeometry) -> np.ndarray:
     return geom.sweep_start + b * sweep_dir
 
 
-class RayPath(NamedTuple):
-    """Path length and boresight-relative angles of one TX->facet->RX ray."""
-
-    distance_m: float
-    tx_az_deg: float
-    tx_el_deg: float
-    rx_az_deg: float
-    rx_el_deg: float
-
-
 def _antenna_frame(boresight: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     b = unit(boresight)
     if abs(float(np.dot(b, _UP))) > 0.999:
@@ -694,15 +622,13 @@ def path_geometry_batch(
 
     Angles follow the ray's travel direction: departure (tx -> launch)
     against the TX boresight, arrival (launch -> rx) against the RX
-    boresight. launch_points has shape (N, 3); rx is (3,) or (M, 3). Returns
-    (distance, tx_az, tx_el, rx_az, rx_el) with shape (N,) or (M, N), all
-    angles in degrees.
+    boresight. launch_points has shape (N, 3) and rx has shape (M, 3).
+    Returns (distance, tx_az, tx_el, rx_az, rx_el), each of shape (M, N),
+    all angles in degrees.
     """
     tx = vec3(tx)
-    launch = np.atleast_2d(np.asarray(launch_points, dtype=float))
-    rx_arr = np.asarray(rx, dtype=float)
-    single_rx = rx_arr.ndim == 1
-    rx2 = np.atleast_2d(rx_arr)
+    launch = np.asarray(launch_points, dtype=float)
+    rx = np.asarray(rx, dtype=float)
 
     to_launch = launch - tx[None, :]
     d1 = np.linalg.norm(to_launch, axis=1)
@@ -710,7 +636,7 @@ def path_geometry_batch(
         raise GeometryError("ray launch point coincides with the TX")
     tx_az, tx_el = offset_angles_deg(to_launch / d1[:, None], tx_boresight)
 
-    arrival = rx2[:, None, :] - launch[None, :, :]
+    arrival = rx[:, None, :] - launch[None, :, :]
     d2 = np.linalg.norm(arrival, axis=2)
     if np.any(d2 == 0.0):
         raise GeometryError("ray launch point coincides with the RX")
@@ -719,21 +645,4 @@ def path_geometry_batch(
     dist = d1[None, :] + d2
     tx_az = np.broadcast_to(tx_az[None, :], dist.shape)
     tx_el = np.broadcast_to(tx_el[None, :], dist.shape)
-    if single_rx:
-        return dist[0], tx_az[0], tx_el[0], rx_az[0], rx_el[0]
     return dist, tx_az, tx_el, rx_az, rx_el
-
-
-def path_geometry(
-    tx: np.ndarray,
-    ray: FacetRay,
-    rx: np.ndarray,
-    tx_boresight: np.ndarray,
-    rx_boresight: np.ndarray,
-) -> RayPath:
-    """Path length and departure/arrival angle offsets for a single ray."""
-    d, tx_az, tx_el, rx_az, rx_el = path_geometry_batch(
-        tx, ray.launch_point[None, :], rx, tx_boresight, rx_boresight
-    )
-    return RayPath(float(d[0]), float(tx_az[0]), float(tx_el[0]),
-                   float(rx_az[0]), float(rx_el[0]))

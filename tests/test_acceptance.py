@@ -20,8 +20,7 @@ from reflectsim.engine import (
     SumMode,
     alpha_curved,
     alpha_flat,
-    convex_received_power,
-    flat_received_power,
+    convex_sweep_power,
     flat_sweep_power,
 )
 from reflectsim.metrics import analyze, smoothed_envelope_db
@@ -44,7 +43,7 @@ BANDS = (Band.GHZ28, Band.GHZ39, Band.GHZ120)
 # step over half a wavelength is below the Nyquist rate of that phase.
 RESOLVED_FACETS_PER_SIDE = 64
 NYQUIST_STEP_WAVELENGTHS = 0.5
-# RX positions per flat_sweep_power call on fine grids, to bound peak memory.
+# RX positions per block in max_facet_step_wavelengths, to bound peak memory.
 RX_CHUNK = 200
 
 
@@ -85,8 +84,7 @@ def max_facet_step_wavelengths(scn) -> float:
     """Largest TX->facet->RX path difference between adjacent facet centres
     of a flat scenario over its whole sweep, in wavelengths."""
     n = scn.reflector.facets_per_side
-    facets, _ = facetize_flat(scn.reflector, scn.geometry)
-    launch = np.array([f.launch_point for f in facets]).reshape(n, n, 3)
+    launch = facetize_flat(scn.reflector, scn.geometry).reshape(n, n, 3)
     d_tx = np.linalg.norm(launch - scn.geometry.tx_position, axis=-1)
     rx = scn.geometry.rx_positions()
     worst = 0.0
@@ -95,13 +93,6 @@ def max_facet_step_wavelengths(scn) -> float:
         worst = max(worst, float(np.max(np.abs(np.diff(d, axis=1)))),
                     float(np.max(np.abs(np.diff(d, axis=2)))))
     return worst / scn.wavelength_m
-
-
-def chunked_flat_sweep_db(scn) -> np.ndarray:
-    """Physical-mode flat sweep evaluated RX_CHUNK positions at a time."""
-    rx = scn.geometry.rx_positions()
-    return np.concatenate([flat_sweep_power(scn, rx[i:i + RX_CHUNK], SumMode.PHYSICAL)
-                           for i in range(0, len(rx), RX_CHUNK)])
 
 
 def lobe_centre_m(positions_m: np.ndarray, power_db: np.ndarray) -> float:
@@ -118,8 +109,8 @@ def test_c1_friis_identity_all_bands():
     for band in BANDS:
         scn = build_default_scenario(band, "flat", facets_per_side=1,
                                      alpha_flat_override=1.0)
-        rx = specular_point(scn.geometry)
-        got = flat_received_power(scn, rx, SumMode.PHYSICAL)
+        rx = specular_point(scn.geometry)[None, :]
+        (got,) = flat_sweep_power(scn, rx, SumMode.PHYSICAL)
         want = friis_dbm(scn.tx_power_dbm, scn.tx_pattern.boresight_gain_dbi,
                          scn.wavelength_m, 5.0)
         worst = max(worst, abs(got - want))
@@ -144,7 +135,8 @@ def test_c2_specular_peak_location():
     t0 = time.perf_counter()
     errors = {}
     for offset, scn in scenarios.items():
-        centre = lobe_centre_m(scn.geometry.rx_offsets_m(), chunked_flat_sweep_db(scn))
+        power = flat_sweep_power(scn, scn.geometry.rx_positions(), SumMode.PHYSICAL)
+        centre = lobe_centre_m(scn.geometry.rx_offsets_m(), power)
         oracle = sweep_coordinate(scn.geometry, image_source_specular_oracle(scn.geometry))
         errors[offset] = centre - oracle
     elapsed = time.perf_counter() - t0
@@ -229,17 +221,17 @@ def test_c7a_reciprocity():
     flat = dataclasses.replace(flat, tx_pattern=AntennaPattern(17.0, 24.0, 26.0),
                                rx_pattern=AntennaPattern(20.0, 16.0, 15.0))
     rx = flat.geometry.sweep_midpoint
-    d_flat = abs(
-        flat_received_power(flat, rx, SumMode.PHYSICAL)
-        - flat_received_power(_swapped_link(flat, rx), flat.geometry.tx_position,
-                              SumMode.PHYSICAL))
+    (d_flat,) = np.abs(
+        flat_sweep_power(flat, rx[None, :], SumMode.PHYSICAL)
+        - flat_sweep_power(_swapped_link(flat, rx), flat.geometry.tx_position[None, :],
+                           SumMode.PHYSICAL))
 
     convex = build_default_scenario(Band.GHZ28, "convex", alpha_curved_override=0.05)
     rx_c = specular_point(convex.geometry)
-    d_convex = abs(
-        convex_received_power(convex, rx_c, SumMode.PHYSICAL)
-        - convex_received_power(_swapped_link(convex, rx_c),
-                                convex.geometry.tx_position, SumMode.PHYSICAL))
+    (d_convex,) = np.abs(
+        convex_sweep_power(convex, rx_c[None, :], SumMode.PHYSICAL)
+        - convex_sweep_power(_swapped_link(convex, rx_c),
+                             convex.geometry.tx_position[None, :], SumMode.PHYSICAL))
     report("C7a reciprocity", d_flat < 1e-9 and d_convex < 1e-9,
            f"TX/RX swap deltas: flat {d_flat:.2e} dB, convex {d_convex:.2e} dB (limit 1e-9)")
 
@@ -249,8 +241,8 @@ def test_c7b_reference_path_invariance():
     shifted = build_default_scenario(Band.GHZ39, "flat",
                                      d_ref_m=base.reference_path_m + 7.3)
     rx = base.geometry.sweep_start + 0.62 * (base.geometry.sweep_end - base.geometry.sweep_start)
-    delta = abs(flat_received_power(base, rx, SumMode.PHYSICAL)
-                - flat_received_power(shifted, rx, SumMode.PHYSICAL))
+    (delta,) = np.abs(flat_sweep_power(base, rx[None, :], SumMode.PHYSICAL)
+                      - flat_sweep_power(shifted, rx[None, :], SumMode.PHYSICAL))
     report("C7b d-ref-invariance", delta < 1e-9,
            f"power shift under +7.3 m reference change = {delta:.2e} dB (limit 1e-9)")
 
@@ -260,8 +252,8 @@ def test_c7c_efficiency_scaling():
     full = build_default_scenario(Band.GHZ39, "flat", reflection_efficiency=1.0)
     part = build_default_scenario(Band.GHZ39, "flat", reflection_efficiency=k)
     rx = full.geometry.sweep_start + 0.62 * (full.geometry.sweep_end - full.geometry.sweep_start)
-    diff = flat_received_power(full, rx, SumMode.PHYSICAL) - flat_received_power(
-        part, rx, SumMode.PHYSICAL)
+    (diff,) = flat_sweep_power(full, rx[None, :], SumMode.PHYSICAL) - flat_sweep_power(
+        part, rx[None, :], SumMode.PHYSICAL)
     err = abs(diff + 10.0 * math.log10(k))
     report("C7c efficiency-scaling", err < 1e-9,
            f"|delta - 10*log10(eta)| = {err:.2e} dB (limit 1e-9)")
@@ -297,9 +289,10 @@ def test_c7f_facet_refinement_convergence():
         build_default_scenario(Band.GHZ28, "flat", facets_per_side=16))
     resolved_step = max_facet_step_wavelengths(
         build_default_scenario(Band.GHZ28, "flat", facets_per_side=RESOLVED_FACETS_PER_SIDE))
-    p32, p64, p128 = (
-        chunked_flat_sweep_db(build_default_scenario(Band.GHZ28, "flat", facets_per_side=n))
-        for n in (32, RESOLVED_FACETS_PER_SIDE, 2 * RESOLVED_FACETS_PER_SIDE))
+    scenarios = (build_default_scenario(Band.GHZ28, "flat", facets_per_side=n)
+                 for n in (32, RESOLVED_FACETS_PER_SIDE, 2 * RESOLVED_FACETS_PER_SIDE))
+    p32, p64, p128 = (flat_sweep_power(scn, scn.geometry.rx_positions(), SumMode.PHYSICAL)
+                      for scn in scenarios)
     change_32_64 = float(np.max(np.abs(p32 - p64)))
     change_64_128 = float(np.max(np.abs(p64 - p128)))
     ok = (change_64_128 <= 0.5 and change_64_128 < change_32_64

@@ -1,10 +1,13 @@
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from reflectsim.cli import main
 from reflectsim.config import parse_config
 from reflectsim.profile_io import export_profile, import_measured
+from reflectsim import metrics
 from reflectsim.metrics import PowerProfile
 from reflectsim.antenna import Band
 
@@ -48,6 +51,32 @@ def test_simulate_outputs_are_byte_stable(tmp_path):
     assert (out1 / "28ghz_flat.csv").read_bytes() == (out2 / "28ghz_flat.csv").read_bytes()
     assert (out1 / "28ghz_flat.stats.json").read_bytes() == (
         out2 / "28ghz_flat.stats.json").read_bytes()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_uncaptured_run_longer_than_window_gives_strict_json_stats(tmp_path):
+    # At a 5 m offset the last quarter of the 28 GHz convex sweep captures no
+    # ray: a run of -inf powers longer than the smoothing window, where the
+    # smoothed envelope is -inf too.
+    cfg = write_config(tmp_path, "band = 28\nreflector.kind = convex\n"
+                       "reflector.radius_of_curvature = 0.5\n"
+                       "geometry.sweep_offset = 5.0\ngeometry.n_positions = 300\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    power = import_measured(out / "28ghz_convex.csv").power_db
+    uncaptured = np.flatnonzero(np.isneginf(power))
+    assert uncaptured.size > metrics.DEFAULT_SMOOTHING_SAMPLES
+    assert np.all(np.diff(uncaptured) == 1)
+    text = (out / "28ghz_convex.stats.json").read_text()
+    stats = json.loads(text, parse_constant=_reject_constant)["stats"]
+    assert stats["rhs_decay_db"] is None
+    assert stats["envelope_dynamic_range_db"] is None
+    assert np.isfinite(stats["peak_db"])
 
 
 def test_dump_config_round_trips(tmp_path, capsys):

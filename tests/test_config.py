@@ -2,9 +2,17 @@
 import pytest
 from numpy.testing import assert_allclose
 
+from reflectsim import config as config_module
 from reflectsim.antenna import Band
+from reflectsim.cli import main
 from reflectsim.config import ConfigError, dump_config, parse_config
 from reflectsim.engine import SumMode
+
+# Every key whose value is a float or a length, read off the key table.
+_NUMBER_PARSERS = (config_module._parse_float, config_module._parse_auto_float,
+                   config_module._parse_length, config_module._parse_auto_length)
+NUMBER_KEYS = sorted(key for key, (_, parser) in config_module._KEY_TABLE.items()
+                     if parser in _NUMBER_PARSERS)
 
 
 def test_empty_text_with_band_flag_gives_full_defaults():
@@ -92,6 +100,28 @@ def test_comments_and_blank_lines_ignored():
 def test_validation_failures(line, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(f"band = 28\n{line}\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", NUMBER_KEYS)
+def test_non_finite_number_rejected_with_key_and_line(key, value, tmp_path, capsys):
+    assert {"engine.d_ref", "reflector.width", "geometry.tx_range"} <= set(NUMBER_KEYS)
+    lines = ["band = 28"]
+    if key in config_module._CONVEX_ONLY_KEYS:
+        lines.append("reflector.kind = convex")
+        if key != "reflector.radius_of_curvature":
+            lines.append("reflector.radius_of_curvature = 0.5")
+    lines.append(f"{key} = {value}")
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert (info.value.key, info.value.line) == (key, len(lines))
+    assert "finite" in str(info.value)
+
+    path = tmp_path / "scenario.cfg"
+    path.write_text(text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"line {len(lines)}: {key}" in capsys.readouterr().err
 
 
 def test_convex_radius_must_exceed_half_chord():

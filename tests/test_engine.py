@@ -8,20 +8,16 @@ from numpy.testing import assert_allclose
 
 from reflectsim.antenna import AntennaPattern, Band
 from reflectsim.engine import (
-    AttenuationFactors,
     SumMode,
+    _amplitudes,
     alpha_curved,
     alpha_flat,
-    contribution,
-    convex_received_power,
-    flat_received_power,
+    convex_sweep_power,
     flat_sweep_power,
-    received_power,
 )
 from reflectsim.runner import sweep_profile
 from reflectsim.scene import (
     GeometryError,
-    RayPath,
     REFLECTOR_SIDE_16IN_M,
     ScenarioGeometry,
     build_default_scenario,
@@ -92,53 +88,41 @@ def test_alpha_ordering_strict_for_finite_radius(radius):
     assert alpha_curved(scn) < alpha_flat(scn)
 
 
-def test_attenuation_factors_validation():
-    with pytest.raises(ValueError):
-        AttenuationFactors(flat=0.0, curved=0.1)
-    with pytest.raises(ValueError):
-        AttenuationFactors(flat=0.5, curved=1.5)
-
-
-# --------------------------------------------------------------- contribution
+# ---------------------------------------------------------------- amplitudes
 
 PAT = AntennaPattern(17.0, 24.0, 26.0)
 
 
+def boresight_amplitudes(distance_m, wavelength_m, d_ref_m=5.0):
+    """PHYSICAL-mode terms of on-boresight rays at the given path lengths."""
+    d = np.asarray(distance_m, dtype=float)
+    zero = np.zeros_like(d)
+    return _amplitudes(PAT, PAT, d, zero, zero, zero, zero, wavelength_m, d_ref_m,
+                       alpha=1.0, efficiency=1.0, tx_power_mw=1.0, mode=SumMode.PHYSICAL,
+                       normalization=1.0)
+
+
 def test_contribution_at_reference_distance_is_real_positive():
-    path = RayPath(5.0, 0.0, 0.0, 0.0, 0.0)
-    c = contribution(PAT, PAT, path, 0.01, d_ref_m=5.0, alpha=1.0, efficiency=1.0,
-                     mode=SumMode.PHYSICAL)
-    assert c.phase_rad == 0.0
-    assert c.amplitude.imag == 0.0
-    assert c.amplitude.real > 0.0
+    (amp,) = boresight_amplitudes([5.0], 0.01)
+    assert amp.imag == 0.0
+    assert amp.real > 0.0
 
 
 def test_contribution_half_wave_flips_sign():
     lam = 0.01
-    ref = contribution(PAT, PAT, RayPath(5.0, 0, 0, 0, 0), lam, 5.0, 1.0, 1.0,
-                       SumMode.PHYSICAL)
-    half = contribution(PAT, PAT, RayPath(5.0 + lam / 2.0, 0, 0, 0, 0), lam, 5.0,
-                        1.0, 1.0, SumMode.PHYSICAL)
-    assert_allclose(half.phase_rad, -math.pi, rtol=1e-12)
-    assert half.amplitude.real < 0.0
-    assert abs(half.amplitude.imag) < 1e-12 * abs(half.amplitude.real)
+    ref, half = boresight_amplitudes([5.0, 5.0 + lam / 2.0], lam)
+    assert_allclose(abs(np.angle(half)), math.pi, rtol=1e-12)
+    assert half.real < 0.0
+    assert abs(half.imag) < 1e-12 * abs(half.real)
+    assert ref.real > 0.0
 
 
 def test_half_wave_pair_cancels():
     lam = 0.01
-    a = contribution(PAT, PAT, RayPath(5.0, 0, 0, 0, 0), lam, 5.0, 1.0, 1.0,
-                     SumMode.PHYSICAL).amplitude
+    a, b_raw = boresight_amplitudes([5.0, 5.0 + lam / 2.0], lam)
     # same magnitude, half a wavelength longer path
-    b_raw = contribution(PAT, PAT, RayPath(5.0 + lam / 2.0, 0, 0, 0, 0), lam, 5.0,
-                         1.0, 1.0, SumMode.PHYSICAL).amplitude
     b = b_raw * abs(a) / abs(b_raw)
     assert abs(a + b) < 1e-12 * abs(a)
-
-
-def test_contribution_degenerate_distance_raises():
-    with pytest.raises(GeometryError):
-        contribution(PAT, PAT, RayPath(0.0, 0, 0, 0, 0), 0.01, 5.0, 1.0, 1.0,
-                     SumMode.PHYSICAL)
 
 
 # ------------------------------------------------------------------ flat path
@@ -146,8 +130,8 @@ def test_contribution_degenerate_distance_raises():
 def test_friis_identity_single_facet():
     scn = build_default_scenario(Band.GHZ28, "flat", facets_per_side=1,
                                  alpha_flat_override=1.0)
-    rx = specular_point(scn.geometry)
-    got = flat_received_power(scn, rx, SumMode.PHYSICAL)
+    rx = specular_point(scn.geometry)[None, :]
+    (got,) = flat_sweep_power(scn, rx, SumMode.PHYSICAL)
     want = friis_dbm(scn.tx_power_dbm, 17.0, scn.wavelength_m, 5.0)
     assert abs(got - want) < 1e-9
 
@@ -157,8 +141,8 @@ def test_literal_mode_single_facet_formula():
     # sqrt(1) prefactor, magnitude reported as 10*log10|sum|.
     scn = build_default_scenario(Band.GHZ28, "flat", facets_per_side=1,
                                  alpha_flat_override=1.0)
-    rx = specular_point(scn.geometry)
-    got = flat_received_power(scn, rx, SumMode.LITERAL)
+    rx = specular_point(scn.geometry)[None, :]
+    (got,) = flat_sweep_power(scn, rx, SumMode.LITERAL)
     p_mw = 10.0 ** (scn.tx_power_dbm / 10.0)
     term = p_mw / (4 * math.pi * 5.0) ** 2 * 10.0**1.7 * scn.wavelength_m**2
     assert_allclose(got, 10.0 * math.log10(2.0 * term), atol=1e-9)
@@ -169,8 +153,9 @@ def test_reference_path_shift_leaves_power_unchanged():
     shifted = build_default_scenario(Band.GHZ39, "flat", d_ref_m=base.reference_path_m + 7.3)
     rx = base.geometry.sweep_start + 0.62 * (base.geometry.sweep_end - base.geometry.sweep_start)
     for mode in SumMode:
-        assert abs(flat_received_power(base, rx, mode)
-                   - flat_received_power(shifted, rx, mode)) < 1e-9
+        delta = flat_sweep_power(base, rx[None, :], mode) - flat_sweep_power(
+            shifted, rx[None, :], mode)
+        assert abs(delta[0]) < 1e-9
 
 
 def test_efficiency_scales_power_linearly():
@@ -178,8 +163,8 @@ def test_efficiency_scales_power_linearly():
     full = build_default_scenario(Band.GHZ39, "flat", reflection_efficiency=1.0)
     part = build_default_scenario(Band.GHZ39, "flat", reflection_efficiency=k)
     rx = full.geometry.sweep_start + 0.62 * (full.geometry.sweep_end - full.geometry.sweep_start)
-    diff = flat_received_power(full, rx, SumMode.PHYSICAL) - flat_received_power(
-        part, rx, SumMode.PHYSICAL)
+    (diff,) = flat_sweep_power(full, rx[None, :], SumMode.PHYSICAL) - flat_sweep_power(
+        part, rx[None, :], SumMode.PHYSICAL)
     assert abs(diff - (-10.0 * math.log10(k))) < 1e-9
 
 
@@ -209,19 +194,19 @@ def test_reciprocity_flat():
     scn = dataclasses.replace(scn, tx_pattern=AntennaPattern(17.0, 24.0, 26.0),
                               rx_pattern=AntennaPattern(20.0, 16.0, 15.0))
     rx = scn.geometry.sweep_midpoint
-    fwd = flat_received_power(scn, rx, SumMode.PHYSICAL)
-    rev = flat_received_power(_swapped_link(scn, rx), scn.geometry.tx_position,
-                              SumMode.PHYSICAL)
-    assert abs(fwd - rev) < 1e-9
+    fwd = flat_sweep_power(scn, rx[None, :], SumMode.PHYSICAL)
+    rev = flat_sweep_power(_swapped_link(scn, rx), scn.geometry.tx_position[None, :],
+                           SumMode.PHYSICAL)
+    assert abs(fwd[0] - rev[0]) < 1e-9
 
 
 def test_reciprocity_convex():
     scn = build_default_scenario(Band.GHZ28, "convex", alpha_curved_override=0.05)
     rx = specular_point(scn.geometry)
-    fwd = convex_received_power(scn, rx, SumMode.PHYSICAL)
-    rev = convex_received_power(_swapped_link(scn, rx), scn.geometry.tx_position,
-                                SumMode.PHYSICAL)
-    assert abs(fwd - rev) < 1e-9
+    fwd = convex_sweep_power(scn, rx[None, :], SumMode.PHYSICAL)
+    rev = convex_sweep_power(_swapped_link(scn, rx), scn.geometry.tx_position[None, :],
+                             SumMode.PHYSICAL)
+    assert abs(fwd[0] - rev[0]) < 1e-9
 
 
 def test_peak_power_bounded_by_shortest_path_friis():
@@ -245,7 +230,7 @@ def test_flat_sweep_bit_determinism():
 def test_flat_requires_flat_spec():
     scn = build_default_scenario(Band.GHZ28, "convex")
     with pytest.raises(ValueError):
-        flat_received_power(scn, specular_point(scn.geometry), SumMode.PHYSICAL)
+        flat_sweep_power(scn, specular_point(scn.geometry)[None, :], SumMode.PHYSICAL)
 
 
 # ---------------------------------------------------------------- convex path
@@ -259,8 +244,8 @@ def test_convex_single_ray_friis():
         azimuth_ray_spacing_m=10.0,
         alpha_curved_override=1.0,
     )
-    rx = specular_point(scn.geometry)
-    got = convex_received_power(scn, rx, SumMode.PHYSICAL)
+    rx = specular_point(scn.geometry)[None, :]
+    (got,) = convex_sweep_power(scn, rx, SumMode.PHYSICAL)
     want = friis_dbm(scn.tx_power_dbm, 17.0, scn.wavelength_m, 5.0)
     assert abs(got - want) < 1e-9
 
@@ -269,7 +254,8 @@ def test_convex_no_capture_returns_sentinel():
     scn = build_default_scenario(Band.GHZ28, "convex", radius_of_curvature_m=9e5)
     g = scn.geometry
     rx = g.sweep_midpoint + 2.5 * g.sweep_axis
-    assert convex_received_power(scn, rx, SumMode.PHYSICAL) == float("-inf")
+    power = convex_sweep_power(scn, rx[None, :], SumMode.PHYSICAL)
+    assert power.tolist() == [float("-inf")]
 
 
 def test_planar_limit_flag_matches_flat_sweep():
@@ -281,20 +267,10 @@ def test_planar_limit_flag_matches_flat_sweep():
     assert np.max(np.abs(p_flat.power_db - p_convex.power_db)) < 1e-3
 
 
-def test_received_power_dispatch():
-    flat = build_default_scenario(Band.GHZ28, "flat")
-    convex = build_default_scenario(Band.GHZ28, "convex")
-    rx = specular_point(flat.geometry)
-    assert received_power(flat, rx, SumMode.PHYSICAL) == flat_received_power(
-        flat, rx, SumMode.PHYSICAL)
-    assert received_power(convex, rx, SumMode.PHYSICAL) == convex_received_power(
-        convex, rx, SumMode.PHYSICAL)
-
-
 def test_convex_requires_convex_spec():
     scn = build_default_scenario(Band.GHZ28, "flat")
     with pytest.raises(ValueError):
-        convex_received_power(scn, specular_point(scn.geometry), SumMode.PHYSICAL)
+        convex_sweep_power(scn, specular_point(scn.geometry)[None, :], SumMode.PHYSICAL)
 
 
 @given(t=st.floats(0.0, 1.0))
@@ -303,7 +279,7 @@ def test_physical_power_never_exceeds_friis_bound(t):
     scn = build_default_scenario(Band.GHZ39, "flat")
     g = scn.geometry
     rx = g.sweep_start + t * (g.sweep_end - g.sweep_start)
-    power = flat_received_power(scn, rx, SumMode.PHYSICAL)
+    (power,) = flat_sweep_power(scn, rx[None, :], SumMode.PHYSICAL)
     d_min = min(
         float(np.linalg.norm(g.tx_position - p) + np.linalg.norm(rx - p))
         for p in (g.reflector_center,)

@@ -14,13 +14,15 @@ from reflectsim.scene import (
     ScenarioGeometry,
     build_default_scenario,
     capture_length_m,
+    convex_ray_paths,
     facetize_flat,
-    path_geometry,
-    section_convex,
+    offset_angles_deg,
+    path_geometry_batch,
+    solve_convex_capture,
     specular_point,
+    surface_axes,
     vec3,
 )
-from reflectsim.scene import FacetRay
 
 SIDE = REFLECTOR_SIDE_16IN_M
 
@@ -58,38 +60,38 @@ def test_default_39_convex_sweep_centered_on_specular():
 
 def test_facetize_single_facet_degenerates_to_center():
     scn = build_default_scenario(Band.GHZ28, "flat", facets_per_side=1)
-    facets, center = facetize_flat(scn.reflector, scn.geometry)
-    assert len(facets) == 1
-    assert_allclose(facets[0].launch_point, scn.geometry.reflector_center, atol=1e-15)
-    assert_allclose(center.launch_point, scn.geometry.reflector_center, atol=1e-15)
+    facets = facetize_flat(scn.reflector, scn.geometry)
+    assert facets.shape == (1, 3)
+    assert_allclose(facets[0], scn.geometry.reflector_center, atol=1e-15)
 
 
 def test_facetize_6x6_grid_offsets():
     # Uniform 6-per-side grid across 0.4064 m: centers at +/-{1,3,5} * side/12
     scn = build_default_scenario(Band.GHZ28, "flat")
-    facets, _ = facetize_flat(scn.reflector, scn.geometry)
-    assert len(facets) == 36
+    facets = facetize_flat(scn.reflector, scn.geometry)
+    assert facets.shape == (36, 3)
     expected = sorted(k * SIDE / 12.0 for k in (-5, -3, -1, 1, 3, 5))
     for axis in (1, 2):  # surface horizontal (y) and vertical (z)
-        got = sorted({round(float(f.launch_point[axis]), 12) for f in facets})
+        got = sorted({round(float(v), 12) for v in facets[:, axis]})
         assert_allclose(got, expected, atol=1e-12)
+    # row-major: rows climb the vertical axis, columns run along the horizontal
+    grid = facets.reshape(6, 6, 3)
+    assert np.all(np.diff(grid[:, :, 2], axis=0) > 0.0)
+    assert np.all(np.diff(grid[:, :, 1], axis=1) > 0.0)
 
 
 def test_facets_lie_on_reflector_plane():
     scn = build_default_scenario(Band.GHZ120, "flat")
-    facets, _ = facetize_flat(scn.reflector, scn.geometry)
+    facets = facetize_flat(scn.reflector, scn.geometry)
     n = scn.geometry.reflector_normal
     c = scn.geometry.reflector_center
-    for f in facets:
-        assert abs(float(np.dot(n, f.launch_point - c))) <= 1e-12
-        assert_allclose(f.outward_normal, n, atol=1e-15)
+    assert np.max(np.abs((facets - c) @ n)) <= 1e-12
 
 
 def test_facet_grid_mirror_symmetry():
     scn = build_default_scenario(Band.GHZ28, "flat")
-    facets, _ = facetize_flat(scn.reflector, scn.geometry)
-    pts = {(round(float(p.launch_point[1]), 12), round(float(p.launch_point[2]), 12))
-           for p in facets}
+    facets = facetize_flat(scn.reflector, scn.geometry)
+    pts = {(round(float(y), 12), round(float(z), 12)) for y, z in facets[:, 1:]}
     assert {(-y, z) for y, z in pts} == pts
     assert {(y, -z) for y, z in pts} == pts
 
@@ -115,52 +117,69 @@ def test_capture_length_requires_positive_distance():
         capture_length_m(scn.rx_pattern, 0.0)
 
 
+def _capture_and_paths(scn, rx):
+    """Capture solution and traced ray bundle of a convex scenario at one RX."""
+    args = (scn.reflector, scn.geometry, rx, scn.rx_pattern, 2.5)
+    return (solve_convex_capture(*args),
+            convex_ray_paths(*args, scn.tx_boresight, scn.rx_boresight))
+
+
 def test_section_convex_single_section():
     scn = build_default_scenario(Band.GHZ28, "convex", section_height_m=SIDE)
-    rx = specular_point(scn.geometry)
-    sections = section_convex(scn.reflector, scn.geometry, rx, scn.rx_pattern, 2.5)
-    assert len(sections) == 1
+    capture, paths = _capture_and_paths(scn, specular_point(scn.geometry))
+    assert paths.n_sections == 1
+    assert paths.distance_m.size == capture.columns.size
 
 
 def test_section_convex_default_counts():
     scn = build_default_scenario(Band.GHZ28, "convex")
-    rx = specular_point(scn.geometry)
-    sections = section_convex(scn.reflector, scn.geometry, rx, scn.rx_pattern, 2.5)
-    assert len(sections) == 16  # height / (height/16)
+    capture, paths = _capture_and_paths(scn, specular_point(scn.geometry))
+    assert paths.n_sections == 16  # height / (height/16)
     # R = 0.5 m diverges rays strongly, so all 32 intercept targets are reachable
-    assert all(len(s) == 32 for s in sections)
+    assert capture.n_az_nominal == 32
+    assert_allclose(capture.columns, np.arange(32))
+    assert paths.distance_m.size == 16 * 32
 
 
 def test_section_convex_rays_lie_on_arc():
+    # The traced bundle departs the TX toward points on the arc of radius R
+    # about the vertical axis behind the plate, within the plate's chord.
     scn = build_default_scenario(Band.GHZ28, "convex")
-    spec = scn.reflector
-    rx = specular_point(scn.geometry)
-    sections = section_convex(spec, scn.geometry, rx, scn.rx_pattern, 2.5)
+    spec, g = scn.reflector, scn.geometry
+    capture, paths = _capture_and_paths(scn, specular_point(g))
     r = spec.radius_of_curvature_m
-    axis_center = scn.geometry.reflector_center - r * scn.geometry.reflector_normal
-    for ray in sections[0]:
-        radial = ray.launch_point - axis_center
-        radial[2] = 0.0
-        assert_allclose(np.linalg.norm(radial), r, atol=1e-9)
-        assert_allclose(np.linalg.norm(ray.outward_normal), 1.0, atol=1e-12)
+    assert np.max(np.abs(capture.arc_angles)) <= math.asin(spec.chord_width_m / (2.0 * r))
+    e_h, e_v = surface_axes(g.reflector_normal)
+    axis_center = g.reflector_center - r * g.reflector_normal
+    b = capture.arc_angles[:, None]
+    radial = np.cos(b) * g.reflector_normal + np.sin(b) * e_h
+    z = -0.5 * spec.height_m + 0.5 * spec.section_height_m  # bottom section
+    launch = axis_center + r * radial + z * e_v
+    assert_allclose(np.linalg.norm(radial, axis=1), 1.0, atol=1e-12)
+    d_in = launch - g.tx_position
+    tx_az, tx_el = offset_angles_deg(d_in / np.linalg.norm(d_in, axis=1, keepdims=True),
+                                     scn.tx_boresight)
+    n_az = capture.columns.size
+    assert_allclose(paths.tx_az_deg[:n_az], tx_az, atol=1e-9)
+    assert_allclose(paths.tx_el_deg[:n_az], tx_el, atol=1e-9)
 
 
 def test_section_convex_planar_limit_matches_flat_directions():
     # At the planar-limit radius the arc normals collapse onto the plate normal,
     # so mirror reflections agree with the flat law to well under 1e-4 rad.
     scn = build_default_scenario(Band.GHZ28, "convex", radius_of_curvature_m=1e6)
-    rx = specular_point(scn.geometry)
-    sections = section_convex(scn.reflector, scn.geometry, rx, scn.rx_pattern, 2.5)
-    assert sections
-    n_flat = scn.geometry.reflector_normal
-    tx = scn.geometry.tx_position
-    for ray in sections[0]:
-        angle = math.acos(min(1.0, float(np.dot(ray.outward_normal, n_flat))))
-        assert angle < 1e-4
-        d_in = ray.launch_point - tx
-        d_in /= np.linalg.norm(d_in)
-        refl_arc = d_in - 2 * float(np.dot(d_in, ray.outward_normal)) * ray.outward_normal
-        refl_flat = d_in - 2 * float(np.dot(d_in, n_flat)) * n_flat
+    g = scn.geometry
+    capture, _ = _capture_and_paths(scn, specular_point(g))
+    assert capture is not None
+    assert np.max(np.abs(capture.arc_angles)) < 1e-4
+    e_h, _ = surface_axes(g.reflector_normal)
+    n_flat = g.reflector_normal
+    d_in = g.reflector_center - g.tx_position
+    d_in /= np.linalg.norm(d_in)
+    refl_flat = d_in - 2 * float(np.dot(d_in, n_flat)) * n_flat
+    for b in capture.arc_angles:
+        normal = math.cos(b) * n_flat + math.sin(b) * e_h
+        refl_arc = d_in - 2 * float(np.dot(d_in, normal)) * normal
         assert float(np.linalg.norm(refl_arc - refl_flat)) < 1e-4
 
 
@@ -170,15 +189,16 @@ def test_section_convex_empty_when_nothing_reachable():
     scn = build_default_scenario(Band.GHZ28, "convex", radius_of_curvature_m=9e5)
     g = scn.geometry
     rx = g.sweep_midpoint + 2.5 * g.sweep_axis
-    sections = section_convex(scn.reflector, g, rx, scn.rx_pattern, 2.5)
-    assert sections == []
+    assert _capture_and_paths(scn, rx) == (None, None)
 
 
 def test_section_convex_rejects_rx_behind_reflector():
     scn = build_default_scenario(Band.GHZ28, "convex")
     behind = -1.0 * scn.geometry.reflector_normal
     with pytest.raises(GeometryError):
-        section_convex(scn.reflector, scn.geometry, behind, scn.rx_pattern, 2.5)
+        solve_convex_capture(scn.reflector, scn.geometry, behind, scn.rx_pattern, 2.5)
+    with pytest.raises(GeometryError):
+        _capture_and_paths(scn, behind)
 
 
 def test_specular_point_is_sweep_midpoint_by_construction():
@@ -228,41 +248,48 @@ def test_specular_point_ignores_reflector_size():
     assert_allclose(specular_point(small.geometry), specular_point(large.geometry), atol=1e-15)
 
 
+def _single_path(tx, launch, rx, tx_boresight, rx_boresight):
+    """The one (distance, tx_az, tx_el, rx_az, rx_el) ray of a 1 x 1 batch."""
+    return tuple(float(a[0, 0]) for a in path_geometry_batch(
+        tx, np.asarray(launch)[None, :], np.asarray(rx)[None, :], tx_boresight, rx_boresight))
+
+
 def test_path_geometry_collinear():
-    ray = FacetRay(np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), (0, 0))
     boresight = np.array([1.0, 0.0, 0.0])
-    path = path_geometry(np.zeros(3), ray, np.array([2.0, 0.0, 0.0]), boresight, boresight)
-    assert_allclose(path.distance_m, 2.0, atol=1e-15)
-    assert path.tx_az_deg == path.tx_el_deg == 0.0
-    assert path.rx_az_deg == path.rx_el_deg == 0.0
+    d, tx_az, tx_el, rx_az, rx_el = _single_path(
+        np.zeros(3), np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]), boresight, boresight)
+    assert_allclose(d, 2.0, atol=1e-15)
+    assert tx_az == tx_el == 0.0
+    assert rx_az == rx_el == 0.0
 
 
 def test_path_geometry_swap_symmetry():
     scn = build_default_scenario(Band.GHZ28, "flat")
-    facets, _ = facetize_flat(scn.reflector, scn.geometry)
-    ray = facets[7]
+    launch = facetize_flat(scn.reflector, scn.geometry)[7]
     tx = scn.geometry.tx_position
     rx = scn.geometry.sweep_start
     bt, br = scn.tx_boresight, scn.rx_boresight
-    fwd = path_geometry(tx, ray, rx, bt, br)
+    fwd_d, fwd_tx_az, fwd_tx_el, fwd_rx_az, fwd_rx_el = _single_path(tx, launch, rx, bt, br)
     # Swapping the link ends keeps each horn's physical axis; the reference
     # vectors negate because departure and arrival conventions point opposite
     # ways along that axis.
-    rev = path_geometry(rx, ray, tx, -br, -bt)
-    assert_allclose(fwd.distance_m, rev.distance_m, rtol=1e-15)
+    rev_d, rev_tx_az, rev_tx_el, rev_rx_az, rev_rx_el = _single_path(rx, launch, tx, -br, -bt)
+    assert_allclose(fwd_d, rev_d, rtol=1e-15)
     # azimuths exchange exactly; elevations exchange in magnitude (the global
     # vertical does not flip with the antenna, and gains are even in elevation)
-    assert_allclose(fwd.tx_az_deg, rev.rx_az_deg, atol=1e-12)
-    assert_allclose(fwd.rx_az_deg, rev.tx_az_deg, atol=1e-12)
-    assert_allclose(abs(fwd.tx_el_deg), abs(rev.rx_el_deg), atol=1e-12)
-    assert_allclose(abs(fwd.rx_el_deg), abs(rev.tx_el_deg), atol=1e-12)
+    assert_allclose(fwd_tx_az, rev_rx_az, atol=1e-12)
+    assert_allclose(fwd_rx_az, rev_tx_az, atol=1e-12)
+    assert_allclose(abs(fwd_tx_el), abs(rev_rx_el), atol=1e-12)
+    assert_allclose(abs(fwd_rx_el), abs(rev_tx_el), atol=1e-12)
 
 
 def test_path_geometry_degenerate_raises():
-    ray = FacetRay(np.zeros(3), np.array([1.0, 0.0, 0.0]), (0, 0))
+    # A zero-length leg at either end leaves the ray direction undefined.
     b = np.array([1.0, 0.0, 0.0])
-    with pytest.raises(GeometryError):
-        path_geometry(np.zeros(3), ray, np.array([2.0, 0.0, 0.0]), b, b)
+    with pytest.raises(GeometryError, match="TX"):
+        _single_path(np.zeros(3), np.zeros(3), np.array([2.0, 0.0, 0.0]), b, b)
+    with pytest.raises(GeometryError, match="RX"):
+        _single_path(np.zeros(3), np.array([2.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]), b, b)
 
 
 coords = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -277,9 +304,8 @@ def test_path_distance_triangle_inequality(px, py, pz, rx_t):
     rx = g.sweep_start + rx_t * (g.sweep_end - g.sweep_start)
     if np.linalg.norm(launch - g.tx_position) < 1e-9 or np.linalg.norm(launch - rx) < 1e-9:
         return
-    ray = FacetRay(launch, np.array([1.0, 0.0, 0.0]), (0, 0))
-    path = path_geometry(g.tx_position, ray, rx, scn.tx_boresight, scn.rx_boresight)
-    assert path.distance_m >= float(np.linalg.norm(g.tx_position - rx)) - 1e-12
+    d = _single_path(g.tx_position, launch, rx, scn.tx_boresight, scn.rx_boresight)[0]
+    assert d >= float(np.linalg.norm(g.tx_position - rx)) - 1e-12
 
 
 def test_geometry_validation():
