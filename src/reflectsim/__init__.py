@@ -26,7 +26,6 @@ from .scene import (
     GeometryError,
     Scenario,
     ScenarioGeometry,
-    build_default_scenario,
     facetize_flat,
     specular_point,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "alpha_flat",
     "analyze",
     "band_defaults",
-    "build_default_scenario",
     "compare",
     "dump_config",
     "export_profile",

@@ -127,10 +127,10 @@ def _cmd_bands(_args: argparse.Namespace) -> int:
     for band in Band:
         d = band_defaults(band)
         p = d.tx_pattern
-        n = scene.default_facets_per_side(band)
+        n_facets = ScenarioConfig(band=band).to_scenario().reflector.facet_count
         print(f"{band.value:>8} {band.frequency_hz / 1e9:>9.0f} {d.tx_power_dbm:>7.0f} "
               f"{p.boresight_gain_dbi:>9.0f} {p.hpbw_az_deg:>8.0f} {p.hpbw_el_deg:>8.0f} "
-              f"{d.wavelength_m:>10.6f} {n * n:>7d}")
+              f"{d.wavelength_m:>10.6f} {n_facets:>7d}")
     return EXIT_OK
 
 
@@ -139,7 +139,7 @@ def _oracle_checks() -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
 
     # Uniform 6x6 facet grid offsets across a 16-inch plate.
-    scn = scene.build_default_scenario(Band.GHZ28, "flat")
+    scn = ScenarioConfig(band=Band.GHZ28).to_scenario()
     facets = scene.facetize_flat(scn.reflector, scn.geometry)
     got = sorted({round(float(y), 12) for y in facets[:, 1]})
     side = scene.REFLECTOR_SIDE_16IN_M
@@ -167,9 +167,7 @@ def _oracle_checks() -> list[tuple[str, bool, str]]:
                        f"{lam:.9f} vs {want_lam:.9f}"))
 
     # Single-facet boresight link equals the analytic free-space budget.
-    single = scene.build_default_scenario(
-        Band.GHZ28, "flat", facets_per_side=1, alpha_flat_override=1.0
-    )
+    single = ScenarioConfig(band=Band.GHZ28, facets_per_side=1, alpha_flat=1.0).to_scenario()
     rx = scene.specular_point(single.geometry)
     got_db = float(engine.flat_sweep_power(single, rx[None, :], SumMode.PHYSICAL)[0])
     lam = single.wavelength_m

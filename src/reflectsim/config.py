@@ -11,15 +11,29 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .antenna import Band
+import numpy as np
+
+from .antenna import Band, band_defaults
 from .engine import SumMode
-from .scene import INCH_M, REFLECTOR_SIDE_16IN_M, Scenario, build_default_scenario
+from .scene import (
+    INCH_M,
+    REFLECTOR_SIDE_16IN_M,
+    ConvexReflectorSpec,
+    FlatReflectorSpec,
+    ReflectorSpec,
+    Scenario,
+    ScenarioGeometry,
+)
+
+# Flat-plate grid used when `reflector.facets_per_side = auto`.
+_DEFAULT_FACETS_PER_SIDE = {Band.GHZ28: 6, Band.GHZ39: 6, Band.GHZ120: 16}
 
 
 class ConfigError(ValueError):
     """Configuration problem with key and line context."""
 
     def __init__(self, message: str, key: Optional[str] = None, line: Optional[int] = None):
+        self.message = message
         self.key = key
         self.line = line
         prefix = ""
@@ -30,9 +44,19 @@ class ConfigError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
+def _check(ok: bool, key: str, message: str) -> None:
+    # Written as "ok" conditions so that NaN fails every range check.
+    if not ok:
+        raise ConfigError(message, key=key)
+
+
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
-    """Fully validated scenario description; `None` means auto-derived."""
+    """The one description of a scenario; `None` means auto-derived.
+
+    Construction checks the range of every value and raises a `ConfigError`
+    naming the config key, whether the config was parsed or built in code.
+    """
 
     band: Band
     mode: SumMode = SumMode.PHYSICAL
@@ -40,7 +64,9 @@ class ScenarioConfig:
     width_m: float = REFLECTOR_SIDE_16IN_M
     height_m: float = REFLECTOR_SIDE_16IN_M
     facets_per_side: Optional[int] = None
-    radius_of_curvature_m: Optional[float] = None
+    # 0.5 m is a demo value: the curvature radius is scenario hardware, not a
+    # band property, so parse_config requires it for convex runs.
+    radius_of_curvature_m: float = 0.5
     section_height_m: Optional[float] = None
     azimuth_ray_spacing_m: Optional[float] = None
     reflection_efficiency: float = 1.0
@@ -59,27 +85,94 @@ class ScenarioConfig:
     output_format: str = "csv"
     label: str = ""
 
+    def __post_init__(self) -> None:
+        _check(self.width_m > 0, "reflector.width", "must be positive")
+        _check(self.height_m > 0, "reflector.height", "must be positive")
+        _check(self.facets_per_side is None or self.facets_per_side >= 1,
+               "reflector.facets_per_side", "must be >= 1 or 'auto'")
+        _check(0.0 < self.reflection_efficiency <= 1.0,
+               "reflector.reflection_efficiency", "must be in (0, 1]")
+        if self.reflector_kind == "convex":
+            _check(self.radius_of_curvature_m > self.width_m / 2.0,
+                   "reflector.radius_of_curvature",
+                   f"must exceed half the chord width ({self.width_m / 2.0:.4f} m)")
+            _check(self.section_height_m is None or 0.0 < self.section_height_m <= self.height_m,
+                   "reflector.section_height", "must be in (0, height] or 'auto'")
+            _check(self.azimuth_ray_spacing_m is None or self.azimuth_ray_spacing_m > 0,
+                   "reflector.azimuth_ray_spacing", "must be positive or 'auto'")
+        _check(self.tx_range_m > 0, "geometry.tx_range", "must be positive")
+        _check(self.rx_range_m > 0, "geometry.rx_range", "must be positive")
+        _check(0.0 <= self.incidence_deg < 90.0, "geometry.incidence_deg", "must be in [0, 90)")
+        _check(self.sweep_length_m > 0, "geometry.sweep_length", "must be positive")
+        _check(self.n_positions >= 2, "geometry.n_positions", "must be >= 2")
+        geometry = self._geometry()
+        near_x = min(geometry.sweep_start[0], geometry.sweep_end[0])
+        _check(near_x > 0, "geometry.rx_range",
+               f"the RX sweep reaches x = {near_x:.4f} m; every RX position must be "
+               "in front of the reflector plane (x > 0)")
+        for key, value in (("engine.d_ref", self.d_ref_m),
+                           ("engine.capture_distance", self.capture_distance_m)):
+            _check(value is None or value > 0, key, "must be positive or 'auto'")
+        for key, value in (("engine.alpha_flat", self.alpha_flat),
+                           ("engine.alpha_curved", self.alpha_curved)):
+            _check(value is None or 0.0 < value <= 1.0, key, "must be in (0, 1] or 'auto'")
+
     def resolved_label(self) -> str:
         return self.label or f"{self.band.value}_{self.reflector_kind}"
 
+    def _geometry(self) -> ScenarioGeometry:
+        """Reflector at the origin facing +x, the TX at `tx_range_m` along a
+        direction `incidence_deg` off the normal, and the RX sweep centered on
+        the specular point at `rx_range_m` (shifted by `sweep_offset_m`),
+        perpendicular to the specular direction in the horizontal plane."""
+        inc = math.radians(self.incidence_deg)
+        mirror_dir = np.array([math.cos(inc), -math.sin(inc), 0.0])
+        sweep_axis = np.array([math.sin(inc), math.cos(inc), 0.0])
+        sweep_center = self.rx_range_m * mirror_dir + self.sweep_offset_m * sweep_axis
+        return ScenarioGeometry(
+            tx_position=self.tx_range_m * np.array([math.cos(inc), math.sin(inc), 0.0]),
+            reflector_center=np.zeros(3),
+            reflector_normal=np.array([1.0, 0.0, 0.0]),
+            incidence_angle_deg=self.incidence_deg,
+            sweep_start=sweep_center - 0.5 * self.sweep_length_m * sweep_axis,
+            sweep_end=sweep_center + 0.5 * self.sweep_length_m * sweep_axis,
+            n_rx_positions=self.n_positions,
+        )
+
     def to_scenario(self) -> Scenario:
-        return build_default_scenario(
-            self.band,
-            self.reflector_kind,
-            tx_range_m=self.tx_range_m,
-            rx_range_m=self.rx_range_m,
-            incidence_deg=self.incidence_deg,
-            sweep_length_m=self.sweep_length_m,
-            n_positions=self.n_positions,
-            sweep_offset_m=self.sweep_offset_m,
-            width_m=self.width_m,
-            height_m=self.height_m,
-            facets_per_side=self.facets_per_side,
-            radius_of_curvature_m=self.radius_of_curvature_m,
-            section_height_m=self.section_height_m,
-            azimuth_ray_spacing_m=self.azimuth_ray_spacing_m,
-            reflection_efficiency=self.reflection_efficiency,
-            eh_swap=self.eh_swap,
+        """Measurement-style scenario with every `auto` default resolved."""
+        reflector: ReflectorSpec
+        if self.reflector_kind == "flat":
+            reflector = FlatReflectorSpec(
+                width_m=self.width_m,
+                height_m=self.height_m,
+                facets_per_side=(_DEFAULT_FACETS_PER_SIDE[self.band]
+                                 if self.facets_per_side is None else self.facets_per_side),
+                reflection_efficiency=self.reflection_efficiency,
+            )
+        elif self.reflector_kind == "convex":
+            reflector = ConvexReflectorSpec(
+                chord_width_m=self.width_m,
+                height_m=self.height_m,
+                radius_of_curvature_m=self.radius_of_curvature_m,
+                section_height_m=(self.height_m / 16.0
+                                  if self.section_height_m is None else self.section_height_m),
+                azimuth_ray_spacing_m=self.azimuth_ray_spacing_m,
+                reflection_efficiency=self.reflection_efficiency,
+            )
+        else:
+            raise ValueError(
+                f"reflector_kind must be 'flat' or 'convex', got {self.reflector_kind!r}")
+
+        link = band_defaults(self.band, eh_swap=self.eh_swap)
+        return Scenario(
+            band=self.band,
+            geometry=self._geometry(),
+            reflector=reflector,
+            tx_pattern=link.tx_pattern,
+            rx_pattern=link.rx_pattern,
+            tx_power_dbm=link.tx_power_dbm,
+            wavelength_m=link.wavelength_m,
             d_ref_m=self.d_ref_m,
             alpha_flat_override=self.alpha_flat,
             alpha_curved_override=self.alpha_curved,
@@ -106,32 +199,22 @@ def _parse_length(text: str) -> float:
     return _parse_float(t)
 
 
-def _parse_positive_int(text: str) -> int:
+def _parse_int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise ValueError(f"expected an integer, got {text!r}")
-    if value <= 0:
-        raise ValueError(f"expected a positive integer, got {value}")
-    return value
 
 
-def _parse_auto_float(text: str) -> Optional[float]:
-    if text.strip().lower() == "auto":
-        return None
-    return _parse_float(text)
+def _auto(parse):
+    """Parser that maps 'auto' to None and defers anything else to `parse`."""
+    def parse_auto(text: str):
+        return None if text.strip().lower() == "auto" else parse(text)
+    return parse_auto
 
 
-def _parse_auto_positive_int(text: str) -> Optional[int]:
-    if text.strip().lower() == "auto":
-        return None
-    return _parse_positive_int(text)
-
-
-def _parse_auto_length(text: str) -> Optional[float]:
-    if text.strip().lower() == "auto":
-        return None
-    return _parse_length(text)
+_parse_auto_float = _auto(_parse_float)
+_parse_auto_length = _auto(_parse_length)
 
 
 def _parse_bool(text: str) -> bool:
@@ -143,18 +226,17 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true/false, got {text!r}")
 
 
-def _parse_kind(text: str) -> str:
-    t = text.strip().lower()
-    if t not in ("flat", "convex"):
-        raise ValueError(f"expected 'flat' or 'convex', got {text!r}")
-    return t
+def _choice(*options: str):
+    """Parser for one of `options`, case-insensitive."""
+    def parse_choice(text: str) -> str:
+        t = text.strip().lower()
+        if t not in options:
+            raise ValueError(f"expected {' or '.join(map(repr, options))}, got {text!r}")
+        return t
+    return parse_choice
 
 
-def _parse_format(text: str) -> str:
-    t = text.strip().lower()
-    if t not in ("csv", "json"):
-        raise ValueError(f"expected 'csv' or 'json', got {text!r}")
-    return t
+_parse_kind = _choice("flat", "convex")
 
 
 # key -> (config field, value parser)
@@ -168,7 +250,7 @@ _KEY_TABLE = {
     "reflector.kind": ("reflector_kind", _parse_kind),
     "reflector.width": ("width_m", _parse_length),
     "reflector.height": ("height_m", _parse_length),
-    "reflector.facets_per_side": ("facets_per_side", _parse_auto_positive_int),
+    "reflector.facets_per_side": ("facets_per_side", _auto(_parse_int)),
     "reflector.radius_of_curvature": ("radius_of_curvature_m", _parse_length),
     "reflector.section_height": ("section_height_m", _parse_auto_length),
     "reflector.azimuth_ray_spacing": ("azimuth_ray_spacing_m", _parse_auto_length),
@@ -177,11 +259,11 @@ _KEY_TABLE = {
     "geometry.rx_range": ("rx_range_m", _parse_length),
     "geometry.incidence_deg": ("incidence_deg", _parse_float),
     "geometry.sweep_length": ("sweep_length_m", _parse_length),
-    "geometry.n_positions": ("n_positions", _parse_positive_int),
+    "geometry.n_positions": ("n_positions", _parse_int),
     "geometry.sweep_offset": ("sweep_offset_m", _parse_length),
     "antenna.eh_swap": ("eh_swap", _parse_bool),
     "output.dir": ("output_dir", str),
-    "output.format": ("output_format", _parse_format),
+    "output.format": ("output_format", _choice("csv", "json")),
     "output.label": ("label", str),
 }
 
@@ -191,6 +273,9 @@ _CONVEX_ONLY_KEYS = {
     "reflector.section_height",
     "reflector.azimuth_ray_spacing",
 }
+# Keys that place the RX sweep together.
+_SWEEP_KEYS = ("geometry.rx_range", "geometry.incidence_deg",
+               "geometry.sweep_length", "geometry.sweep_offset")
 
 
 def parse_config(
@@ -237,54 +322,24 @@ def parse_config(
         values["reflector_kind"] = _parse_kind(default_reflector)
 
     kind = values.get("reflector_kind", "flat")
-    for key in (_CONVEX_ONLY_KEYS if kind == "flat" else _FLAT_ONLY_KEYS):
-        field_name, _ = _KEY_TABLE[key]
-        if field_name in values:
-            raise ConfigError(
-                f"only valid for {'convex' if key in _CONVEX_ONLY_KEYS else 'flat'} reflectors",
-                key=key, line=seen.get(key),
-            )
+    other, foreign = ("convex", _CONVEX_ONLY_KEYS) if kind == "flat" else ("flat", _FLAT_ONLY_KEYS)
+    misplaced = sorted(foreign & seen.keys(), key=seen.__getitem__)
+    if misplaced:
+        key = misplaced[0]
+        raise ConfigError(f"only valid for {other} reflectors", key=key, line=seen[key])
     if kind == "convex" and "radius_of_curvature_m" not in values:
         raise ConfigError("required for convex reflectors", key="reflector.radius_of_curvature")
 
-    config = ScenarioConfig(**values)
-    _validate(config)
-    return config
-
-
-def _validate(config: ScenarioConfig) -> None:
-    def bad(key: str, message: str) -> ConfigError:
-        return ConfigError(message, key=key)
-
-    if config.width_m <= 0 or config.height_m <= 0:
-        raise bad("reflector.width", "reflector dimensions must be positive")
-    if not (0.0 < config.reflection_efficiency <= 1.0):
-        raise bad("reflector.reflection_efficiency", "must be in (0, 1]")
-    if config.reflector_kind == "convex":
-        assert config.radius_of_curvature_m is not None
-        if config.radius_of_curvature_m <= config.width_m / 2.0:
-            raise bad("reflector.radius_of_curvature",
-                      f"must exceed half the chord width ({config.width_m / 2.0:.4f} m)")
-        if config.section_height_m is not None and not (
-            0.0 < config.section_height_m <= config.height_m
-        ):
-            raise bad("reflector.section_height", "must be in (0, height]")
-    if config.tx_range_m <= 0 or config.rx_range_m <= 0:
-        raise bad("geometry.tx_range", "ranges must be positive")
-    if not (0.0 <= config.incidence_deg < 90.0):
-        raise bad("geometry.incidence_deg", "must be in [0, 90)")
-    if config.sweep_length_m <= 0:
-        raise bad("geometry.sweep_length", "must be positive")
-    if config.n_positions < 2:
-        raise bad("geometry.n_positions", "must be >= 2")
-    if config.d_ref_m is not None and config.d_ref_m <= 0:
-        raise bad("engine.d_ref", "must be positive or 'auto'")
-    for key, value in (("engine.alpha_flat", config.alpha_flat),
-                       ("engine.alpha_curved", config.alpha_curved)):
-        if value is not None and not (0.0 < value <= 1.0):
-            raise bad(key, "must be in (0, 1] or 'auto'")
-    if config.capture_distance_m is not None and config.capture_distance_m <= 0:
-        raise bad("engine.capture_distance", "must be positive or 'auto'")
+    try:
+        return ScenarioConfig(**values)
+    except ConfigError as exc:
+        key = exc.key
+        if key in _SWEEP_KEYS and key not in seen:
+            # A default never fails its own range, so this is the joint rule
+            # that the sweep stays in front of the reflector: name the sweep
+            # key the document set last.
+            key = max((k for k in _SWEEP_KEYS if k in seen), key=seen.__getitem__, default=key)
+        raise ConfigError(exc.message, key=key, line=seen.get(key)) from None
 
 
 def _format_value(value: object) -> str:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -84,19 +84,12 @@ class ComparisonReport:
     peak_position_delta_m: float
     fringe_count_delta: Optional[int]
     n_overlap: int
+    n_excluded: int
     sim_label: str = ""
     measured_label: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "offset_db": self.offset_db,
-            "rmse_db": self.rmse_db,
-            "peak_position_delta_m": self.peak_position_delta_m,
-            "fringe_count_delta": self.fringe_count_delta,
-            "n_overlap": self.n_overlap,
-            "sim_label": self.sim_label,
-            "measured_label": self.measured_label,
-        }
+        return asdict(self)
 
 
 def smoothed_envelope_db(power_db: np.ndarray, window: int = DEFAULT_SMOOTHING_SAMPLES) -> np.ndarray:
@@ -161,7 +154,8 @@ def compare(sim: PowerProfile, measured: PowerProfile) -> ComparisonReport:
     The simulated profile is linearly interpolated onto the measured
     positions inside the overlapping range; the offset is the least-squares
     constant shift (the mean difference) and the RMSE is the residual after
-    removing it.
+    removing it. Samples where either power is not finite (the -inf
+    no-capture sentinel) are left out of the fit and counted in `n_excluded`.
     """
     lo = max(float(sim.positions_m[0]), float(measured.positions_m[0]))
     hi = min(float(sim.positions_m[-1]), float(measured.positions_m[-1]))
@@ -171,9 +165,13 @@ def compare(sim: PowerProfile, measured: PowerProfile) -> ComparisonReport:
     meas_pos = measured.positions_m[mask]
     meas_pwr = measured.power_db[mask]
     sim_pwr = np.interp(meas_pos, sim.positions_m, sim.power_db)
+    finite = np.isfinite(meas_pwr) & np.isfinite(sim_pwr)
+    if not np.any(finite):
+        raise ValueError("profiles have no finite power samples in their overlap")
+    diff = meas_pwr[finite] - sim_pwr[finite]
 
-    offset = float(np.mean(meas_pwr - sim_pwr))
-    residual = meas_pwr - sim_pwr - offset
+    offset = float(np.mean(diff))
+    residual = diff - offset
     rmse = float(np.sqrt(np.mean(residual**2)))
 
     sim_peak_pos = float(sim.positions_m[np.argmax(sim.power_db)])
@@ -189,6 +187,7 @@ def compare(sim: PowerProfile, measured: PowerProfile) -> ComparisonReport:
         peak_position_delta_m=meas_peak_pos - sim_peak_pos,
         fringe_count_delta=fringe_delta,
         n_overlap=int(meas_pos.size),
+        n_excluded=int(meas_pos.size - np.count_nonzero(finite)),
         sim_label=sim.label,
         measured_label=measured.label,
     )

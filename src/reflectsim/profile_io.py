@@ -24,7 +24,8 @@ def export_profile(profile: PowerProfile, format: str, path: Union[str, Path]) -
     """Write a profile as CSV (`position_m,power_db` rows) or JSON.
 
     Floats are written with full round-trip precision, so export/import is
-    lossless and repeated runs are byte-identical.
+    lossless and repeated runs are byte-identical. JSON is strict: the -inf
+    no-capture sentinel is written as null.
     """
     path = Path(path)
     if format == "csv":
@@ -43,9 +44,9 @@ def export_profile(profile: PowerProfile, format: str, path: Union[str, Path]) -
                 "schema_version": PROFILE_SCHEMA_VERSION,
             },
             "positions_m": [float(p) for p in profile.positions_m],
-            "power_db": [float(p) for p in profile.power_db],
+            "power_db": [float(p) if np.isfinite(p) else None for p in profile.power_db],
         }
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     else:
         raise ValueError(f"unknown profile format {format!r}; expected 'csv' or 'json'")
 
@@ -102,14 +103,15 @@ def import_measured(path: Union[str, Path]) -> PowerProfile:
 
 
 def read_profile_json(path: Union[str, Path]) -> PowerProfile:
-    """Read a profile previously exported as JSON."""
+    """Read a profile previously exported as JSON; null powers read as -inf."""
     path = Path(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     try:
         meta = doc["meta"]
         return PowerProfile(
             positions_m=np.array(doc["positions_m"], dtype=float),
-            power_db=np.array(doc["power_db"], dtype=float),
+            power_db=np.array([-np.inf if p is None else p for p in doc["power_db"]],
+                              dtype=float),
             band=Band.parse(meta["band"]),
             reflector_kind=meta["kind"],
             label=meta.get("label", path.stem),

@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .antenna import AntennaPattern, Band, band_defaults
+from .antenna import AntennaPattern, Band
 
 INCH_M = 0.0254
 REFLECTOR_SIDE_16IN_M = 16 * INCH_M  # 0.4064 m
@@ -105,10 +105,10 @@ class ScenarioGeometry:
 class FlatReflectorSpec:
     """Flat plate decomposed into a uniform facets_per_side^2 grid."""
 
-    width_m: float = REFLECTOR_SIDE_16IN_M
-    height_m: float = REFLECTOR_SIDE_16IN_M
-    facets_per_side: int = 6
-    reflection_efficiency: float = 1.0
+    width_m: float
+    height_m: float
+    facets_per_side: int
+    reflection_efficiency: float
 
     def __post_init__(self) -> None:
         if self.width_m <= 0.0 or self.height_m <= 0.0:
@@ -134,12 +134,12 @@ class ConvexReflectorSpec:
     reflected intercepts land 1/32 of the RX capture length apart.
     """
 
-    chord_width_m: float = REFLECTOR_SIDE_16IN_M
-    height_m: float = REFLECTOR_SIDE_16IN_M
-    radius_of_curvature_m: float = 0.5
-    section_height_m: float = REFLECTOR_SIDE_16IN_M / 16
-    azimuth_ray_spacing_m: Optional[float] = None
-    reflection_efficiency: float = 1.0
+    chord_width_m: float
+    height_m: float
+    radius_of_curvature_m: float
+    section_height_m: float
+    azimuth_ray_spacing_m: Optional[float]
+    reflection_efficiency: float
 
     def __post_init__(self) -> None:
         if self.chord_width_m <= 0.0 or self.height_m <= 0.0:
@@ -185,11 +185,11 @@ class Scenario:
     tx_power_dbm: float
     wavelength_m: float
     # None selects the built-in conventions; explicit values override them.
-    d_ref_m: Optional[float] = None
-    alpha_flat_override: Optional[float] = None
-    alpha_curved_override: Optional[float] = None
-    capture_distance_m: Optional[float] = None
-    label: str = ""
+    d_ref_m: Optional[float]
+    alpha_flat_override: Optional[float]
+    alpha_curved_override: Optional[float]
+    capture_distance_m: Optional[float]
+    label: str
 
     @property
     def is_convex(self) -> bool:
@@ -235,104 +235,6 @@ class Scenario:
         if self.capture_distance_m is not None:
             return self.capture_distance_m
         return self.rx_range_m
-
-
-_DEFAULT_FACETS_PER_SIDE = {Band.GHZ28: 6, Band.GHZ39: 6, Band.GHZ120: 16}
-
-
-def default_facets_per_side(band: Band) -> int:
-    return _DEFAULT_FACETS_PER_SIDE[band]
-
-
-def build_default_scenario(
-    band: Band,
-    reflector_kind: str = "flat",
-    *,
-    tx_range_m: float = 2.5,
-    rx_range_m: float = 2.5,
-    incidence_deg: float = 30.0,
-    sweep_length_m: float = 1.8,
-    n_positions: int = 1800,
-    sweep_offset_m: float = 0.0,
-    width_m: float = REFLECTOR_SIDE_16IN_M,
-    height_m: float = REFLECTOR_SIDE_16IN_M,
-    facets_per_side: Optional[int] = None,
-    radius_of_curvature_m: Optional[float] = None,
-    section_height_m: Optional[float] = None,
-    azimuth_ray_spacing_m: Optional[float] = None,
-    reflection_efficiency: float = 1.0,
-    eh_swap: bool = False,
-    d_ref_m: Optional[float] = None,
-    alpha_flat_override: Optional[float] = None,
-    alpha_curved_override: Optional[float] = None,
-    capture_distance_m: Optional[float] = None,
-    label: str = "",
-) -> Scenario:
-    """Measurement-style scenario: reflector at the origin, TX at `tx_range_m`
-    along a direction `incidence_deg` off the reflector normal, and a
-    `sweep_length_m` RX sweep centered on the specular point at `rx_range_m`,
-    oriented perpendicular to the specular direction in the horizontal plane.
-    """
-    if isinstance(band, str):
-        band = Band.parse(band)
-    if reflector_kind not in ("flat", "convex"):
-        raise ValueError(f"reflector_kind must be 'flat' or 'convex', got {reflector_kind!r}")
-
-    inc = math.radians(incidence_deg)
-    normal = np.array([1.0, 0.0, 0.0])
-    tx = tx_range_m * np.array([math.cos(inc), math.sin(inc), 0.0])
-    mirror_dir = np.array([math.cos(inc), -math.sin(inc), 0.0])
-    sweep_axis = np.array([math.sin(inc), math.cos(inc), 0.0])
-    sweep_center = rx_range_m * mirror_dir + sweep_offset_m * sweep_axis
-
-    geometry = ScenarioGeometry(
-        tx_position=tx,
-        reflector_center=np.zeros(3),
-        reflector_normal=normal,
-        incidence_angle_deg=incidence_deg,
-        sweep_start=sweep_center - 0.5 * sweep_length_m * sweep_axis,
-        sweep_end=sweep_center + 0.5 * sweep_length_m * sweep_axis,
-        n_rx_positions=n_positions,
-    )
-
-    reflector: ReflectorSpec
-    if reflector_kind == "flat":
-        reflector = FlatReflectorSpec(
-            width_m=width_m,
-            height_m=height_m,
-            facets_per_side=(facets_per_side if facets_per_side is not None
-                             else default_facets_per_side(band)),
-            reflection_efficiency=reflection_efficiency,
-        )
-    else:
-        # 0.5 m is a demo value: the curvature radius is scenario hardware,
-        # not a band property, and must come from config for real runs.
-        radius = 0.5 if radius_of_curvature_m is None else radius_of_curvature_m
-        reflector = ConvexReflectorSpec(
-            chord_width_m=width_m,
-            height_m=height_m,
-            radius_of_curvature_m=radius,
-            section_height_m=(section_height_m if section_height_m is not None
-                              else height_m / 16.0),
-            azimuth_ray_spacing_m=azimuth_ray_spacing_m,
-            reflection_efficiency=reflection_efficiency,
-        )
-
-    defaults = band_defaults(band, eh_swap=eh_swap)
-    return Scenario(
-        band=band,
-        geometry=geometry,
-        reflector=reflector,
-        tx_pattern=defaults.tx_pattern,
-        rx_pattern=defaults.rx_pattern,
-        tx_power_dbm=defaults.tx_power_dbm,
-        wavelength_m=defaults.wavelength_m,
-        d_ref_m=d_ref_m,
-        alpha_flat_override=alpha_flat_override,
-        alpha_curved_override=alpha_curved_override,
-        capture_distance_m=capture_distance_m,
-        label=label or f"{band.value}_{reflector_kind}",
-    )
 
 
 def facetize_flat(spec: FlatReflectorSpec, geom: ScenarioGeometry) -> np.ndarray:

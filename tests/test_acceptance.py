@@ -15,7 +15,7 @@ import numpy as np
 import conftest
 
 from reflectsim.antenna import AntennaPattern, Band
-from reflectsim.config import dump_config, parse_config
+from reflectsim.config import ScenarioConfig, dump_config, parse_config
 from reflectsim.engine import (
     SumMode,
     alpha_curved,
@@ -29,7 +29,6 @@ from reflectsim.runner import run_sweep, sweep_profile
 from reflectsim.scene import (
     REFLECTOR_SIDE_16IN_M,
     ScenarioGeometry,
-    build_default_scenario,
     facetize_flat,
     specular_point,
 )
@@ -107,8 +106,8 @@ def test_c1_friis_identity_all_bands():
     t0 = time.perf_counter()
     worst = 0.0
     for band in BANDS:
-        scn = build_default_scenario(band, "flat", facets_per_side=1,
-                                     alpha_flat_override=1.0)
+        scn = ScenarioConfig(band=band, reflector_kind="flat", facets_per_side=1,
+                             alpha_flat=1.0).to_scenario()
         rx = specular_point(scn.geometry)[None, :]
         (got,) = flat_sweep_power(scn, rx, SumMode.PHYSICAL)
         want = friis_dbm(scn.tx_power_dbm, scn.tx_pattern.boresight_gain_dbi,
@@ -125,10 +124,11 @@ def test_c2_specular_peak_location():
     # and the default 6-facet grid aliases. So the lobe centre is checked on
     # a grid that resolves the plate, for the centred sweep (symmetric by
     # construction) and a displaced one (where the lobe could drift).
-    coarse_step = max_facet_step_wavelengths(build_default_scenario(Band.GHZ28, "flat"))
+    coarse = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
+    coarse_step = max_facet_step_wavelengths(coarse)
     scenarios = {
-        offset: build_default_scenario(Band.GHZ28, "flat", sweep_offset_m=offset,
-                                       facets_per_side=RESOLVED_FACETS_PER_SIDE)
+        offset: ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", sweep_offset_m=offset,
+                               facets_per_side=RESOLVED_FACETS_PER_SIDE).to_scenario()
         for offset in (0.0, -0.30)
     }
     resolved_step = max(max_facet_step_wavelengths(scn) for scn in scenarios.values())
@@ -155,7 +155,8 @@ def test_c3_fringe_narrowing_ratio():
     t0 = time.perf_counter()
     counts = {}
     for band in (Band.GHZ28, Band.GHZ120):
-        profile = sweep_profile(build_default_scenario(band, "flat"), SumMode.PHYSICAL)
+        scn = ScenarioConfig(band=band, reflector_kind="flat").to_scenario()
+        profile = sweep_profile(scn, SumMode.PHYSICAL)
         counts[band] = analyze(profile).fringe_count
     ratio = counts[Band.GHZ120] / counts[Band.GHZ28]
     elapsed = time.perf_counter() - t0
@@ -168,8 +169,10 @@ def test_c4_flat_vs_convex_gap_per_band():
     t0 = time.perf_counter()
     gaps = {}
     for band in BANDS:
-        flat = sweep_profile(build_default_scenario(band, "flat"), SumMode.PHYSICAL)
-        convex = sweep_profile(build_default_scenario(band, "convex"), SumMode.PHYSICAL)
+        flat = sweep_profile(ScenarioConfig(band=band, reflector_kind="flat").to_scenario(),
+                             SumMode.PHYSICAL)
+        convex = sweep_profile(ScenarioConfig(band=band, reflector_kind="convex").to_scenario(),
+                               SumMode.PHYSICAL)
         gaps[band] = float(np.max(flat.power_db) - np.max(convex.power_db))
     elapsed = time.perf_counter() - t0
     ok = all(14.0 <= g <= 27.0 for g in gaps.values()) and elapsed < 60.0
@@ -179,8 +182,10 @@ def test_c4_flat_vs_convex_gap_per_band():
 
 
 def test_c5_convex_envelope_flatness():
-    flat = sweep_profile(build_default_scenario(Band.GHZ28, "flat"), SumMode.PHYSICAL)
-    convex = sweep_profile(build_default_scenario(Band.GHZ28, "convex"), SumMode.PHYSICAL)
+    flat = sweep_profile(ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario(),
+                         SumMode.PHYSICAL)
+    convex = sweep_profile(ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario(),
+                           SumMode.PHYSICAL)
     flat_range = analyze(flat).envelope_dynamic_range_db
     convex_range = analyze(convex).envelope_dynamic_range_db
     report("C5 convex-flatness", convex_range < flat_range,
@@ -189,7 +194,7 @@ def test_c5_convex_envelope_flatness():
 
 
 def test_c6_envelope_decay_from_peak():
-    scn = build_default_scenario(Band.GHZ28, "flat")
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
     profile = sweep_profile(scn, SumMode.PHYSICAL)
     envelope = smoothed_envelope_db(profile.power_db)
     peak_idx = int(np.argmax(profile.power_db))
@@ -216,8 +221,8 @@ def _swapped_link(scn, rx_point):
 
 
 def test_c7a_reciprocity():
-    flat = build_default_scenario(Band.GHZ28, "flat", alpha_flat_override=0.3,
-                                  sweep_offset_m=0.25)
+    flat = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", alpha_flat=0.3,
+                          sweep_offset_m=0.25).to_scenario()
     flat = dataclasses.replace(flat, tx_pattern=AntennaPattern(17.0, 24.0, 26.0),
                                rx_pattern=AntennaPattern(20.0, 16.0, 15.0))
     rx = flat.geometry.sweep_midpoint
@@ -226,7 +231,8 @@ def test_c7a_reciprocity():
         - flat_sweep_power(_swapped_link(flat, rx), flat.geometry.tx_position[None, :],
                            SumMode.PHYSICAL))
 
-    convex = build_default_scenario(Band.GHZ28, "convex", alpha_curved_override=0.05)
+    convex = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
+                            alpha_curved=0.05).to_scenario()
     rx_c = specular_point(convex.geometry)
     (d_convex,) = np.abs(
         convex_sweep_power(convex, rx_c[None, :], SumMode.PHYSICAL)
@@ -237,9 +243,9 @@ def test_c7a_reciprocity():
 
 
 def test_c7b_reference_path_invariance():
-    base = build_default_scenario(Band.GHZ39, "flat")
-    shifted = build_default_scenario(Band.GHZ39, "flat",
-                                     d_ref_m=base.reference_path_m + 7.3)
+    base = ScenarioConfig(band=Band.GHZ39, reflector_kind="flat").to_scenario()
+    shifted = ScenarioConfig(band=Band.GHZ39, reflector_kind="flat",
+                             d_ref_m=base.reference_path_m + 7.3).to_scenario()
     rx = base.geometry.sweep_start + 0.62 * (base.geometry.sweep_end - base.geometry.sweep_start)
     (delta,) = np.abs(flat_sweep_power(base, rx[None, :], SumMode.PHYSICAL)
                       - flat_sweep_power(shifted, rx[None, :], SumMode.PHYSICAL))
@@ -249,8 +255,10 @@ def test_c7b_reference_path_invariance():
 
 def test_c7c_efficiency_scaling():
     k = 0.37
-    full = build_default_scenario(Band.GHZ39, "flat", reflection_efficiency=1.0)
-    part = build_default_scenario(Band.GHZ39, "flat", reflection_efficiency=k)
+    full = ScenarioConfig(band=Band.GHZ39, reflector_kind="flat",
+                          reflection_efficiency=1.0).to_scenario()
+    part = ScenarioConfig(band=Band.GHZ39, reflector_kind="flat",
+                          reflection_efficiency=k).to_scenario()
     rx = full.geometry.sweep_start + 0.62 * (full.geometry.sweep_end - full.geometry.sweep_start)
     (diff,) = flat_sweep_power(full, rx[None, :], SumMode.PHYSICAL) - flat_sweep_power(
         part, rx[None, :], SumMode.PHYSICAL)
@@ -263,16 +271,17 @@ def test_c7d_attenuation_ordering():
     radii = (0.25, 0.5, 1.0, 10.0, 1e5)
     ok = True
     for r in radii:
-        scn = build_default_scenario(Band.GHZ28, "convex", radius_of_curvature_m=r)
+        scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
+                             radius_of_curvature_m=r).to_scenario()
         ok &= alpha_curved(scn) < alpha_flat(scn)
     report("C7d attenuation-ordering", ok,
            f"curved < flat attenuation for all finite radii {radii}")
 
 
 def test_c7e_planar_limit_matches_flat():
-    flat = build_default_scenario(Band.GHZ28, "flat", facets_per_side=16)
-    convex = build_default_scenario(Band.GHZ28, "convex", radius_of_curvature_m=1e6,
-                                    section_height_m=SIDE / 16)
+    flat = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", facets_per_side=16).to_scenario()
+    convex = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex", radius_of_curvature_m=1e6,
+                            section_height_m=SIDE / 16).to_scenario()
     p_flat = sweep_profile(flat, SumMode.PHYSICAL)
     p_convex = sweep_profile(convex, SumMode.PHYSICAL)
     worst = float(np.max(np.abs(p_flat.power_db - p_convex.power_db)))
@@ -286,10 +295,12 @@ def test_c7f_facet_refinement_convergence():
     # 16 facets/side and 0.53 at 32 at the sweep ends, so both sums alias
     # there; at 64 it is at most 0.27, so 64 -> 128 is the first resolved pair.
     coarse_step = max_facet_step_wavelengths(
-        build_default_scenario(Band.GHZ28, "flat", facets_per_side=16))
+        ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", facets_per_side=16).to_scenario())
     resolved_step = max_facet_step_wavelengths(
-        build_default_scenario(Band.GHZ28, "flat", facets_per_side=RESOLVED_FACETS_PER_SIDE))
-    scenarios = (build_default_scenario(Band.GHZ28, "flat", facets_per_side=n)
+        ScenarioConfig(band=Band.GHZ28, reflector_kind="flat",
+                       facets_per_side=RESOLVED_FACETS_PER_SIDE).to_scenario())
+    scenarios = (ScenarioConfig(band=Band.GHZ28, reflector_kind="flat",
+                                facets_per_side=n).to_scenario()
                  for n in (32, RESOLVED_FACETS_PER_SIDE, 2 * RESOLVED_FACETS_PER_SIDE))
     p32, p64, p128 = (flat_sweep_power(scn, scn.geometry.rx_positions(), SumMode.PHYSICAL)
                       for scn in scenarios)

@@ -79,6 +79,26 @@ def test_uncaptured_run_longer_than_window_gives_strict_json_stats(tmp_path):
     assert np.isfinite(stats["peak_db"])
 
 
+def test_compare_of_uncaptured_run_fits_over_the_finite_overlap(tmp_path):
+    cfg = write_config(tmp_path, "band = 28\nreflector.kind = convex\n"
+                       "reflector.radius_of_curvature = 0.5\n"
+                       "geometry.sweep_offset = 5.0\ngeometry.n_positions = 300\n")
+    out = tmp_path / "out"
+    report_path = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["compare", "--config", str(cfg), str(out / "28ghz_convex.csv"),
+                     "--out", str(report_path)]) == 0
+    n_uncaptured = int(np.count_nonzero(np.isneginf(
+        import_measured(out / "28ghz_convex.csv").power_db)))
+    report = json.loads(report_path.read_text(), parse_constant=_reject_constant)
+    assert report["offset_db"] == 0.0
+    assert report["rmse_db"] == 0.0
+    assert report["n_overlap"] == 300
+    assert report["n_excluded"] == n_uncaptured > 0
+
+
 def test_dump_config_round_trips(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["simulate", "--config", str(cfg), "--dump-config"]) == 0
@@ -119,6 +139,7 @@ def test_compare_against_exported_measurement(tmp_path, capsys):
     assert report["offset_db"] == pytest.approx(7.0, abs=1e-9)
     assert report["rmse_db"] == pytest.approx(0.0, abs=1e-9)
     assert report["n_overlap"] == 200
+    assert report["n_excluded"] == 0
 
 
 def test_compare_missing_measured_file_is_runtime_error(tmp_path, capsys):

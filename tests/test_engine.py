@@ -15,12 +15,12 @@ from reflectsim.engine import (
     convex_sweep_power,
     flat_sweep_power,
 )
+from reflectsim.config import ScenarioConfig
 from reflectsim.runner import sweep_profile
 from reflectsim.scene import (
     GeometryError,
     REFLECTOR_SIDE_16IN_M,
     ScenarioGeometry,
-    build_default_scenario,
     specular_point,
 )
 
@@ -36,14 +36,15 @@ def friis_dbm(tx_power_dbm, gain_dbi, wavelength_m, distance_m):
 # ---------------------------------------------------------------- attenuation
 
 def test_alpha_flat_clamps_for_oversized_reflector():
-    scn = build_default_scenario(Band.GHZ28, "flat", width_m=10.0, height_m=10.0)
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", width_m=10.0,
+                         height_m=10.0).to_scenario()
     assert alpha_flat(scn) == 1.0
 
 
 def test_alpha_flat_28ghz_closed_form():
     # Independent ellipse-footprint arithmetic: semi-axes 2.5*tan(12deg) and
     # 2.5*tan(13deg)/cos(30deg), plate area foreshortened by cos(30deg).
-    scn = build_default_scenario(Band.GHZ28, "flat")
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
     semi_az = 2.5 * math.tan(math.radians(12.0))
     semi_el = 2.5 * math.tan(math.radians(13.0)) / math.cos(math.radians(30.0))
     want = (SIDE * SIDE * math.cos(math.radians(30.0))) / (math.pi * semi_az * semi_el)
@@ -53,13 +54,15 @@ def test_alpha_flat_28ghz_closed_form():
 
 
 def test_alpha_flat_quadruples_with_doubled_side():
-    base = build_default_scenario(Band.GHZ28, "flat", width_m=0.1, height_m=0.1)
-    doubled = build_default_scenario(Band.GHZ28, "flat", width_m=0.2, height_m=0.2)
+    base = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", width_m=0.1,
+                          height_m=0.1).to_scenario()
+    doubled = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", width_m=0.2,
+                             height_m=0.2).to_scenario()
     assert_allclose(alpha_flat(doubled) / alpha_flat(base), 4.0, rtol=1e-12)
 
 
 def test_alpha_flat_degenerate_footprint_raises():
-    scn = build_default_scenario(Band.GHZ28, "flat")
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
     # smallest positive float collapses tan(hpbw/2) to zero
     degenerate = AntennaPattern(17.0, hpbw_az_deg=5e-324, hpbw_el_deg=26.0)
     scn = dataclasses.replace(scn, tx_pattern=degenerate)
@@ -68,23 +71,26 @@ def test_alpha_flat_degenerate_footprint_raises():
 
 
 def test_alpha_flat_override_wins():
-    scn = build_default_scenario(Band.GHZ28, "flat", alpha_flat_override=0.42)
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", alpha_flat=0.42).to_scenario()
     assert alpha_flat(scn) == 0.42
 
 
 def test_alpha_curved_demo_radius():
-    scn = build_default_scenario(Band.GHZ28, "convex", radius_of_curvature_m=0.5)
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
+                         radius_of_curvature_m=0.5).to_scenario()
     assert_allclose(alpha_curved(scn) / alpha_flat(scn), 0.5 / 5.5, rtol=1e-12)
 
 
 def test_alpha_curved_planar_limit_converges():
-    scn = build_default_scenario(Band.GHZ28, "convex", radius_of_curvature_m=1e12)
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
+                         radius_of_curvature_m=1e12).to_scenario()
     assert_allclose(alpha_curved(scn) / alpha_flat(scn), 1.0, rtol=1e-9)
 
 
 @pytest.mark.parametrize("radius", [0.25, 0.5, 1.0, 10.0, 1e5])
 def test_alpha_ordering_strict_for_finite_radius(radius):
-    scn = build_default_scenario(Band.GHZ28, "convex", radius_of_curvature_m=radius)
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
+                         radius_of_curvature_m=radius).to_scenario()
     assert alpha_curved(scn) < alpha_flat(scn)
 
 
@@ -128,8 +134,8 @@ def test_half_wave_pair_cancels():
 # ------------------------------------------------------------------ flat path
 
 def test_friis_identity_single_facet():
-    scn = build_default_scenario(Band.GHZ28, "flat", facets_per_side=1,
-                                 alpha_flat_override=1.0)
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", facets_per_side=1,
+                         alpha_flat=1.0).to_scenario()
     rx = specular_point(scn.geometry)[None, :]
     (got,) = flat_sweep_power(scn, rx, SumMode.PHYSICAL)
     want = friis_dbm(scn.tx_power_dbm, 17.0, scn.wavelength_m, 5.0)
@@ -139,8 +145,8 @@ def test_friis_identity_single_facet():
 def test_literal_mode_single_facet_formula():
     # One facet plus the center ray at the same point: two identical terms,
     # sqrt(1) prefactor, magnitude reported as 10*log10|sum|.
-    scn = build_default_scenario(Band.GHZ28, "flat", facets_per_side=1,
-                                 alpha_flat_override=1.0)
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", facets_per_side=1,
+                         alpha_flat=1.0).to_scenario()
     rx = specular_point(scn.geometry)[None, :]
     (got,) = flat_sweep_power(scn, rx, SumMode.LITERAL)
     p_mw = 10.0 ** (scn.tx_power_dbm / 10.0)
@@ -149,8 +155,9 @@ def test_literal_mode_single_facet_formula():
 
 
 def test_reference_path_shift_leaves_power_unchanged():
-    base = build_default_scenario(Band.GHZ39, "flat")
-    shifted = build_default_scenario(Band.GHZ39, "flat", d_ref_m=base.reference_path_m + 7.3)
+    base = ScenarioConfig(band=Band.GHZ39, reflector_kind="flat").to_scenario()
+    shifted = ScenarioConfig(band=Band.GHZ39, reflector_kind="flat",
+                             d_ref_m=base.reference_path_m + 7.3).to_scenario()
     rx = base.geometry.sweep_start + 0.62 * (base.geometry.sweep_end - base.geometry.sweep_start)
     for mode in SumMode:
         delta = flat_sweep_power(base, rx[None, :], mode) - flat_sweep_power(
@@ -160,8 +167,10 @@ def test_reference_path_shift_leaves_power_unchanged():
 
 def test_efficiency_scales_power_linearly():
     k = 0.37
-    full = build_default_scenario(Band.GHZ39, "flat", reflection_efficiency=1.0)
-    part = build_default_scenario(Band.GHZ39, "flat", reflection_efficiency=k)
+    full = ScenarioConfig(band=Band.GHZ39, reflector_kind="flat",
+                          reflection_efficiency=1.0).to_scenario()
+    part = ScenarioConfig(band=Band.GHZ39, reflector_kind="flat",
+                          reflection_efficiency=k).to_scenario()
     rx = full.geometry.sweep_start + 0.62 * (full.geometry.sweep_end - full.geometry.sweep_start)
     (diff,) = flat_sweep_power(full, rx[None, :], SumMode.PHYSICAL) - flat_sweep_power(
         part, rx[None, :], SumMode.PHYSICAL)
@@ -189,8 +198,8 @@ def test_reciprocity_flat():
     # Distinct patterns at the two ends; attenuation pinned so the swap is
     # exact. Evaluation at the sweep midpoint, where the fixed-boresight
     # convention makes the swapped link well defined.
-    scn = build_default_scenario(Band.GHZ28, "flat", alpha_flat_override=0.3,
-                                 sweep_offset_m=0.25)
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", alpha_flat=0.3,
+                         sweep_offset_m=0.25).to_scenario()
     scn = dataclasses.replace(scn, tx_pattern=AntennaPattern(17.0, 24.0, 26.0),
                               rx_pattern=AntennaPattern(20.0, 16.0, 15.0))
     rx = scn.geometry.sweep_midpoint
@@ -201,7 +210,7 @@ def test_reciprocity_flat():
 
 
 def test_reciprocity_convex():
-    scn = build_default_scenario(Band.GHZ28, "convex", alpha_curved_override=0.05)
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex", alpha_curved=0.05).to_scenario()
     rx = specular_point(scn.geometry)
     fwd = convex_sweep_power(scn, rx[None, :], SumMode.PHYSICAL)
     rev = convex_sweep_power(_swapped_link(scn, rx), scn.geometry.tx_position[None, :],
@@ -210,7 +219,7 @@ def test_reciprocity_convex():
 
 
 def test_peak_power_bounded_by_shortest_path_friis():
-    scn = build_default_scenario(Band.GHZ28, "flat")
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
     profile = sweep_profile(scn, SumMode.PHYSICAL)
     # Shortest possible facet path across the sweep is bounded below by the
     # direct image-source distance, so one bound covers every position.
@@ -220,7 +229,7 @@ def test_peak_power_bounded_by_shortest_path_friis():
 
 
 def test_flat_sweep_bit_determinism():
-    scn = build_default_scenario(Band.GHZ28, "flat", n_positions=101)
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", n_positions=101).to_scenario()
     rx = scn.geometry.rx_positions()
     a = flat_sweep_power(scn, rx, SumMode.PHYSICAL)
     b = flat_sweep_power(scn, rx, SumMode.PHYSICAL)
@@ -228,7 +237,7 @@ def test_flat_sweep_bit_determinism():
 
 
 def test_flat_requires_flat_spec():
-    scn = build_default_scenario(Band.GHZ28, "convex")
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
     with pytest.raises(ValueError):
         flat_sweep_power(scn, specular_point(scn.geometry)[None, :], SumMode.PHYSICAL)
 
@@ -238,12 +247,8 @@ def test_flat_requires_flat_spec():
 def test_convex_single_ray_friis():
     # One height section, one azimuth target centered on the RX: the captured
     # ray is the exact specular path through the arc apex.
-    scn = build_default_scenario(
-        Band.GHZ28, "convex",
-        section_height_m=SIDE,
-        azimuth_ray_spacing_m=10.0,
-        alpha_curved_override=1.0,
-    )
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex", section_height_m=SIDE,
+                         azimuth_ray_spacing_m=10.0, alpha_curved=1.0).to_scenario()
     rx = specular_point(scn.geometry)[None, :]
     (got,) = convex_sweep_power(scn, rx, SumMode.PHYSICAL)
     want = friis_dbm(scn.tx_power_dbm, 17.0, scn.wavelength_m, 5.0)
@@ -251,7 +256,8 @@ def test_convex_single_ray_friis():
 
 
 def test_convex_no_capture_returns_sentinel():
-    scn = build_default_scenario(Band.GHZ28, "convex", radius_of_curvature_m=9e5)
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
+                         radius_of_curvature_m=9e5).to_scenario()
     g = scn.geometry
     rx = g.sweep_midpoint + 2.5 * g.sweep_axis
     power = convex_sweep_power(scn, rx[None, :], SumMode.PHYSICAL)
@@ -259,16 +265,17 @@ def test_convex_no_capture_returns_sentinel():
 
 
 def test_planar_limit_flag_matches_flat_sweep():
-    flat = build_default_scenario(Band.GHZ28, "flat", facets_per_side=16, n_positions=121)
-    convex = build_default_scenario(Band.GHZ28, "convex", radius_of_curvature_m=1e6,
-                                    section_height_m=SIDE / 16, n_positions=121)
+    flat = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", facets_per_side=16,
+                          n_positions=121).to_scenario()
+    convex = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex", radius_of_curvature_m=1e6,
+                            section_height_m=SIDE / 16, n_positions=121).to_scenario()
     p_flat = sweep_profile(flat, SumMode.PHYSICAL)
     p_convex = sweep_profile(convex, SumMode.PHYSICAL)
     assert np.max(np.abs(p_flat.power_db - p_convex.power_db)) < 1e-3
 
 
 def test_convex_requires_convex_spec():
-    scn = build_default_scenario(Band.GHZ28, "flat")
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
     with pytest.raises(ValueError):
         convex_sweep_power(scn, specular_point(scn.geometry)[None, :], SumMode.PHYSICAL)
 
@@ -276,7 +283,7 @@ def test_convex_requires_convex_spec():
 @given(t=st.floats(0.0, 1.0))
 @settings(max_examples=25, deadline=None)
 def test_physical_power_never_exceeds_friis_bound(t):
-    scn = build_default_scenario(Band.GHZ39, "flat")
+    scn = ScenarioConfig(band=Band.GHZ39, reflector_kind="flat").to_scenario()
     g = scn.geometry
     rx = g.sweep_start + t * (g.sweep_end - g.sweep_start)
     (power,) = flat_sweep_power(scn, rx[None, :], SumMode.PHYSICAL)

@@ -83,6 +83,7 @@ def test_compare_self_is_zero():
     assert report.rmse_db == pytest.approx(0.0, abs=1e-12)
     assert report.peak_position_delta_m == 0.0
     assert report.fringe_count_delta == 0
+    assert report.n_excluded == 0
 
 
 def test_compare_pure_offset():
@@ -127,11 +128,32 @@ def test_compare_short_profiles_skip_fringe_delta():
     assert report.fringe_count_delta is None
 
 
+def test_compare_fits_over_the_finite_overlap():
+    power = -60.0 + np.sin(np.linspace(0, 20, 400))
+    sim_power = power.copy()
+    sim_power[250:330] = -np.inf  # an uncaptured stretch of the simulated sweep
+    measured_power = power + 4.0
+    measured_power[10:15] = -np.inf
+    report = compare(make_profile(sim_power), make_profile(measured_power, label="meas"))
+    assert report.n_excluded == 80 + 5
+    assert report.n_overlap == 400
+    assert report.offset_db == pytest.approx(4.0, abs=1e-12)
+    assert report.rmse_db == pytest.approx(0.0, abs=1e-12)
+
+
+def test_compare_without_finite_overlap_raises():
+    a = make_profile(np.full(200, -np.inf))
+    b = make_profile(np.zeros(200))
+    with pytest.raises(ValueError, match="finite"):
+        compare(a, b)
+
+
 def test_report_serialization_round_trip():
-    report = ComparisonReport(1.5, 0.3, -0.02, 2, 400, "sim", "meas")
+    report = ComparisonReport(1.5, 0.3, -0.02, 2, 400, 3, "sim", "meas")
     d = report.to_dict()
     assert d["offset_db"] == 1.5
     assert d["fringe_count_delta"] == 2
+    assert d["n_excluded"] == 3
     assert d["measured_label"] == "meas"
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -64,10 +66,18 @@ def test_json_export_schema(tmp_path):
     assert len(doc["positions_m"]) == len(doc["power_db"]) == 2
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def test_json_round_trip_lossless(tmp_path):
     path = tmp_path / "p.json"
-    profile = tiny_profile()
+    profile = PowerProfile(np.array([0.0, 0.001, 0.002]),
+                           np.array([-54.123456789, -np.inf, -60.0]),
+                           Band.GHZ28, "flat", "28ghz_flat")
     export_profile(profile, "json", path)
+    doc = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert doc["power_db"] == [-54.123456789, None, -60.0]
     back = read_profile_json(path)
     assert np.array_equal(back.positions_m, profile.positions_m)
     assert np.array_equal(back.power_db, profile.power_db)

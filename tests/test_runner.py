@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from reflectsim.antenna import Band
-from reflectsim.config import parse_config
+from reflectsim.config import ScenarioConfig, parse_config
 from reflectsim.engine import SumMode
 from reflectsim.runner import run_sweep, sweep_profile
-from reflectsim.scene import build_default_scenario
 
 
 def test_two_point_sweep():
@@ -41,8 +40,9 @@ def test_literal_profiles_are_relative_to_peak():
 
 
 def test_sweep_profile_labels():
-    scn = build_default_scenario(Band.GHZ120, "convex")
-    scn_small = build_default_scenario(Band.GHZ120, "convex", n_positions=25)
+    scn = ScenarioConfig(band=Band.GHZ120, reflector_kind="convex").to_scenario()
+    scn_small = ScenarioConfig(band=Band.GHZ120, reflector_kind="convex",
+                               n_positions=25).to_scenario()
     profile = sweep_profile(scn_small, SumMode.PHYSICAL)
     assert profile.band is Band.GHZ120
     assert profile.reflector_kind == "convex"

@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from reflectsim.antenna import Band
+from reflectsim.config import ConfigError, ScenarioConfig, parse_config
 from reflectsim.scene import (
     ConvexReflectorSpec,
     FlatReflectorSpec,
     GeometryError,
     REFLECTOR_SIDE_16IN_M,
     ScenarioGeometry,
-    build_default_scenario,
     capture_length_m,
     convex_ray_paths,
     facetize_flat,
@@ -32,7 +32,7 @@ def test_sixteen_inches_in_meters():
 
 
 def test_default_scenario_28_flat():
-    scn = build_default_scenario(Band.GHZ28, "flat")
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
     assert scn.reflector.facets_per_side == 6
     assert scn.reflector.facet_count == 36
     assert_allclose(scn.reflector.width_m, 0.4064)
@@ -46,20 +46,20 @@ def test_default_scenario_28_flat():
 
 
 def test_default_scenario_120_uses_256_facets():
-    scn = build_default_scenario(Band.GHZ120, "flat")
+    scn = ScenarioConfig(band=Band.GHZ120, reflector_kind="flat").to_scenario()
     assert scn.reflector.facets_per_side == 16
     assert scn.reflector.facet_count == 256
 
 
 def test_default_39_convex_sweep_centered_on_specular():
-    scn = build_default_scenario(Band.GHZ39, "convex")
+    scn = ScenarioConfig(band=Band.GHZ39, reflector_kind="convex").to_scenario()
     g = scn.geometry
     assert_allclose(g.sweep_length_m, 1.8, atol=1e-12)
     assert_allclose(specular_point(g), g.sweep_midpoint, atol=1e-12)
 
 
 def test_facetize_single_facet_degenerates_to_center():
-    scn = build_default_scenario(Band.GHZ28, "flat", facets_per_side=1)
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", facets_per_side=1).to_scenario()
     facets = facetize_flat(scn.reflector, scn.geometry)
     assert facets.shape == (1, 3)
     assert_allclose(facets[0], scn.geometry.reflector_center, atol=1e-15)
@@ -67,7 +67,7 @@ def test_facetize_single_facet_degenerates_to_center():
 
 def test_facetize_6x6_grid_offsets():
     # Uniform 6-per-side grid across 0.4064 m: centers at +/-{1,3,5} * side/12
-    scn = build_default_scenario(Band.GHZ28, "flat")
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
     facets = facetize_flat(scn.reflector, scn.geometry)
     assert facets.shape == (36, 3)
     expected = sorted(k * SIDE / 12.0 for k in (-5, -3, -1, 1, 3, 5))
@@ -81,7 +81,7 @@ def test_facetize_6x6_grid_offsets():
 
 
 def test_facets_lie_on_reflector_plane():
-    scn = build_default_scenario(Band.GHZ120, "flat")
+    scn = ScenarioConfig(band=Band.GHZ120, reflector_kind="flat").to_scenario()
     facets = facetize_flat(scn.reflector, scn.geometry)
     n = scn.geometry.reflector_normal
     c = scn.geometry.reflector_center
@@ -89,7 +89,7 @@ def test_facets_lie_on_reflector_plane():
 
 
 def test_facet_grid_mirror_symmetry():
-    scn = build_default_scenario(Band.GHZ28, "flat")
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
     facets = facetize_flat(scn.reflector, scn.geometry)
     pts = {(round(float(y), 12), round(float(z), 12)) for y, z in facets[:, 1:]}
     assert {(-y, z) for y, z in pts} == pts
@@ -97,14 +97,15 @@ def test_facet_grid_mirror_symmetry():
 
 
 def test_facet_areas_tile_reflector():
-    spec = FlatReflectorSpec(width_m=0.4064, height_m=0.4064, facets_per_side=6)
+    spec = FlatReflectorSpec(width_m=0.4064, height_m=0.4064, facets_per_side=6,
+                             reflection_efficiency=1.0)
     facet_area = (spec.width_m / spec.facets_per_side) * (spec.height_m / spec.facets_per_side)
     total = facet_area * spec.facet_count
     assert_allclose(total, spec.width_m * spec.height_m, rtol=1e-9)
 
 
 def test_capture_length_28ghz():
-    scn = build_default_scenario(Band.GHZ28, "flat")
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
     got = capture_length_m(scn.rx_pattern, 2.5)
     want = 2.0 * 2.5 * math.tan(math.radians(12.0))
     assert_allclose(got, want, rtol=1e-15)
@@ -112,7 +113,7 @@ def test_capture_length_28ghz():
 
 
 def test_capture_length_requires_positive_distance():
-    scn = build_default_scenario(Band.GHZ28, "flat")
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
     with pytest.raises(GeometryError):
         capture_length_m(scn.rx_pattern, 0.0)
 
@@ -125,14 +126,15 @@ def _capture_and_paths(scn, rx):
 
 
 def test_section_convex_single_section():
-    scn = build_default_scenario(Band.GHZ28, "convex", section_height_m=SIDE)
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
+                         section_height_m=SIDE).to_scenario()
     capture, paths = _capture_and_paths(scn, specular_point(scn.geometry))
     assert paths.n_sections == 1
     assert paths.distance_m.size == capture.columns.size
 
 
 def test_section_convex_default_counts():
-    scn = build_default_scenario(Band.GHZ28, "convex")
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
     capture, paths = _capture_and_paths(scn, specular_point(scn.geometry))
     assert paths.n_sections == 16  # height / (height/16)
     # R = 0.5 m diverges rays strongly, so all 32 intercept targets are reachable
@@ -144,7 +146,7 @@ def test_section_convex_default_counts():
 def test_section_convex_rays_lie_on_arc():
     # The traced bundle departs the TX toward points on the arc of radius R
     # about the vertical axis behind the plate, within the plate's chord.
-    scn = build_default_scenario(Band.GHZ28, "convex")
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
     spec, g = scn.reflector, scn.geometry
     capture, paths = _capture_and_paths(scn, specular_point(g))
     r = spec.radius_of_curvature_m
@@ -167,7 +169,8 @@ def test_section_convex_rays_lie_on_arc():
 def test_section_convex_planar_limit_matches_flat_directions():
     # At the planar-limit radius the arc normals collapse onto the plate normal,
     # so mirror reflections agree with the flat law to well under 1e-4 rad.
-    scn = build_default_scenario(Band.GHZ28, "convex", radius_of_curvature_m=1e6)
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
+                         radius_of_curvature_m=1e6).to_scenario()
     g = scn.geometry
     capture, _ = _capture_and_paths(scn, specular_point(g))
     assert capture is not None
@@ -186,14 +189,15 @@ def test_section_convex_planar_limit_matches_flat_directions():
 def test_section_convex_empty_when_nothing_reachable():
     # Just below the planar-limit flag the reachable intercept band is the
     # plate image; an RX far along the sweep axis cannot capture any of it.
-    scn = build_default_scenario(Band.GHZ28, "convex", radius_of_curvature_m=9e5)
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
+                         radius_of_curvature_m=9e5).to_scenario()
     g = scn.geometry
     rx = g.sweep_midpoint + 2.5 * g.sweep_axis
     assert _capture_and_paths(scn, rx) == (None, None)
 
 
 def test_section_convex_rejects_rx_behind_reflector():
-    scn = build_default_scenario(Band.GHZ28, "convex")
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
     behind = -1.0 * scn.geometry.reflector_normal
     with pytest.raises(GeometryError):
         solve_convex_capture(scn.reflector, scn.geometry, behind, scn.rx_pattern, 2.5)
@@ -202,12 +206,13 @@ def test_section_convex_rejects_rx_behind_reflector():
 
 
 def test_specular_point_is_sweep_midpoint_by_construction():
-    g = build_default_scenario(Band.GHZ28, "flat").geometry
+    g = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario().geometry
     assert_allclose(specular_point(g), g.sweep_midpoint, atol=1e-12)
 
 
 def test_specular_point_normal_incidence_on_normal_line():
-    g = build_default_scenario(Band.GHZ28, "flat", incidence_deg=0.0).geometry
+    g = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat",
+                       incidence_deg=0.0).to_scenario().geometry
     s = specular_point(g)
     off_axis = s - float(np.dot(s, g.reflector_normal)) * g.reflector_normal
     assert float(np.linalg.norm(off_axis)) < 1e-12
@@ -215,7 +220,7 @@ def test_specular_point_normal_incidence_on_normal_line():
 
 def test_specular_path_length_image_source_oracle():
     # 30 degree incidence, 2.5 m both legs: the image-source distance is 5 m.
-    g = build_default_scenario(Band.GHZ28, "flat").geometry
+    g = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario().geometry
     s = specular_point(g)
     d = float(np.linalg.norm(g.tx_position) + np.linalg.norm(s))
     assert_allclose(d, 5.0, atol=1e-12)
@@ -225,7 +230,7 @@ def test_specular_path_length_image_source_oracle():
 
 
 def test_specular_point_parallel_sweep_raises():
-    g = build_default_scenario(Band.GHZ28, "flat").geometry
+    g = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario().geometry
     tx_image = g.tx_position.copy()
     tx_image[0] = -tx_image[0]
     sight = (g.reflector_center - tx_image) / np.linalg.norm(g.reflector_center - tx_image)
@@ -243,8 +248,10 @@ def test_specular_point_parallel_sweep_raises():
 
 
 def test_specular_point_ignores_reflector_size():
-    small = build_default_scenario(Band.GHZ28, "flat", width_m=0.1, height_m=0.1)
-    large = build_default_scenario(Band.GHZ28, "flat", width_m=4.0, height_m=4.0)
+    small = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", width_m=0.1,
+                           height_m=0.1).to_scenario()
+    large = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", width_m=4.0,
+                           height_m=4.0).to_scenario()
     assert_allclose(specular_point(small.geometry), specular_point(large.geometry), atol=1e-15)
 
 
@@ -264,7 +271,7 @@ def test_path_geometry_collinear():
 
 
 def test_path_geometry_swap_symmetry():
-    scn = build_default_scenario(Band.GHZ28, "flat")
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
     launch = facetize_flat(scn.reflector, scn.geometry)[7]
     tx = scn.geometry.tx_position
     rx = scn.geometry.sweep_start
@@ -298,7 +305,7 @@ coords = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 @given(px=coords, py=coords, pz=coords, rx_t=st.floats(0.0, 1.0))
 @settings(max_examples=100, deadline=None)
 def test_path_distance_triangle_inequality(px, py, pz, rx_t):
-    scn = build_default_scenario(Band.GHZ28, "flat")
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
     g = scn.geometry
     launch = np.array([px, py, pz])
     rx = g.sweep_start + rx_t * (g.sweep_end - g.sweep_start)
@@ -309,7 +316,7 @@ def test_path_distance_triangle_inequality(px, py, pz, rx_t):
 
 
 def test_geometry_validation():
-    g = build_default_scenario(Band.GHZ28, "flat").geometry
+    g = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario().geometry
     with pytest.raises(GeometryError, match="unit"):
         ScenarioGeometry(g.tx_position, g.reflector_center, g.reflector_normal * 1.1,
                          30.0, g.sweep_start, g.sweep_end, 1800)
@@ -325,15 +332,19 @@ def test_geometry_validation():
 
 
 def test_reflector_spec_validation():
+    flat = dict(width_m=SIDE, height_m=SIDE, facets_per_side=6, reflection_efficiency=1.0)
+    convex = dict(chord_width_m=SIDE, height_m=SIDE, radius_of_curvature_m=0.5,
+                  section_height_m=SIDE / 16, azimuth_ray_spacing_m=None,
+                  reflection_efficiency=1.0)
     with pytest.raises(ValueError):
-        FlatReflectorSpec(facets_per_side=0)
+        FlatReflectorSpec(**{**flat, "facets_per_side": 0})
     with pytest.raises(ValueError):
-        FlatReflectorSpec(reflection_efficiency=1.5)
+        FlatReflectorSpec(**{**flat, "reflection_efficiency": 1.5})
     with pytest.raises(ValueError, match="exceed"):
-        ConvexReflectorSpec(radius_of_curvature_m=0.2)  # below chord/2
+        ConvexReflectorSpec(**{**convex, "radius_of_curvature_m": 0.2})  # below chord/2
     with pytest.raises(ValueError):
-        ConvexReflectorSpec(section_height_m=1.0)  # above height
-    assert_allclose(ConvexReflectorSpec(radius_of_curvature_m=0.5).focal_length_m, 0.25)
+        ConvexReflectorSpec(**{**convex, "section_height_m": 1.0})  # above height
+    assert_allclose(ConvexReflectorSpec(**convex).focal_length_m, 0.25)
 
 
 def test_vec3_rejects_non_finite():
@@ -342,7 +353,9 @@ def test_vec3_rejects_non_finite():
 
 
 def test_default_scenario_unknown_inputs():
-    with pytest.raises(ValueError):
-        build_default_scenario("60ghz", "flat")
-    with pytest.raises(ValueError):
-        build_default_scenario(Band.GHZ28, "parabolic")
+    with pytest.raises(ConfigError, match="band"):
+        parse_config("band = 60ghz\n")
+    with pytest.raises(ConfigError, match="line 2: reflector.kind"):
+        parse_config("band = 28\nreflector.kind = parabolic\n")
+    with pytest.raises(ValueError, match="parabolic"):
+        ScenarioConfig(band=Band.GHZ28, reflector_kind="parabolic").to_scenario()
