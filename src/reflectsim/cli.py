@@ -105,7 +105,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _write_json(out_dir / f"{label}.stats.json", summary)
 
     print(f"wrote {profile_path}")
-    if stats:
+    if stats and stats.envelope_dynamic_range_db is None:
+        print("no RX position received power")
+    elif stats:
         print(f"peak {stats.peak_db:.2f} dB at {stats.peak_position_m:.3f} m, "
               f"{stats.fringe_count} fringes, "
               f"envelope range {stats.envelope_dynamic_range_db:.2f} dB")
@@ -115,7 +117,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _load_config(args)
     sim = run_sweep(config)
-    measured = import_measured(args.measured)
+    measured = import_measured(args.measured, config.band)
     report = metrics.compare(sim, measured)
     _write_json(args.out, report.to_dict())
     return EXIT_OK
@@ -153,7 +155,7 @@ def _oracle_checks() -> list[tuple[str, bool, str]]:
                    f"{l_ant:.6f} vs {want_l:.6f}"))
 
     # Footprint attenuation from the closed-form ellipse.
-    a = engine.alpha_flat(scn)
+    a = scn.alpha
     semi_az = 2.5 * math.tan(math.radians(12.0))
     semi_el = 2.5 * math.tan(math.radians(13.0)) / math.cos(math.radians(30.0))
     want_a = side * side * math.cos(math.radians(30.0)) / (math.pi * semi_az * semi_el)

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .antenna import Band, band_defaults
-from .engine import SumMode
+from .engine import SumMode, alpha_curved, alpha_flat
 from .scene import (
     INCH_M,
     REFLECTOR_SIDE_16IN_M,
@@ -23,6 +23,7 @@ from .scene import (
     ReflectorSpec,
     Scenario,
     ScenarioGeometry,
+    capture_length_m,
 )
 
 # Flat-plate grid used when `reflector.facets_per_side = auto`.
@@ -129,18 +130,27 @@ class ScenarioConfig:
         mirror_dir = np.array([math.cos(inc), -math.sin(inc), 0.0])
         sweep_axis = np.array([math.sin(inc), math.cos(inc), 0.0])
         sweep_center = self.rx_range_m * mirror_dir + self.sweep_offset_m * sweep_axis
+        sweep_start = sweep_center - 0.5 * self.sweep_length_m * sweep_axis
+        sweep_end = sweep_center + 0.5 * self.sweep_length_m * sweep_axis
+        _check(float(np.linalg.norm(sweep_end - sweep_start)) > 0.0, "geometry.sweep_length",
+               "the sweep is too short for its distance from the reflector: "
+               "both of its ends round to the same point")
         return ScenarioGeometry(
             tx_position=self.tx_range_m * np.array([math.cos(inc), math.sin(inc), 0.0]),
             reflector_center=np.zeros(3),
             reflector_normal=np.array([1.0, 0.0, 0.0]),
             incidence_angle_deg=self.incidence_deg,
-            sweep_start=sweep_center - 0.5 * self.sweep_length_m * sweep_axis,
-            sweep_end=sweep_center + 0.5 * self.sweep_length_m * sweep_axis,
+            sweep_start=sweep_start,
+            sweep_end=sweep_end,
             n_rx_positions=self.n_positions,
         )
 
     def to_scenario(self) -> Scenario:
         """Measurement-style scenario with every `auto` default resolved."""
+        geometry = self._geometry()
+        link = band_defaults(self.band, eh_swap=self.eh_swap)
+        capture_distance_m = (geometry.rx_range_m if self.capture_distance_m is None
+                              else self.capture_distance_m)
         reflector: ReflectorSpec
         if self.reflector_kind == "flat":
             reflector = FlatReflectorSpec(
@@ -157,26 +167,38 @@ class ScenarioConfig:
                 radius_of_curvature_m=self.radius_of_curvature_m,
                 section_height_m=(self.height_m / 16.0
                                   if self.section_height_m is None else self.section_height_m),
-                azimuth_ray_spacing_m=self.azimuth_ray_spacing_m,
+                azimuth_ray_spacing_m=(
+                    capture_length_m(link.rx_pattern, capture_distance_m) / 32.0
+                    if self.azimuth_ray_spacing_m is None else self.azimuth_ray_spacing_m),
                 reflection_efficiency=self.reflection_efficiency,
             )
         else:
             raise ValueError(
                 f"reflector_kind must be 'flat' or 'convex', got {self.reflector_kind!r}")
 
-        link = band_defaults(self.band, eh_swap=self.eh_swap)
+        if self.reflector_kind == "convex" and self.alpha_curved is not None:
+            alpha = self.alpha_curved
+        else:
+            alpha = (alpha_flat(geometry, link.tx_pattern, reflector)
+                     if self.alpha_flat is None else self.alpha_flat)
+            if self.reflector_kind == "convex":
+                # The flat factor, set or derived, scaled by R/(R + 2d).
+                alpha = alpha_curved(alpha, reflector, geometry)
+        d_ref_m = self.d_ref_m
+        if d_ref_m is None:  # TX -> reflector center -> sweep midpoint
+            d_ref_m = (float(np.linalg.norm(geometry.tx_position - geometry.reflector_center))
+                       + geometry.rx_range_m)
         return Scenario(
             band=self.band,
-            geometry=self._geometry(),
+            geometry=geometry,
             reflector=reflector,
             tx_pattern=link.tx_pattern,
             rx_pattern=link.rx_pattern,
             tx_power_dbm=link.tx_power_dbm,
             wavelength_m=link.wavelength_m,
-            d_ref_m=self.d_ref_m,
-            alpha_flat_override=self.alpha_flat,
-            alpha_curved_override=self.alpha_curved,
-            capture_distance_m=self.capture_distance_m,
+            d_ref_m=d_ref_m,
+            alpha=alpha,
+            capture_distance_m=capture_distance_m,
             label=self.resolved_label(),
         )
 
@@ -269,6 +291,8 @@ _KEY_TABLE = {
 
 _FLAT_ONLY_KEYS = {"reflector.facets_per_side"}
 _CONVEX_ONLY_KEYS = {
+    "engine.alpha_curved",
+    "engine.capture_distance",
     "reflector.radius_of_curvature",
     "reflector.section_height",
     "reflector.azimuth_ray_spacing",

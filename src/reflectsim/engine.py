@@ -13,7 +13,9 @@ from .scene import (
     ConvexReflectorSpec,
     FlatReflectorSpec,
     GeometryError,
+    ReflectorSpec,
     Scenario,
+    ScenarioGeometry,
     convex_ray_paths,
     facetize_flat,
     path_geometry_batch,
@@ -55,48 +57,37 @@ class SumMode(enum.Enum):
         return self.value
 
 
-def _reflector_area_m2(scenario: Scenario) -> float:
-    spec = scenario.reflector
-    if isinstance(spec, ConvexReflectorSpec):
-        return spec.chord_width_m * spec.height_m
-    return spec.width_m * spec.height_m
-
-
-def alpha_flat(scenario: Scenario) -> float:
+def alpha_flat(geometry: ScenarioGeometry, tx_pattern: AntennaPattern,
+               reflector: ReflectorSpec) -> float:
     """Fraction of the TX main-lobe footprint intercepted by the plate.
 
     The footprint is the ellipse cut by the TX HPBW cone on the reflector
     plane at the reflector range; the plate area is foreshortened by the
     incidence angle. Clamped at 1 when the plate out-sizes the footprint.
     """
-    if scenario.alpha_flat_override is not None:
-        return scenario.alpha_flat_override
-    g = scenario.geometry
-    d_tx = float(np.linalg.norm(g.tx_position - g.reflector_center))
-    cos_inc = math.cos(math.radians(g.incidence_angle_deg))
-    semi_az = d_tx * math.tan(math.radians(scenario.tx_pattern.hpbw_az_deg) / 2.0)
-    semi_el = d_tx * math.tan(math.radians(scenario.tx_pattern.hpbw_el_deg) / 2.0) / cos_inc
+    convex = isinstance(reflector, ConvexReflectorSpec)
+    width = reflector.chord_width_m if convex else reflector.width_m
+    d_tx = float(np.linalg.norm(geometry.tx_position - geometry.reflector_center))
+    cos_inc = math.cos(math.radians(geometry.incidence_angle_deg))
+    semi_az = d_tx * math.tan(math.radians(tx_pattern.hpbw_az_deg) / 2.0)
+    semi_el = d_tx * math.tan(math.radians(tx_pattern.hpbw_el_deg) / 2.0) / cos_inc
     footprint = math.pi * semi_az * semi_el
     if footprint <= 0.0:
         raise GeometryError("beam footprint on the reflector plane is degenerate")
-    return min(1.0, _reflector_area_m2(scenario) * cos_inc / footprint)
+    return min(1.0, width * reflector.height_m * cos_inc / footprint)
 
 
-def alpha_curved(scenario: Scenario) -> float:
+def alpha_curved(flat_alpha: float, reflector: ConvexReflectorSpec,
+                 geometry: ScenarioGeometry) -> float:
     """Convex-mirror divergence factor applied on top of the flat attenuation.
 
     A convex mirror of radius R spreads the reflected bundle as if it came
     from a virtual focus at R/2 behind the surface, scaling captured power by
-    R / (R + 2*d) over the reflector-to-RX leg. Strictly below alpha_flat for
-    every finite radius.
+    R / (R + 2*d) over the reflector-to-RX leg. Strictly below `flat_alpha`
+    for every finite radius.
     """
-    if scenario.alpha_curved_override is not None:
-        return scenario.alpha_curved_override
-    if not isinstance(scenario.reflector, ConvexReflectorSpec):
-        raise ValueError("alpha_curved requires a convex reflector spec")
-    r = scenario.reflector.radius_of_curvature_m
-    d_rx = scenario.rx_range_m
-    return alpha_flat(scenario) * r / (r + 2.0 * d_rx)
+    r = reflector.radius_of_curvature_m
+    return flat_alpha * r / (r + 2.0 * geometry.rx_range_m)
 
 
 def _amplitudes(
@@ -168,7 +159,6 @@ def flat_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -
     launches = facetize_flat(spec, geom)
     if mode is SumMode.LITERAL:
         launches = np.vstack([geom.reflector_center, launches])
-    alpha = alpha_flat(scenario)
     tx_power_mw = 10.0 ** (scenario.tx_power_dbm / 10.0)
     tx_boresight, rx_boresight = scenario.tx_boresight, scenario.rx_boresight
 
@@ -183,8 +173,8 @@ def flat_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -
             scenario.rx_pattern,
             *paths,
             scenario.wavelength_m,
-            scenario.reference_path_m,
-            alpha,
+            scenario.d_ref_m,
+            scenario.alpha,
             spec.reflection_efficiency,
             tx_power_mw,
             mode,
@@ -200,8 +190,8 @@ def _planar_limit_scenario(scenario: Scenario) -> Scenario:
     """Flat-reflector equivalent used above the planar-limit radius flag.
 
     The azimuth discretization follows the height-section count (square
-    grid), and the curved attenuation factor carries over (it converges to
-    the flat factor in this limit).
+    grid), and the scenario's curved attenuation factor carries over (it
+    converges to the flat factor in this limit).
     """
     spec = scenario.reflector
     flat_equiv = FlatReflectorSpec(
@@ -210,11 +200,7 @@ def _planar_limit_scenario(scenario: Scenario) -> Scenario:
         facets_per_side=spec.n_height_sections,
         reflection_efficiency=spec.reflection_efficiency,
     )
-    return dataclasses.replace(
-        scenario,
-        reflector=flat_equiv,
-        alpha_flat_override=alpha_curved(scenario),
-    )
+    return dataclasses.replace(scenario, reflector=flat_equiv)
 
 
 def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -> np.ndarray:
@@ -236,7 +222,6 @@ def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode)
     rx = np.asarray(rx_points, dtype=float)
     if spec.is_planar_limit:
         return flat_sweep_power(_planar_limit_scenario(scenario), rx, mode)
-    alpha = alpha_curved(scenario)
     tx_power_mw = 10.0 ** (scenario.tx_power_dbm / 10.0)
     tx_boresight, rx_boresight = scenario.tx_boresight, scenario.rx_boresight
 
@@ -247,7 +232,7 @@ def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode)
             scenario.geometry,
             point,
             scenario.rx_pattern,
-            scenario.capture_range_m,
+            scenario.capture_distance_m,
             tx_boresight,
             rx_boresight,
         )
@@ -262,8 +247,8 @@ def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode)
             paths.rx_az_deg,
             paths.rx_el_deg,
             scenario.wavelength_m,
-            scenario.reference_path_m,
-            alpha,
+            scenario.d_ref_m,
+            scenario.alpha,
             spec.reflection_efficiency,
             tx_power_mw,
             mode,

@@ -52,12 +52,13 @@ class ProfileStats:
     peak_db: float
     peak_position_m: float
     fringe_count: int
-    envelope_dynamic_range_db: float
-    rhs_decay_db: float
+    # None when no position received power: the envelope is -inf throughout.
+    envelope_dynamic_range_db: Optional[float]
+    rhs_decay_db: Optional[float]
 
     def to_dict(self) -> dict:
-        """JSON-ready statistics; a statistic that is not finite (e.g. an
-        envelope that reaches the -inf sentinel) is written as None."""
+        """JSON-ready statistics; a statistic that is None or not finite
+        (e.g. an envelope that reaches the -inf sentinel) is written as None."""
         return {
             "peak_db": _finite_or_none(self.peak_db),
             "peak_position_m": _finite_or_none(self.peak_position_m),
@@ -67,8 +68,8 @@ class ProfileStats:
         }
 
 
-def _finite_or_none(value: float) -> Optional[float]:
-    return value if math.isfinite(value) else None
+def _finite_or_none(value: Optional[float]) -> Optional[float]:
+    return value if value is not None and math.isfinite(value) else None
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,8 @@ def analyze(
 
     Fringes are local maxima of the envelope-detrended profile with at least
     `fringe_prominence_db` of prominence. The decay number is the smoothed
-    envelope at the sweep end minus at the peak position.
+    envelope at the sweep end minus at the peak position. Both envelope
+    numbers are None when no position received power.
     """
     if len(profile) < MIN_ANALYZE_SAMPLES:
         raise ValueError(
@@ -139,12 +141,16 @@ def analyze(
     detrended[finite] = power[finite] - envelope[finite]
     peaks, _ = find_peaks(detrended, prominence=fringe_prominence_db)
 
+    dynamic_range = decay = None
+    if np.isfinite(envelope[peak_idx]):  # else the envelope is -inf throughout
+        dynamic_range = float(np.max(envelope) - np.min(envelope))
+        decay = float(envelope[-1] - envelope[peak_idx])
     return ProfileStats(
         peak_db=float(power[peak_idx]),
         peak_position_m=float(profile.positions_m[peak_idx]),
         fringe_count=int(peaks.size),
-        envelope_dynamic_range_db=float(np.max(envelope) - np.min(envelope)),
-        rhs_decay_db=float(envelope[-1] - envelope[peak_idx]),
+        envelope_dynamic_range_db=dynamic_range,
+        rhs_decay_db=decay,
     )
 
 

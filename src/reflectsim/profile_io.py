@@ -51,12 +51,12 @@ def export_profile(profile: PowerProfile, format: str, path: Union[str, Path]) -
         raise ValueError(f"unknown profile format {format!r}; expected 'csv' or 'json'")
 
 
-def import_measured(path: Union[str, Path]) -> PowerProfile:
+def import_measured(path: Union[str, Path], band: Band) -> PowerProfile:
     """Read a measured profile from CSV in the export schema.
 
     Extra columns are ignored; the profile label is taken from the filename.
     Band and reflector kind are not encoded in CSV, so the profile is tagged
-    with whatever `label` conveys and a neutral kind.
+    with the caller's `band` and a neutral kind.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -96,7 +96,7 @@ def import_measured(path: Union[str, Path]) -> PowerProfile:
     return PowerProfile(
         positions_m=np.array(positions),
         power_db=np.array(powers),
-        band=_band_from_label(path.stem),
+        band=band,
         reflector_kind="measured",
         label=path.stem,
     )
@@ -119,10 +119,3 @@ def read_profile_json(path: Union[str, Path]) -> PowerProfile:
     except (KeyError, TypeError) as exc:
         raise ProfileFormatError(f"{path}: missing or malformed field: {exc}") from None
 
-
-def _band_from_label(label: str) -> Band:
-    """Best-effort band tag from a filename; defaults to 28 GHz."""
-    for band in Band:
-        if band.value.removesuffix("ghz") in label.lower():
-            return band
-    return Band.GHZ28

@@ -91,6 +91,11 @@ class ScenarioGeometry:
     def sweep_midpoint(self) -> np.ndarray:
         return 0.5 * (self.sweep_start + self.sweep_end)
 
+    @property
+    def rx_range_m(self) -> float:
+        """Nominal reflector-to-RX range (taken at the sweep midpoint)."""
+        return float(np.linalg.norm(self.sweep_midpoint - self.reflector_center))
+
     def rx_offsets_m(self) -> np.ndarray:
         """Sweep coordinates (meters from sweep_start) of the RX positions."""
         return np.linspace(0.0, self.sweep_length_m, self.n_rx_positions)
@@ -130,15 +135,15 @@ class ConvexReflectorSpec:
     The surface is a vertical-axis cylinder section of radius
     `radius_of_curvature_m` bulging toward the illuminated side; reflected
     rays appear to diverge from a virtual focus at half the radius behind
-    the surface. `azimuth_ray_spacing_m = None` spaces launch rays so their
-    reflected intercepts land 1/32 of the RX capture length apart.
+    the surface. Launch rays are spaced so their reflected intercepts land
+    `azimuth_ray_spacing_m` apart on the RX capture segment.
     """
 
     chord_width_m: float
     height_m: float
     radius_of_curvature_m: float
     section_height_m: float
-    azimuth_ray_spacing_m: Optional[float]
+    azimuth_ray_spacing_m: float
     reflection_efficiency: float
 
     def __post_init__(self) -> None:
@@ -151,7 +156,7 @@ class ConvexReflectorSpec:
             )
         if not (0.0 < self.section_height_m <= self.height_m):
             raise ValueError("section_height_m must be in (0, height_m]")
-        if self.azimuth_ray_spacing_m is not None and self.azimuth_ray_spacing_m <= 0.0:
+        if self.azimuth_ray_spacing_m <= 0.0:
             raise ValueError("azimuth_ray_spacing_m must be positive")
         if not (0.0 < self.reflection_efficiency <= 1.0):
             raise ValueError("reflection_efficiency must be in (0, 1]")
@@ -184,11 +189,9 @@ class Scenario:
     rx_pattern: AntennaPattern
     tx_power_dbm: float
     wavelength_m: float
-    # None selects the built-in conventions; explicit values override them.
-    d_ref_m: Optional[float]
-    alpha_flat_override: Optional[float]
-    alpha_curved_override: Optional[float]
-    capture_distance_m: Optional[float]
+    d_ref_m: float             # phase-reference path length
+    alpha: float               # attenuation factor applied to every ray
+    capture_distance_m: float  # range that sizes the convex RX capture segment
     label: str
 
     @property
@@ -211,30 +214,6 @@ class Scenario:
         reference applies at every sweep position.
         """
         return unit(self.geometry.sweep_midpoint - self.geometry.reflector_center)
-
-    @property
-    def reference_path_m(self) -> float:
-        """Phase-reference path: TX -> reflector center -> sweep midpoint."""
-        if self.d_ref_m is not None:
-            return self.d_ref_m
-        g = self.geometry
-        return float(
-            np.linalg.norm(g.tx_position - g.reflector_center)
-            + np.linalg.norm(g.sweep_midpoint - g.reflector_center)
-        )
-
-    @property
-    def rx_range_m(self) -> float:
-        """Nominal reflector-to-RX range (taken at the sweep midpoint)."""
-        g = self.geometry
-        return float(np.linalg.norm(g.sweep_midpoint - g.reflector_center))
-
-    @property
-    def capture_range_m(self) -> float:
-        """Far-field distance used to size the RX capture segment."""
-        if self.capture_distance_m is not None:
-            return self.capture_distance_m
-        return self.rx_range_m
 
 
 def facetize_flat(spec: FlatReflectorSpec, geom: ScenarioGeometry) -> np.ndarray:
@@ -278,8 +257,6 @@ class ConvexCapture(NamedTuple):
     intercepts_s: np.ndarray
     columns: np.ndarray
     segment_dir: np.ndarray
-    capture_length_m: float
-    ray_spacing_m: float
     n_az_nominal: int
 
 
@@ -353,15 +330,14 @@ def solve_convex_capture(
     The capture segment is horizontal, perpendicular to the RX sight line
     toward the reflector center, centered at the RX, with length
     2*d*tan(HPBW_az/2). Target intercepts are spaced `azimuth_ray_spacing_m`
-    apart across it (default: 1/32 of the capture length); targets the arc
-    cannot reach are dropped. Returns None when nothing is capturable.
+    apart across it; targets the arc cannot reach are dropped. Returns None
+    when nothing is capturable.
     """
     rx = vec3(rx)
     if float(np.dot(rx - geom.reflector_center, geom.reflector_normal)) <= 0.0:
         raise GeometryError("RX must be in front of the reflector")
-    l_ant = capture_length_m(pattern, far_field_distance_m)
-    gamma = spec.azimuth_ray_spacing_m if spec.azimuth_ray_spacing_m is not None else l_ant / 32.0
-    n_az = math.ceil(l_ant / gamma - 1e-12)
+    gamma = spec.azimuth_ray_spacing_m
+    n_az = math.ceil(capture_length_m(pattern, far_field_distance_m) / gamma - 1e-12)
 
     sight = geom.reflector_center - rx
     u2 = np.array([-sight[1], sight[0]])
@@ -384,8 +360,6 @@ def solve_convex_capture(
         intercepts_s=targets[kept_cols],
         columns=kept_cols,
         segment_dir=u3,
-        capture_length_m=l_ant,
-        ray_spacing_m=gamma,
         n_az_nominal=n_az,
     )
 

@@ -68,7 +68,7 @@ def test_uncaptured_run_longer_than_window_gives_strict_json_stats(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    power = import_measured(out / "28ghz_convex.csv").power_db
+    power = import_measured(out / "28ghz_convex.csv", Band.GHZ28).power_db
     uncaptured = np.flatnonzero(np.isneginf(power))
     assert uncaptured.size > metrics.DEFAULT_SMOOTHING_SAMPLES
     assert np.all(np.diff(uncaptured) == 1)
@@ -77,6 +77,26 @@ def test_uncaptured_run_longer_than_window_gives_strict_json_stats(tmp_path):
     assert stats["rhs_decay_db"] is None
     assert stats["envelope_dynamic_range_db"] is None
     assert np.isfinite(stats["peak_db"])
+
+
+def test_run_that_captures_nothing_prints_no_nan(tmp_path, capsys):
+    # At a 20 m offset no position of the 28 GHz convex sweep captures a ray.
+    cfg = write_config(tmp_path, "band = 28\nreflector.kind = convex\n"
+                       "reflector.radius_of_curvature = 0.5\n"
+                       "geometry.sweep_offset = 20\ngeometry.n_positions = 200\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "nan" not in printed.lower()
+    assert "no RX position received power" in printed
+    assert np.all(np.isneginf(import_measured(out / "28ghz_convex.csv", Band.GHZ28).power_db))
+    text = (out / "28ghz_convex.stats.json").read_text()
+    stats = json.loads(text, parse_constant=_reject_constant)["stats"]
+    assert stats["peak_db"] is None
+    assert stats["envelope_dynamic_range_db"] is None
+    assert stats["rhs_decay_db"] is None
 
 
 def test_compare_of_uncaptured_run_fits_over_the_finite_overlap(tmp_path):
@@ -91,7 +111,7 @@ def test_compare_of_uncaptured_run_fits_over_the_finite_overlap(tmp_path):
         assert main(["compare", "--config", str(cfg), str(out / "28ghz_convex.csv"),
                      "--out", str(report_path)]) == 0
     n_uncaptured = int(np.count_nonzero(np.isneginf(
-        import_measured(out / "28ghz_convex.csv").power_db)))
+        import_measured(out / "28ghz_convex.csv", Band.GHZ28).power_db)))
     report = json.loads(report_path.read_text(), parse_constant=_reject_constant)
     assert report["offset_db"] == 0.0
     assert report["rmse_db"] == 0.0
@@ -125,7 +145,7 @@ def test_compare_against_exported_measurement(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    sim = import_measured(out / "28ghz_flat.csv")
+    sim = import_measured(out / "28ghz_flat.csv", Band.GHZ28)
     measured = PowerProfile(sim.positions_m, sim.power_db + 7.0, Band.GHZ28,
                             "measured", "meas")
     measured_path = tmp_path / "measured_28ghz.csv"

@@ -1,4 +1,6 @@
 
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -10,7 +12,7 @@ from reflectsim import config as config_module
 from reflectsim.antenna import Band
 from reflectsim.cli import main
 from reflectsim.config import ConfigError, ScenarioConfig, dump_config, parse_config
-from reflectsim.engine import SumMode
+from reflectsim.engine import SumMode, alpha_flat
 from reflectsim.runner import run_sweep
 
 # Every key whose value is a float or a length, read off the key table.
@@ -82,6 +84,21 @@ def test_flat_only_key_rejected_for_convex():
 def test_convex_only_key_rejected_for_flat():
     with pytest.raises(ConfigError, match="radius_of_curvature"):
         parse_config("band = 28\nreflector.radius_of_curvature = 0.5\n")
+
+
+@pytest.mark.parametrize("line", ["engine.alpha_curved = 0.01", "engine.capture_distance = 99"])
+def test_convex_engine_key_rejected_for_flat(line, tmp_path, capsys):
+    # A flat run has no curved factor and no capture segment to size.
+    key = line.split(" = ")[0]
+    text = f"band = 28\n{line}\n"
+    with pytest.raises(ConfigError, match="only valid for convex reflectors") as info:
+        parse_config(text)
+    assert (info.value.key, info.value.line) == (key, 2)
+
+    path = tmp_path / "scenario.cfg"
+    path.write_text(text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"line 2: {key}: only valid for convex reflectors" in capsys.readouterr().err
 
 
 def test_comments_and_blank_lines_ignored():
@@ -173,12 +190,25 @@ def test_scenario_wiring_of_engine_overrides():
         "band = 28\n"
         "engine.d_ref = 12.5\n"
         "engine.alpha_flat = 0.2\n"
+    )
+    scn = parse_config(text).to_scenario()
+    assert scn.d_ref_m == 12.5
+    assert scn.alpha == 0.2
+
+
+def test_scenario_wiring_of_convex_engine_overrides():
+    text = (
+        "band = 28\n"
+        "reflector.kind = convex\n"
+        "reflector.radius_of_curvature = 0.5\n"
+        "engine.d_ref = 12.5\n"
+        "engine.alpha_curved = 0.07\n"
         "engine.capture_distance = 4.0\n"
     )
     scn = parse_config(text).to_scenario()
-    assert scn.reference_path_m == 12.5
-    assert scn.alpha_flat_override == 0.2
-    assert scn.capture_range_m == 4.0
+    assert scn.d_ref_m == 12.5
+    assert scn.alpha == 0.07
+    assert scn.capture_distance_m == 4.0
 
 
 def test_auto_values_accepted():
@@ -212,6 +242,9 @@ OUT_OF_RANGE = [
     ("geometry.incidence_deg", "-5"),
     ("geometry.incidence_deg", "90"),
     ("geometry.sweep_length", "0"),
+    # In range, but too short for the range: both sweep ends round to one point.
+    ("geometry.sweep_length", "1e-20"),
+    ("geometry.rx_range", "1e160"),
     ("geometry.n_positions", "1"),
     ("geometry.n_positions", "0"),
     ("geometry.sweep_offset", "-5"),  # sweep reaches the reflector plane
@@ -273,6 +306,69 @@ def test_configs_built_in_code_are_checked_too():
         ScenarioConfig(band=Band.GHZ28, rx_range_m=0.1)
     with pytest.raises(TypeError):
         ScenarioConfig(Band.GHZ28, "flat")  # fields are keyword-only
+
+
+KINDS = [dict(reflector_kind="flat"),
+         dict(reflector_kind="convex", radius_of_curvature_m=0.5)]
+
+
+def _none_fields(obj):
+    return [f.name for f in dataclasses.fields(obj) if getattr(obj, f.name) is None]
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=["flat", "convex"])
+@pytest.mark.parametrize("band", list(Band))
+def test_every_auto_value_is_resolved_to_its_closed_form(band, kind):
+    cfg = ScenarioConfig(band=band, **kind)
+    scn = cfg.to_scenario()
+    assert _none_fields(scn) == []
+    assert _none_fields(scn.reflector) == []
+    g = scn.geometry
+    assert isinstance(scn.d_ref_m, float)
+    assert abs(scn.d_ref_m - 5.0) < 1e-12  # 2.5 m out to the plate and 2.5 m back
+    assert scn.capture_distance_m == g.rx_range_m
+    assert abs(scn.capture_distance_m - 2.5) < 1e-12
+    flat = alpha_flat(g, scn.tx_pattern, scn.reflector)
+    if cfg.reflector_kind == "flat":
+        assert scn.alpha == flat
+        return
+    d = scn.capture_distance_m
+    hpbw = math.radians(scn.rx_pattern.hpbw_az_deg)
+    assert_allclose(scn.reflector.azimuth_ray_spacing_m, 2.0 * d * math.tan(hpbw / 2.0) / 32.0,
+                    rtol=1e-12)
+    r = scn.reflector.radius_of_curvature_m
+    assert scn.alpha == flat * r / (r + 2.0 * d)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=["flat", "convex"])
+def test_each_set_value_wins_over_its_default(kind):
+    scn = ScenarioConfig(band=Band.GHZ39, d_ref_m=7.5, **kind).to_scenario()
+    assert scn.d_ref_m == 7.5
+    scn = ScenarioConfig(band=Band.GHZ39, alpha_flat=0.3, **kind).to_scenario()
+    if kind["reflector_kind"] == "flat":
+        assert scn.alpha == 0.3
+    else:
+        # A set flat factor still feeds the convex R/(R + 2d) factor.
+        assert scn.alpha == 0.3 * 0.5 / (0.5 + 2.0 * scn.geometry.rx_range_m)
+        both = ScenarioConfig(band=Band.GHZ39, alpha_flat=0.3, alpha_curved=0.02,
+                              **kind).to_scenario()
+        assert both.alpha == 0.02
+
+
+def test_each_set_convex_value_wins_over_its_default():
+    base = dict(band=Band.GHZ39, reflector_kind="convex", radius_of_curvature_m=0.5)
+    scn = ScenarioConfig(capture_distance_m=4.0, **base).to_scenario()
+    assert scn.capture_distance_m == 4.0
+    # The auto spacing follows the set capture distance.
+    hpbw = math.radians(scn.rx_pattern.hpbw_az_deg)
+    assert_allclose(scn.reflector.azimuth_ray_spacing_m, 2.0 * 4.0 * math.tan(hpbw / 2.0) / 32.0,
+                    rtol=1e-12)
+    scn = ScenarioConfig(capture_distance_m=4.0, azimuth_ray_spacing_m=0.03, **base).to_scenario()
+    assert scn.reflector.azimuth_ray_spacing_m == 0.03
+    scn = ScenarioConfig(section_height_m=0.05, **base).to_scenario()
+    assert scn.reflector.section_height_m == 0.05
+    scn = ScenarioConfig(alpha_curved=0.02, **base).to_scenario()
+    assert scn.alpha == 0.02
 
 
 def test_auto_section_height_follows_the_configured_height():

@@ -35,10 +35,16 @@ def friis_dbm(tx_power_dbm, gain_dbi, wavelength_m, distance_m):
 
 # ---------------------------------------------------------------- attenuation
 
+def flat_factor(scn):
+    """The footprint factor of a scenario's plate, whatever its kind."""
+    return alpha_flat(scn.geometry, scn.tx_pattern, scn.reflector)
+
+
 def test_alpha_flat_clamps_for_oversized_reflector():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", width_m=10.0,
                          height_m=10.0).to_scenario()
-    assert alpha_flat(scn) == 1.0
+    assert flat_factor(scn) == 1.0
+    assert scn.alpha == 1.0
 
 
 def test_alpha_flat_28ghz_closed_form():
@@ -48,9 +54,10 @@ def test_alpha_flat_28ghz_closed_form():
     semi_az = 2.5 * math.tan(math.radians(12.0))
     semi_el = 2.5 * math.tan(math.radians(13.0)) / math.cos(math.radians(30.0))
     want = (SIDE * SIDE * math.cos(math.radians(30.0))) / (math.pi * semi_az * semi_el)
-    got = alpha_flat(scn)
+    got = flat_factor(scn)
     assert_allclose(got, want, rtol=1e-12)
     assert_allclose(got, 0.129, atol=1e-3)
+    assert scn.alpha == got
 
 
 def test_alpha_flat_quadruples_with_doubled_side():
@@ -58,40 +65,40 @@ def test_alpha_flat_quadruples_with_doubled_side():
                           height_m=0.1).to_scenario()
     doubled = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", width_m=0.2,
                              height_m=0.2).to_scenario()
-    assert_allclose(alpha_flat(doubled) / alpha_flat(base), 4.0, rtol=1e-12)
+    assert_allclose(doubled.alpha / base.alpha, 4.0, rtol=1e-12)
 
 
 def test_alpha_flat_degenerate_footprint_raises():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
     # smallest positive float collapses tan(hpbw/2) to zero
     degenerate = AntennaPattern(17.0, hpbw_az_deg=5e-324, hpbw_el_deg=26.0)
-    scn = dataclasses.replace(scn, tx_pattern=degenerate)
     with pytest.raises(GeometryError):
-        alpha_flat(scn)
+        alpha_flat(scn.geometry, degenerate, scn.reflector)
 
 
 def test_alpha_flat_override_wins():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", alpha_flat=0.42).to_scenario()
-    assert alpha_flat(scn) == 0.42
+    assert scn.alpha == 0.42
 
 
 def test_alpha_curved_demo_radius():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
                          radius_of_curvature_m=0.5).to_scenario()
-    assert_allclose(alpha_curved(scn) / alpha_flat(scn), 0.5 / 5.5, rtol=1e-12)
+    assert_allclose(scn.alpha / flat_factor(scn), 0.5 / 5.5, rtol=1e-12)
+    assert scn.alpha == alpha_curved(flat_factor(scn), scn.reflector, scn.geometry)
 
 
 def test_alpha_curved_planar_limit_converges():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
                          radius_of_curvature_m=1e12).to_scenario()
-    assert_allclose(alpha_curved(scn) / alpha_flat(scn), 1.0, rtol=1e-9)
+    assert_allclose(scn.alpha / flat_factor(scn), 1.0, rtol=1e-9)
 
 
 @pytest.mark.parametrize("radius", [0.25, 0.5, 1.0, 10.0, 1e5])
 def test_alpha_ordering_strict_for_finite_radius(radius):
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
                          radius_of_curvature_m=radius).to_scenario()
-    assert alpha_curved(scn) < alpha_flat(scn)
+    assert scn.alpha < flat_factor(scn)
 
 
 # ---------------------------------------------------------------- amplitudes
@@ -157,7 +164,7 @@ def test_literal_mode_single_facet_formula():
 def test_reference_path_shift_leaves_power_unchanged():
     base = ScenarioConfig(band=Band.GHZ39, reflector_kind="flat").to_scenario()
     shifted = ScenarioConfig(band=Band.GHZ39, reflector_kind="flat",
-                             d_ref_m=base.reference_path_m + 7.3).to_scenario()
+                             d_ref_m=base.d_ref_m + 7.3).to_scenario()
     rx = base.geometry.sweep_start + 0.62 * (base.geometry.sweep_end - base.geometry.sweep_start)
     for mode in SumMode:
         delta = flat_sweep_power(base, rx[None, :], mode) - flat_sweep_power(

@@ -28,6 +28,15 @@ def test_constant_profile_has_no_fringes():
     assert stats.rhs_decay_db == pytest.approx(0.0, abs=1e-9)
 
 
+def test_profile_without_power_has_no_envelope_numbers():
+    # Warnings are errors here: -inf - -inf must not be evaluated.
+    stats = analyze(make_profile(np.full(300, -np.inf)))
+    assert stats.envelope_dynamic_range_db is None
+    assert stats.rhs_decay_db is None
+    assert stats.to_dict()["envelope_dynamic_range_db"] is None
+    assert stats.peak_db == -np.inf
+
+
 def test_sinusoid_fringe_count():
     # 10 full periods, 3 dB amplitude: one counted fringe per period (+/- 1)
     x = np.linspace(0.0, 1.0, 1001)

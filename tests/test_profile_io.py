@@ -37,7 +37,7 @@ def test_csv_round_trip_lossless(tmp_path):
     path = tmp_path / "p.csv"
     profile = tiny_profile()
     export_profile(profile, "csv", path)
-    back = import_measured(path)
+    back = import_measured(path, Band.GHZ28)
     assert np.array_equal(back.positions_m, profile.positions_m)
     assert np.array_equal(back.power_db, profile.power_db)
     assert back.label == "p"
@@ -49,7 +49,7 @@ def test_csv_round_trip_with_minus_inf(tmp_path):
                            Band.GHZ39, "convex", "x")
     path = tmp_path / "inf.csv"
     export_profile(profile, "csv", path)
-    back = import_measured(path)
+    back = import_measured(path, Band.GHZ28)
     assert np.array_equal(back.power_db, profile.power_db)
 
 
@@ -103,7 +103,7 @@ def test_export_is_byte_stable(tmp_path):
 def test_import_ignores_extra_columns(tmp_path):
     path = tmp_path / "extra.csv"
     path.write_text("position_m,power_db,notes\n0.0,-54.0,calibration\n0.001,-60.0,ok\n")
-    profile = import_measured(path)
+    profile = import_measured(path, Band.GHZ28)
     assert_allclose(profile.power_db, [-54.0, -60.0])
 
 
@@ -111,31 +111,32 @@ def test_import_rejects_out_of_order_positions(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("position_m,power_db\n0.0,-54.0\n0.002,-55.0\n0.001,-56.0\n")
     with pytest.raises(ProfileFormatError, match="row 4"):
-        import_measured(path)
+        import_measured(path, Band.GHZ28)
 
 
 def test_import_rejects_malformed_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("position_m,power_db\n0.0,-54.0\nabc,-55.0\n")
     with pytest.raises(ProfileFormatError, match="row 3"):
-        import_measured(path)
+        import_measured(path, Band.GHZ28)
 
 
 def test_import_requires_schema_columns(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,y\n0,1\n")
     with pytest.raises(ProfileFormatError, match="position_m"):
-        import_measured(path)
+        import_measured(path, Band.GHZ28)
 
 
 def test_import_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
     with pytest.raises(ProfileFormatError, match="empty"):
-        import_measured(path)
+        import_measured(path, Band.GHZ28)
 
 
-def test_import_band_tag_from_filename(tmp_path):
+def test_import_tags_the_callers_band(tmp_path):
+    # A band in the filename does not decide the tag.
     path = tmp_path / "sweep_120ghz_convex.csv"
     path.write_text("position_m,power_db\n0.0,-54.0\n0.001,-55.0\n")
-    assert import_measured(path).band is Band.GHZ120
+    assert import_measured(path, Band.GHZ39).band is Band.GHZ39

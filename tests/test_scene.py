@@ -334,7 +334,7 @@ def test_geometry_validation():
 def test_reflector_spec_validation():
     flat = dict(width_m=SIDE, height_m=SIDE, facets_per_side=6, reflection_efficiency=1.0)
     convex = dict(chord_width_m=SIDE, height_m=SIDE, radius_of_curvature_m=0.5,
-                  section_height_m=SIDE / 16, azimuth_ray_spacing_m=None,
+                  section_height_m=SIDE / 16, azimuth_ray_spacing_m=0.01,
                   reflection_efficiency=1.0)
     with pytest.raises(ValueError):
         FlatReflectorSpec(**{**flat, "facets_per_side": 0})
@@ -344,6 +344,8 @@ def test_reflector_spec_validation():
         ConvexReflectorSpec(**{**convex, "radius_of_curvature_m": 0.2})  # below chord/2
     with pytest.raises(ValueError):
         ConvexReflectorSpec(**{**convex, "section_height_m": 1.0})  # above height
+    with pytest.raises(ValueError, match="spacing"):
+        ConvexReflectorSpec(**{**convex, "azimuth_ray_spacing_m": 0.0})
     assert_allclose(ConvexReflectorSpec(**convex).focal_length_m, 0.25)
 
 
