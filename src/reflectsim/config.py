@@ -7,6 +7,7 @@ falls back to the bundled measurement-style defaults for the selected band.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -87,6 +88,30 @@ class ScenarioConfig:
     label: str = ""
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            key = _FIELD_KEYS.get(field.name)
+            if isinstance(value, float):
+                _check(math.isfinite(value), key, "must be a finite number")
+            elif isinstance(value, str) and key is not None:
+                try:
+                    parsed = _KEY_TABLE[key][1](value)
+                except ValueError as exc:
+                    raise ConfigError(str(exc), key=key) from None
+                # The text format has no quoting: a value is one stripped line
+                # cut at the first '#'.
+                _check(parsed == value == value.strip() and "#" not in value
+                       and value.splitlines() in ([], [value]),
+                       key, "must be one line without '#' or surrounding whitespace")
+        _check(self.output_dir != "", "output.dir", "must not be empty")
+        # A field of the other reflector kind would be ignored by to_scenario()
+        # and dropped by dump_config().
+        other, foreign = (("convex", _CONVEX_ONLY_KEYS) if self.reflector_kind == "flat"
+                          else ("flat", _FLAT_ONLY_KEYS))
+        for key in sorted(foreign):
+            name = _KEY_TABLE[key][0]
+            _check(getattr(self, name) == _DEFAULTS[name], key,
+                   f"only valid for {other} reflectors")
         _check(self.width_m > 0, "reflector.width", "must be positive")
         _check(self.height_m > 0, "reflector.height", "must be positive")
         _check(self.facets_per_side is None or self.facets_per_side >= 1,
@@ -160,7 +185,7 @@ class ScenarioConfig:
                                  if self.facets_per_side is None else self.facets_per_side),
                 reflection_efficiency=self.reflection_efficiency,
             )
-        elif self.reflector_kind == "convex":
+        else:
             reflector = ConvexReflectorSpec(
                 chord_width_m=self.width_m,
                 height_m=self.height_m,
@@ -172,9 +197,6 @@ class ScenarioConfig:
                     if self.azimuth_ray_spacing_m is None else self.azimuth_ray_spacing_m),
                 reflection_efficiency=self.reflection_efficiency,
             )
-        else:
-            raise ValueError(
-                f"reflector_kind must be 'flat' or 'convex', got {self.reflector_kind!r}")
 
         if self.reflector_kind == "convex" and self.alpha_curved is not None:
             alpha = self.alpha_curved
@@ -205,12 +227,9 @@ class ScenarioConfig:
 
 def _parse_float(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ValueError(f"expected a number, got {text!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return value
 
 
 def _parse_length(text: str) -> float:
@@ -288,6 +307,9 @@ _KEY_TABLE = {
     "output.format": ("output_format", _choice("csv", "json")),
     "output.label": ("label", str),
 }
+
+_FIELD_KEYS = {field_name: key for key, (field_name, _) in _KEY_TABLE.items()}
+_DEFAULTS = {field.name: field.default for field in dataclasses.fields(ScenarioConfig)}
 
 _FLAT_ONLY_KEYS = {"reflector.facets_per_side"}
 _CONVEX_ONLY_KEYS = {

@@ -16,7 +16,8 @@ from .scene import (
     ReflectorSpec,
     Scenario,
     ScenarioGeometry,
-    convex_ray_paths,
+    convex_captures,
+    convex_path_geometry_batch,
     facetize_flat,
     path_geometry_batch,
 )
@@ -28,6 +29,9 @@ NO_POWER_DB = float("-inf")
 
 # RX positions per flat-sweep block: bounds the (positions x facets) arrays.
 _RX_BLOCK = 200
+
+# Rays per convex-sweep block: bounds the (positions x sections x rays) arrays.
+_RAY_BLOCK = 8192
 
 
 class SumMode(enum.Enum):
@@ -143,6 +147,30 @@ def _power_db_from_sum(total: np.ndarray, mode: SumMode) -> np.ndarray:
     return out
 
 
+def _ray_sums(scenario: Scenario, paths, mode: SumMode, n_nominal: int) -> np.ndarray:
+    """Coherent sum of each row of a (G, N) ray block from a path solve.
+
+    PHYSICAL mode averages over the N rays of a row; LITERAL mode applies the
+    sqrt(n_nominal) prefactor instead.
+    """
+    amp = _amplitudes(
+        scenario.tx_pattern,
+        scenario.rx_pattern,
+        *paths,
+        scenario.wavelength_m,
+        scenario.d_ref_m,
+        scenario.alpha,
+        scenario.reflector.reflection_efficiency,
+        10.0 ** (scenario.tx_power_dbm / 10.0),
+        mode,
+        normalization=1.0 / paths[0].shape[1],
+    )
+    total = amp.sum(axis=1)
+    if mode is SumMode.LITERAL:
+        total = math.sqrt(n_nominal) * total
+    return total
+
+
 def flat_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -> np.ndarray:
     """Received power (dB) at each of the (M, 3) RX points for a flat-reflector scenario.
 
@@ -159,7 +187,6 @@ def flat_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -
     launches = facetize_flat(spec, geom)
     if mode is SumMode.LITERAL:
         launches = np.vstack([geom.reflector_center, launches])
-    tx_power_mw = 10.0 ** (scenario.tx_power_dbm / 10.0)
     tx_boresight, rx_boresight = scenario.tx_boresight, scenario.rx_boresight
 
     rx = np.asarray(rx_points, dtype=float)
@@ -168,21 +195,7 @@ def flat_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -
         block = slice(start, start + _RX_BLOCK)
         paths = path_geometry_batch(geom.tx_position, launches, rx[block],
                                     tx_boresight, rx_boresight)
-        amp = _amplitudes(
-            scenario.tx_pattern,
-            scenario.rx_pattern,
-            *paths,
-            scenario.wavelength_m,
-            scenario.d_ref_m,
-            scenario.alpha,
-            spec.reflection_efficiency,
-            tx_power_mw,
-            mode,
-            normalization=1.0 / spec.facet_count,
-        )
-        total[block] = amp.sum(axis=1)
-    if mode is SumMode.LITERAL:
-        total = math.sqrt(spec.facet_count) * total
+        total[block] = _ray_sums(scenario, paths, mode, spec.facet_count)
     return _power_db_from_sum(total, mode)
 
 
@@ -215,6 +228,10 @@ def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode)
     LITERAL applies the sqrt(N_el * N_az) prefactor. A position where no ray
     is capturable gets -inf. Radii at the planar-limit flag are evaluated as
     the equivalent flat plate.
+
+    Positions are grouped by captured-ray count K and evaluated in blocks of
+    at most _RAY_BLOCK rays, so every row of a block sums the same number of
+    rays and results do not depend on the blocking.
     """
     spec = scenario.reflector
     if not isinstance(spec, ConvexReflectorSpec):
@@ -222,40 +239,26 @@ def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode)
     rx = np.asarray(rx_points, dtype=float)
     if spec.is_planar_limit:
         return flat_sweep_power(_planar_limit_scenario(scenario), rx, mode)
-    tx_power_mw = 10.0 ** (scenario.tx_power_dbm / 10.0)
+    geom = scenario.geometry
     tx_boresight, rx_boresight = scenario.tx_boresight, scenario.rx_boresight
+    n_az, captures = convex_captures(spec, geom, rx, scenario.rx_pattern,
+                                     scenario.capture_distance_m)
+    n_el = spec.n_height_sections
 
+    counts = np.array([angles.size for angles, _ in captures], dtype=int)
     total = np.zeros(len(rx), dtype=complex)  # uncaptured positions stay 0 -> -inf
-    for i, point in enumerate(rx):
-        paths = convex_ray_paths(
-            spec,
-            scenario.geometry,
-            point,
-            scenario.rx_pattern,
-            scenario.capture_distance_m,
-            tx_boresight,
-            rx_boresight,
-        )
-        if paths is None:
-            continue
-        amp = _amplitudes(
-            scenario.tx_pattern,
-            scenario.rx_pattern,
-            paths.distance_m,
-            paths.tx_az_deg,
-            paths.tx_el_deg,
-            paths.rx_az_deg,
-            paths.rx_el_deg,
-            scenario.wavelength_m,
-            scenario.d_ref_m,
-            scenario.alpha,
-            spec.reflection_efficiency,
-            tx_power_mw,
-            mode,
-            normalization=1.0 / paths.distance_m.size,
-        )
-        ray_sum = amp.sum()
-        if mode is SumMode.LITERAL:
-            ray_sum = math.sqrt(paths.n_sections * paths.n_az_nominal) * ray_sum
-        total[i] = ray_sum
+    for k in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == k)
+        step = max(1, _RAY_BLOCK // (n_el * k))
+        for start in range(0, rows.size, step):
+            block = rows[start:start + step]
+            paths = convex_path_geometry_batch(
+                spec,
+                geom,
+                np.stack([captures[i][0] for i in block]),
+                np.stack([captures[i][1] for i in block]),
+                tx_boresight,
+                rx_boresight,
+            )
+            total[block] = _ray_sums(scenario, paths, mode, n_el * n_az)
     return _power_db_from_sum(total, mode)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Union
 
@@ -84,6 +85,11 @@ def import_measured(path: Union[str, Path], band: Band) -> PowerProfile:
             pwr = float(cells[pwr_col])
         except ValueError:
             raise ProfileFormatError(f"{path}: row {row_no}: non-numeric value") from None
+        if not math.isfinite(pos):
+            raise ProfileFormatError(f"{path}: row {row_no}: position must be finite")
+        if math.isnan(pwr) or pwr == math.inf:
+            # -inf is the no-capture sentinel that export_profile writes.
+            raise ProfileFormatError(f"{path}: row {row_no}: power must be finite or -inf")
         if positions and pos <= positions[-1]:
             raise ProfileFormatError(
                 f"{path}: row {row_no}: positions must be strictly increasing"

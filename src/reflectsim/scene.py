@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -238,209 +238,141 @@ def capture_length_m(pattern: AntennaPattern, distance_m: float) -> float:
     return 2.0 * distance_m * math.tan(math.radians(pattern.hpbw_az_deg) / 2.0)
 
 
-class _ArcCaptureMap(NamedTuple):
-    """Monotone map between arc angle and reflected-ray intercept coordinate."""
-
-    intercept_s: np.ndarray  # sorted intercept coordinates along the capture line
-    arc_angle: np.ndarray    # matching arc angles
-
-
-class ConvexCapture(NamedTuple):
-    """Solved azimuth capture geometry for one RX position.
-
-    `arc_angles` are the launch angles whose reflected rays hit the capture
-    segment at offsets `intercepts_s` (meters from the RX along `segment_dir`);
-    `columns` are the original target indices that survived reachability.
-    """
-
-    arc_angles: np.ndarray
-    intercepts_s: np.ndarray
-    columns: np.ndarray
-    segment_dir: np.ndarray
-    n_az_nominal: int
-
-
-def _arc_capture_map(
+def convex_captures(
     spec: ConvexReflectorSpec,
     geom: ScenarioGeometry,
-    line_point: np.ndarray,
-    line_dir: np.ndarray,
-) -> _ArcCaptureMap:
-    """Trace specular rays off the arc and record where they cross the capture
-    line, working in the horizontal plane (the cylinder axis is vertical, so
-    every height section shares the same azimuth solution).
+    rx_points: np.ndarray,
+    pattern: AntennaPattern,
+    capture_distance_m: float,
+) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
+    """Find, at each RX point, the arc launch angles whose reflections it captures.
+
+    The capture segment of an RX point is horizontal, perpendicular to its
+    sight line toward the reflector center, centered on it, and
+    2*d*tan(HPBW_az/2) long. `n_az` target intercepts are spaced
+    `azimuth_ray_spacing_m` apart across it; targets the arc cannot reach are
+    dropped. The specular rays off the arc are traced once, in the horizontal
+    plane (the cylinder axis is vertical, so every height section shares the
+    azimuth solution); only their crossings with each capture line depend on
+    the RX point.
+
+    Returns `n_az` and, per RX point, the captured arc angles (K,) and their
+    intercepts (K, 2) on the capture segment in the horizontal plane; K is 0
+    when nothing is capturable.
     """
     e_h, _ = surface_axes(geom.reflector_normal)
     n2 = geom.reflector_normal[:2]
     eh2 = e_h[:2]
     c2 = geom.reflector_center[:2]
-    tx2 = geom.tx_position[:2]
-    q2 = np.asarray(line_point, dtype=float)[:2]
-    u2 = np.asarray(line_dir, dtype=float)[:2]
-    u2 = u2 / np.linalg.norm(u2)
-
     r = spec.radius_of_curvature_m
     beta_max = math.asin(min(1.0, spec.chord_width_m / (2.0 * r)))
     beta = np.linspace(-beta_max, beta_max, _CAPTURE_GRID_POINTS)
-
     cos_b = np.cos(beta)[:, None]
     sin_b = np.sin(beta)[:, None]
     normals = cos_b * n2[None, :] + sin_b * eh2[None, :]
     points = c2[None, :] + r * (cos_b - 1.0) * n2[None, :] + r * sin_b * eh2[None, :]
-
-    d_in = points - tx2[None, :]
+    d_in = points - geom.tx_position[None, :2]
     d_in /= np.linalg.norm(d_in, axis=1, keepdims=True)
     d_out = d_in - 2.0 * np.sum(d_in * normals, axis=1, keepdims=True) * normals
 
-    # Intersect point + tau * d_out with the line q2 + s * u2.
-    rel = q2[None, :] - points
-    cross_du = d_out[:, 0] * u2[1] - d_out[:, 1] * u2[0]
-    cross_ru = rel[:, 0] * u2[1] - rel[:, 1] * u2[0]
-    valid = np.abs(cross_du) > 1e-15
-    tau = np.where(valid, cross_ru / np.where(valid, cross_du, 1.0), np.nan)
-    valid &= tau > 1e-9
-    hit = points + tau[:, None] * d_out
-    s = np.sum((hit - q2[None, :]) * u2[None, :], axis=1)
-
-    beta_v = beta[valid]
-    s_v = s[valid]
-    if beta_v.size < 2:
-        return _ArcCaptureMap(np.empty(0), np.empty(0))
-    order = np.argsort(s_v, kind="stable")
-    s_sorted = s_v[order]
-    beta_sorted = beta_v[order]
-    keep = np.concatenate(([True], np.diff(s_sorted) > 0.0))
-    s_sorted = s_sorted[keep]
-    beta_sorted = beta_sorted[keep]
-    d_beta = np.diff(beta_sorted)
-    if not (np.all(d_beta > 0.0) or np.all(d_beta < 0.0)):
-        raise GeometryError("arc reflection map is not monotone for this geometry")
-    return _ArcCaptureMap(s_sorted, beta_sorted)
-
-
-def solve_convex_capture(
-    spec: ConvexReflectorSpec,
-    geom: ScenarioGeometry,
-    rx: np.ndarray,
-    pattern: AntennaPattern,
-    far_field_distance_m: float,
-) -> Optional[ConvexCapture]:
-    """Find the arc launch angles whose reflections the RX can capture.
-
-    The capture segment is horizontal, perpendicular to the RX sight line
-    toward the reflector center, centered at the RX, with length
-    2*d*tan(HPBW_az/2). Target intercepts are spaced `azimuth_ray_spacing_m`
-    apart across it; targets the arc cannot reach are dropped. Returns None
-    when nothing is capturable.
-    """
-    rx = vec3(rx)
-    if float(np.dot(rx - geom.reflector_center, geom.reflector_normal)) <= 0.0:
-        raise GeometryError("RX must be in front of the reflector")
     gamma = spec.azimuth_ray_spacing_m
-    n_az = math.ceil(capture_length_m(pattern, far_field_distance_m) / gamma - 1e-12)
-
-    sight = geom.reflector_center - rx
-    u2 = np.array([-sight[1], sight[0]])
-    norm_u2 = float(np.linalg.norm(u2))
-    if norm_u2 < 1e-12:
-        raise GeometryError("RX sight line is vertical; capture segment undefined")
-    u3 = np.array([u2[0] / norm_u2, u2[1] / norm_u2, 0.0])
-
-    cmap = _arc_capture_map(spec, geom, rx, u3)
-    if cmap.intercept_s.size == 0:
-        return None
+    n_az = math.ceil(capture_length_m(pattern, capture_distance_m) / gamma - 1e-12)
     targets = (np.arange(n_az) - (n_az - 1) / 2.0) * gamma
-    reachable = (targets >= cmap.intercept_s[0]) & (targets <= cmap.intercept_s[-1])
-    kept_cols = np.nonzero(reachable)[0]
-    if kept_cols.size == 0:
-        return None
-    betas = np.interp(targets[kept_cols], cmap.intercept_s, cmap.arc_angle)
-    return ConvexCapture(
-        arc_angles=betas,
-        intercepts_s=targets[kept_cols],
-        columns=kept_cols,
-        segment_dir=u3,
-        n_az_nominal=n_az,
-    )
+    captures = []
+    for point in rx_points:
+        rx = vec3(point)
+        if float(np.dot(rx - geom.reflector_center, geom.reflector_normal)) <= 0.0:
+            raise GeometryError("RX must be in front of the reflector")
+        sight = geom.reflector_center - rx
+        seg = np.array([-sight[1], sight[0]])
+        norm_seg = float(np.linalg.norm(seg))
+        if norm_seg < 1e-12:
+            raise GeometryError("RX sight line is vertical; capture segment undefined")
+        seg = seg / norm_seg
+        # The intersection has always used a twice-normalized direction;
+        # normalizing once moves the last bits of the convex profiles.
+        line = seg / np.linalg.norm(seg)
+
+        # Intersect point + tau * d_out with the capture line rx + s * line.
+        q2 = rx[:2]
+        rel = q2[None, :] - points
+        cross_du = d_out[:, 0] * line[1] - d_out[:, 1] * line[0]
+        cross_ru = rel[:, 0] * line[1] - rel[:, 1] * line[0]
+        valid = np.abs(cross_du) > 1e-15
+        tau = np.where(valid, cross_ru / np.where(valid, cross_du, 1.0), np.nan)
+        valid &= tau > 1e-9
+        hit = points + tau[:, None] * d_out
+        s = np.sum((hit - q2[None, :]) * line[None, :], axis=1)
+
+        beta_v = beta[valid]
+        s_v = s[valid]
+        if beta_v.size < 2:
+            captures.append((np.empty(0), np.empty((0, 2))))
+            continue
+        order = np.argsort(s_v, kind="stable")
+        s_sorted = s_v[order]
+        beta_sorted = beta_v[order]
+        keep = np.concatenate(([True], np.diff(s_sorted) > 0.0))
+        s_sorted = s_sorted[keep]
+        beta_sorted = beta_sorted[keep]
+        d_beta = np.diff(beta_sorted)
+        if not (np.all(d_beta > 0.0) or np.all(d_beta < 0.0)):
+            raise GeometryError("arc reflection map is not monotone for this geometry")
+        kept = targets[(targets >= s_sorted[0]) & (targets <= s_sorted[-1])]
+        captures.append((np.interp(kept, s_sorted, beta_sorted),
+                         q2[None, :] + kept[:, None] * seg[None, :]))
+    return n_az, captures
 
 
-def _convex_section_offsets(spec: ConvexReflectorSpec) -> np.ndarray:
-    n_el = spec.n_height_sections
-    return ((np.arange(n_el) + 0.5) / n_el - 0.5) * spec.height_m
-
-
-class ConvexRayPaths(NamedTuple):
-    """Vectorized specular ray paths from the TX over the arc to the capture
-    segment of one RX position, ordered section-major then by intercept."""
-
-    distance_m: np.ndarray
-    tx_az_deg: np.ndarray
-    tx_el_deg: np.ndarray
-    rx_az_deg: np.ndarray
-    rx_el_deg: np.ndarray
-    n_sections: int
-    n_az_nominal: int
-
-
-def convex_ray_paths(
+def convex_path_geometry_batch(
     spec: ConvexReflectorSpec,
     geom: ScenarioGeometry,
-    rx: np.ndarray,
-    pattern: AntennaPattern,
-    far_field_distance_m: float,
+    arc_angles: np.ndarray,
+    intercepts: np.ndarray,
     tx_boresight: np.ndarray,
     rx_boresight: np.ndarray,
-) -> Optional[ConvexRayPaths]:
-    """Geometry of the captured ray bundle, traced to the capture segment.
+):
+    """Vectorized ray path solve for G RX positions that each capture K rays.
 
-    Each ray runs TX -> arc launch point -> its intercept on the capture
-    segment (the specular path the antenna actually collects), so the path
-    length is d1 + the reflected leg to the intercept, and the arrival angles
-    are those of the reflected ray direction against the RX boresight.
+    `arc_angles` (G, K) and `intercepts` (G, K, 2) are stacked rows of
+    `convex_captures`. Each ray runs TX -> arc launch point in one of the S
+    height sections -> its intercept on the capture segment (the specular
+    path the antenna actually collects), so the path length is d1 + the
+    reflected leg to the intercept, and the arrival angles are those of the
+    reflected ray direction against the RX boresight. Returns
+    (distance, tx_az, tx_el, rx_az, rx_el), each of shape (G, S*K) ordered
+    section-major, all angles in degrees.
     """
-    capture = solve_convex_capture(spec, geom, rx, pattern, far_field_distance_m)
-    if capture is None:
-        return None
-    rx = vec3(rx)
-    e_h, e_v = surface_axes(geom.reflector_normal)
     n = geom.reflector_normal
+    e_h, e_v = surface_axes(n)
     r = spec.radius_of_curvature_m
-    center = geom.reflector_center
-    tx = geom.tx_position
+    cos_b = np.cos(arc_angles)[..., None]
+    sin_b = np.sin(arc_angles)[..., None]
+    normals = (cos_b * n + sin_b * e_h)[:, None]                    # (G, 1, K, 3)
+    arc_xy = geom.reflector_center + r * (cos_b - 1.0) * n + r * sin_b * e_h  # (G, K, 3)
 
-    betas = capture.arc_angles
-    cos_b = np.cos(betas)[:, None]
-    sin_b = np.sin(betas)[:, None]
-    normals = cos_b * n[None, :] + sin_b * e_h[None, :]          # (K, 3)
-    arc_xy = center[None, :] + r * (cos_b - 1.0) * n[None, :] + r * sin_b * e_h[None, :]
+    n_el = spec.n_height_sections
+    z_offsets = ((np.arange(n_el) + 0.5) / n_el - 0.5) * spec.height_m
+    launch = arc_xy[:, None] + z_offsets[:, None, None] * e_v       # (G, S, K, 3)
 
-    z_offsets = _convex_section_offsets(spec)                     # (S,)
-    launch = arc_xy[None, :, :] + z_offsets[:, None, None] * e_v[None, None, :]  # (S, K, 3)
-
-    to_launch = launch - tx[None, None, :]
-    d1 = np.linalg.norm(to_launch, axis=2)                        # (S, K)
-    d_in = to_launch / d1[:, :, None]
-    reflected = d_in - 2.0 * np.sum(d_in * normals[None, :, :], axis=2, keepdims=True) * normals[None, :, :]
+    to_launch = launch - geom.tx_position
+    d1 = np.linalg.norm(to_launch, axis=-1)                         # (G, S, K)
+    d_in = to_launch / d1[..., None]
+    reflected = d_in - 2.0 * np.sum(d_in * normals, axis=-1, keepdims=True) * normals
 
     # Horizontal intercept on the capture segment; every section shares it.
-    q_xy = rx[None, :2] + capture.intercepts_s[:, None] * capture.segment_dir[None, :2]  # (K, 2)
-    tau_h = np.linalg.norm(q_xy - arc_xy[:, :2], axis=1)          # (K,)
-    horiz = np.linalg.norm(reflected[:, :, :2], axis=2)           # (S, K)
+    tau_h = np.linalg.norm(intercepts - arc_xy[..., :2], axis=-1)   # (G, K)
+    horiz = np.linalg.norm(reflected[..., :2], axis=-1)             # (G, S, K)
     if np.any(horiz < 1e-9):
         raise GeometryError("reflected ray is vertical; capture intercept undefined")
-    leg2 = tau_h[None, :] / horiz                                  # (S, K)
+    distance = d1 + tau_h[:, None, :] / horiz
 
-    tx_az, tx_el = offset_angles_deg(d_in.reshape(-1, 3), tx_boresight)
-    rx_az, rx_el = offset_angles_deg(reflected.reshape(-1, 3), rx_boresight)
-    return ConvexRayPaths(
-        distance_m=(d1 + leg2).reshape(-1),
-        tx_az_deg=tx_az,
-        tx_el_deg=tx_el,
-        rx_az_deg=rx_az,
-        rx_el_deg=rx_el,
-        n_sections=spec.n_height_sections,
-        n_az_nominal=capture.n_az_nominal,
-    )
+    # Angles are projected on (G, S*K, 3) stacks: the BLAS product in
+    # offset_angles_deg then gives each row the bits of a single-position call.
+    g = len(arc_angles)
+    tx_az, tx_el = offset_angles_deg(d_in.reshape(g, -1, 3), tx_boresight)
+    rx_az, rx_el = offset_angles_deg(reflected.reshape(g, -1, 3), rx_boresight)
+    return distance.reshape(g, -1), tx_az, tx_el, rx_az, rx_el
 
 
 def specular_point(geom: ScenarioGeometry) -> np.ndarray:

@@ -101,6 +101,28 @@ def test_convex_engine_key_rejected_for_flat(line, tmp_path, capsys):
     assert f"line 2: {key}: only valid for convex reflectors" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, key", [
+    ("alpha_curved", "engine.alpha_curved"),
+    ("capture_distance_m", "engine.capture_distance"),
+    ("radius_of_curvature_m", "reflector.radius_of_curvature"),
+    ("section_height_m", "reflector.section_height"),
+    ("azimuth_ray_spacing_m", "reflector.azimuth_ray_spacing"),
+])
+def test_convex_field_rejected_on_flat_config(field, key):
+    # A flat scenario ignores these fields and dump_config drops them.
+    with pytest.raises(ConfigError, match="only valid for convex reflectors") as info:
+        ScenarioConfig(band=Band.GHZ28, **{field: 0.05})
+    assert info.value.key == key
+    with pytest.raises(ConfigError, match="engine.alpha_curved"):
+        ScenarioConfig(band=Band.GHZ28, alpha_curved=0.01, section_height_m=0.05)
+
+
+def test_facet_count_rejected_on_convex_config():
+    with pytest.raises(ConfigError, match="only valid for flat reflectors") as info:
+        ScenarioConfig(band=Band.GHZ28, reflector_kind="convex", facets_per_side=6)
+    assert info.value.key == "reflector.facets_per_side"
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config("# scenario\nband = 120  # sub-THz\n\ngeometry.n_positions = 600\n")
     assert cfg.band is Band.GHZ120
@@ -306,6 +328,18 @@ def test_configs_built_in_code_are_checked_too():
         ScenarioConfig(band=Band.GHZ28, rx_range_m=0.1)
     with pytest.raises(TypeError):
         ScenarioConfig(Band.GHZ28, "flat")  # fields are keyword-only
+    # Values the parser could never produce are rejected the same way.
+    for field, value, key in [("sweep_offset_m", float("inf"), "geometry.sweep_offset"),
+                              ("tx_range_m", float("inf"), "geometry.tx_range"),
+                              ("reflector_kind", "parabolic", "reflector.kind"),
+                              ("output_format", "xml", "output.format"),
+                              ("output_dir", "", "output.dir"),
+                              ("output_dir", "runs # 2", "output.dir"),
+                              ("label", "two\nlines", "output.label"),
+                              ("label", " padded", "output.label")]:
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig(band=Band.GHZ28, **{field: value})
+        assert info.value.key == key
 
 
 KINDS = [dict(reflector_kind="flat"),
@@ -446,3 +480,53 @@ def test_every_document_is_rejected_with_key_and_line_or_runs_clean(lines):
         warnings.simplefilter("error")
         power = run_sweep(config).power_db
     assert np.all(np.isfinite(power) | np.isneginf(power))
+
+
+def _any_float():
+    return st.one_of(st.floats(0.01, 5.0), st.floats(-10.0, 100.0), st.floats())
+
+
+# ScenarioConfig field -> values of its declared type, in range or not.
+_FIELD_VALUES = {
+    "mode": st.sampled_from(list(SumMode)),
+    "reflector_kind": st.sampled_from(["flat", "convex", "parabolic"]),
+    "width_m": _any_float(),
+    "height_m": _any_float(),
+    "facets_per_side": st.one_of(st.none(), st.integers(-1, 64)),
+    "radius_of_curvature_m": _any_float(),
+    "section_height_m": st.one_of(st.none(), _any_float()),
+    "azimuth_ray_spacing_m": st.one_of(st.none(), _any_float()),
+    "reflection_efficiency": _any_float(),
+    "tx_range_m": _any_float(),
+    "rx_range_m": _any_float(),
+    "incidence_deg": _any_float(),
+    "sweep_length_m": _any_float(),
+    "n_positions": st.integers(-1, 5000),
+    "sweep_offset_m": _any_float(),
+    "d_ref_m": st.one_of(st.none(), _any_float()),
+    "alpha_flat": st.one_of(st.none(), _any_float()),
+    "alpha_curved": st.one_of(st.none(), _any_float()),
+    "capture_distance_m": st.one_of(st.none(), _any_float()),
+    "eh_swap": st.booleans(),
+    "output_dir": st.one_of(st.sampled_from(["runs/a b", "", "a#b", "out "]), st.text(max_size=8)),
+    "output_format": st.sampled_from(["csv", "json", "xml"]),
+    "label": st.one_of(st.sampled_from(["run=1", "auto", "x\ny", "\x85"]), st.text(max_size=8)),
+}
+
+
+@st.composite
+def _config_fields(draw):
+    names = draw(st.lists(st.sampled_from(sorted(_FIELD_VALUES)), unique=True, max_size=6))
+    fields = {name: draw(_FIELD_VALUES[name]) for name in names}
+    return {"band": draw(st.sampled_from(list(Band))), **fields}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_config_fields())
+def test_every_constructible_config_round_trips(fields):
+    try:
+        config = ScenarioConfig(**fields)
+    except ConfigError as exc:
+        assert exc.key is not None
+        return
+    assert parse_config(dump_config(config)) == config

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from reflectsim import engine
 from reflectsim.antenna import AntennaPattern, Band
 from reflectsim.engine import (
     SumMode,
@@ -21,6 +22,7 @@ from reflectsim.scene import (
     GeometryError,
     REFLECTOR_SIDE_16IN_M,
     ScenarioGeometry,
+    convex_captures,
     specular_point,
 )
 
@@ -269,6 +271,28 @@ def test_convex_no_capture_returns_sentinel():
     rx = g.sweep_midpoint + 2.5 * g.sweep_axis
     power = convex_sweep_power(scn, rx[None, :], SumMode.PHYSICAL)
     assert power.tolist() == [float("-inf")]
+
+
+@pytest.mark.parametrize("mode", list(SumMode))
+def test_convex_sweep_does_not_depend_on_blocking(mode, monkeypatch):
+    # At sweep offset 5 m the 28 GHz sweep mixes uncaptured positions with
+    # ray counts that vary along it. A small ray block makes the strided sweep
+    # span block boundaries within its ray-count groups.
+    monkeypatch.setattr(engine, "_RAY_BLOCK", 1000)
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
+                         sweep_offset_m=5.0).to_scenario()
+    rx = scn.geometry.rx_positions()[::9]
+    _, captures = convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern,
+                                  scn.capture_distance_m)
+    counts = np.array([angles.size for angles, _ in captures])
+    n_el = scn.reflector.n_height_sections
+    groups = {int(k): np.count_nonzero(counts == k) for k in np.unique(counts[counts > 0])}
+    assert 0 in counts and len(groups) > 1
+    assert any(size > engine._RAY_BLOCK // (n_el * k) for k, size in groups.items())
+
+    swept = convex_sweep_power(scn, rx, mode)
+    alone = [convex_sweep_power(scn, point[None, :], mode)[0] for point in rx]
+    assert np.array_equal(swept, alone)
 
 
 def test_planar_limit_flag_matches_flat_sweep():

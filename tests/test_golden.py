@@ -12,15 +12,12 @@ import numpy as np
 import pytest
 
 from reflectsim.config import parse_config
-from reflectsim.engine import SumMode, convex_sweep_power
+from reflectsim.engine import SumMode
 from reflectsim.runner import run_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
 BANDS = (28, 39, 120)
-# Every CONVEX_STRIDE-th RX position of a convex sweep is checked; the full
-# convex sweeps take seconds each.
-CONVEX_STRIDE = 60
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +44,7 @@ CONVEX_CASES["convex-28ghz-offset5"] = (28, "geometry.sweep_offset = 5.0\n")
 def test_convex_fixture_matches_golden(golden, name):
     band, extra = CONVEX_CASES[name]
     text = (CONFIGS / f"{band}ghz_convex.cfg").read_text(encoding="utf-8") + extra
-    config = parse_config(text)
-    scenario = config.to_scenario()
-    rx = scenario.geometry.rx_positions()[::CONVEX_STRIDE]
-    power = convex_sweep_power(scenario, rx, config.mode)
-    assert np.array_equal(power, golden[name][1][::CONVEX_STRIDE])
+    profile = run_sweep(parse_config(text))
+    positions, power = golden[name]
+    assert np.array_equal(profile.positions_m, positions)
+    assert np.array_equal(profile.power_db, power)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -116,9 +117,14 @@ def test_import_rejects_out_of_order_positions(tmp_path):
 
 def test_import_rejects_malformed_row(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("position_m,power_db\n0.0,-54.0\nabc,-55.0\n")
-    with pytest.raises(ProfileFormatError, match="row 3"):
-        import_measured(path, Band.GHZ28)
+    for row in ("abc,-55.0", "nan,-55.0", "inf,-55.0", "-inf,-55.0",
+                "0.001,nan", "0.001,inf", "0.001,+inf"):
+        path.write_text(f"position_m,power_db\n0.0,-54.0\n{row}\n")
+        with pytest.raises(ProfileFormatError, match=re.escape(f"{path}: row 3")):
+            import_measured(path, Band.GHZ28)
+    # A -inf power is the no-capture sentinel and stays accepted.
+    path.write_text("position_m,power_db\n0.0,-54.0\n0.001,-inf\n")
+    assert import_measured(path, Band.GHZ28).power_db[1] == float("-inf")
 
 
 def test_import_requires_schema_columns(tmp_path):

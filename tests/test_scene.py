@@ -14,11 +14,11 @@ from reflectsim.scene import (
     REFLECTOR_SIDE_16IN_M,
     ScenarioGeometry,
     capture_length_m,
-    convex_ray_paths,
+    convex_captures,
+    convex_path_geometry_batch,
     facetize_flat,
     offset_angles_deg,
     path_geometry_batch,
-    solve_convex_capture,
     specular_point,
     surface_axes,
     vec3,
@@ -119,28 +119,40 @@ def test_capture_length_requires_positive_distance():
 
 
 def _capture_and_paths(scn, rx):
-    """Capture solution and traced ray bundle of a convex scenario at one RX."""
-    args = (scn.reflector, scn.geometry, rx, scn.rx_pattern, 2.5)
-    return (solve_convex_capture(*args),
-            convex_ray_paths(*args, scn.tx_boresight, scn.rx_boresight))
+    """Nominal target count, captured arc angles (K,) and the traced ray bundle
+    (one row of each path array, or None when nothing is captured) of a convex
+    scenario at one RX."""
+    n_az, ((angles, intercepts),) = convex_captures(
+        scn.reflector, scn.geometry, rx[None, :], scn.rx_pattern, 2.5)
+    if angles.size == 0:
+        return n_az, angles, None
+    paths = convex_path_geometry_batch(scn.reflector, scn.geometry, angles[None],
+                                       intercepts[None], scn.tx_boresight, scn.rx_boresight)
+    return n_az, angles, [p[0] for p in paths]
 
 
 def test_section_convex_single_section():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
                          section_height_m=SIDE).to_scenario()
-    capture, paths = _capture_and_paths(scn, specular_point(scn.geometry))
-    assert paths.n_sections == 1
-    assert paths.distance_m.size == capture.columns.size
+    _, angles, paths = _capture_and_paths(scn, specular_point(scn.geometry))
+    assert scn.reflector.n_height_sections == 1
+    assert all(p.size == angles.size for p in paths)
 
 
 def test_section_convex_default_counts():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
-    capture, paths = _capture_and_paths(scn, specular_point(scn.geometry))
-    assert paths.n_sections == 16  # height / (height/16)
+    rx = specular_point(scn.geometry)
+    n_az, angles, paths = _capture_and_paths(scn, rx)
+    assert scn.reflector.n_height_sections == 16  # height / (height/16)
     # R = 0.5 m diverges rays strongly, so all 32 intercept targets are reachable
-    assert capture.n_az_nominal == 32
-    assert_allclose(capture.columns, np.arange(32))
-    assert paths.distance_m.size == 16 * 32
+    assert n_az == 32
+    assert angles.size == 32
+    _, ((_, intercepts),) = convex_captures(scn.reflector, scn.geometry, rx[None, :],
+                                            scn.rx_pattern, 2.5)
+    gamma = scn.reflector.azimuth_ray_spacing_m
+    offsets = np.linalg.norm(intercepts - rx[:2], axis=1)
+    assert_allclose(offsets, np.abs(np.arange(32) - 15.5) * gamma, rtol=1e-12)
+    assert all(p.size == 16 * 32 for p in paths)
 
 
 def test_section_convex_rays_lie_on_arc():
@@ -148,12 +160,12 @@ def test_section_convex_rays_lie_on_arc():
     # about the vertical axis behind the plate, within the plate's chord.
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
     spec, g = scn.reflector, scn.geometry
-    capture, paths = _capture_and_paths(scn, specular_point(g))
+    _, angles, (_, tx_az_deg, tx_el_deg, _, _) = _capture_and_paths(scn, specular_point(g))
     r = spec.radius_of_curvature_m
-    assert np.max(np.abs(capture.arc_angles)) <= math.asin(spec.chord_width_m / (2.0 * r))
+    assert np.max(np.abs(angles)) <= math.asin(spec.chord_width_m / (2.0 * r))
     e_h, e_v = surface_axes(g.reflector_normal)
     axis_center = g.reflector_center - r * g.reflector_normal
-    b = capture.arc_angles[:, None]
+    b = angles[:, None]
     radial = np.cos(b) * g.reflector_normal + np.sin(b) * e_h
     z = -0.5 * spec.height_m + 0.5 * spec.section_height_m  # bottom section
     launch = axis_center + r * radial + z * e_v
@@ -161,9 +173,9 @@ def test_section_convex_rays_lie_on_arc():
     d_in = launch - g.tx_position
     tx_az, tx_el = offset_angles_deg(d_in / np.linalg.norm(d_in, axis=1, keepdims=True),
                                      scn.tx_boresight)
-    n_az = capture.columns.size
-    assert_allclose(paths.tx_az_deg[:n_az], tx_az, atol=1e-9)
-    assert_allclose(paths.tx_el_deg[:n_az], tx_el, atol=1e-9)
+    n_az = angles.size
+    assert_allclose(tx_az_deg[:n_az], tx_az, atol=1e-9)
+    assert_allclose(tx_el_deg[:n_az], tx_el, atol=1e-9)
 
 
 def test_section_convex_planar_limit_matches_flat_directions():
@@ -172,15 +184,15 @@ def test_section_convex_planar_limit_matches_flat_directions():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
                          radius_of_curvature_m=1e6).to_scenario()
     g = scn.geometry
-    capture, _ = _capture_and_paths(scn, specular_point(g))
-    assert capture is not None
-    assert np.max(np.abs(capture.arc_angles)) < 1e-4
+    _, angles, _ = _capture_and_paths(scn, specular_point(g))
+    assert angles.size > 0
+    assert np.max(np.abs(angles)) < 1e-4
     e_h, _ = surface_axes(g.reflector_normal)
     n_flat = g.reflector_normal
     d_in = g.reflector_center - g.tx_position
     d_in /= np.linalg.norm(d_in)
     refl_flat = d_in - 2 * float(np.dot(d_in, n_flat)) * n_flat
-    for b in capture.arc_angles:
+    for b in angles:
         normal = math.cos(b) * n_flat + math.sin(b) * e_h
         refl_arc = d_in - 2 * float(np.dot(d_in, normal)) * normal
         assert float(np.linalg.norm(refl_arc - refl_flat)) < 1e-4
@@ -193,16 +205,19 @@ def test_section_convex_empty_when_nothing_reachable():
                          radius_of_curvature_m=9e5).to_scenario()
     g = scn.geometry
     rx = g.sweep_midpoint + 2.5 * g.sweep_axis
-    assert _capture_and_paths(scn, rx) == (None, None)
+    _, angles, paths = _capture_and_paths(scn, rx)
+    assert angles.size == 0 and paths is None
 
 
 def test_section_convex_rejects_rx_behind_reflector():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
     behind = -1.0 * scn.geometry.reflector_normal
     with pytest.raises(GeometryError):
-        solve_convex_capture(scn.reflector, scn.geometry, behind, scn.rx_pattern, 2.5)
+        convex_captures(scn.reflector, scn.geometry, behind[None, :], scn.rx_pattern, 2.5)
+    # One bad position in a sweep rejects the whole sweep.
+    rx = np.vstack([specular_point(scn.geometry), behind])
     with pytest.raises(GeometryError):
-        _capture_and_paths(scn, behind)
+        convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern, 2.5)
 
 
 def test_specular_point_is_sweep_midpoint_by_construction():
@@ -359,5 +374,6 @@ def test_default_scenario_unknown_inputs():
         parse_config("band = 60ghz\n")
     with pytest.raises(ConfigError, match="line 2: reflector.kind"):
         parse_config("band = 28\nreflector.kind = parabolic\n")
-    with pytest.raises(ValueError, match="parabolic"):
-        ScenarioConfig(band=Band.GHZ28, reflector_kind="parabolic").to_scenario()
+    with pytest.raises(ConfigError, match="parabolic") as info:
+        ScenarioConfig(band=Band.GHZ28, reflector_kind="parabolic")
+    assert info.value.key == "reflector.kind"
