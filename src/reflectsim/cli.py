@@ -86,7 +86,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     profile = run_sweep(config)
-    stats = metrics.analyze(profile) if len(profile) >= metrics.MIN_ANALYZE_SAMPLES else None
+    stats = (metrics.analyze(profile).to_dict()
+             if len(profile) >= metrics.MIN_ANALYZE_SAMPLES else None)
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -100,17 +101,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "reflector": config.reflector_kind,
         "mode": config.mode.value,
         "n_positions": len(profile),
-        "stats": stats.to_dict() if stats else None,
+        "stats": stats,
     }
     _write_json(out_dir / f"{label}.stats.json", summary)
 
+    # The summary line prints the values the stats file holds, where a
+    # statistic that reaches the -inf sentinel is None.
     print(f"wrote {profile_path}")
-    if stats and stats.envelope_dynamic_range_db is None:
+    if stats and stats["peak_db"] is None:
         print("no RX position received power")
     elif stats:
-        print(f"peak {stats.peak_db:.2f} dB at {stats.peak_position_m:.3f} m, "
-              f"{stats.fringe_count} fringes, "
-              f"envelope range {stats.envelope_dynamic_range_db:.2f} dB")
+        envelope = stats["envelope_dynamic_range_db"]
+        print(f"peak {stats['peak_db']:.2f} dB at {stats['peak_position_m']:.3f} m, "
+              f"{stats['fringe_count']} fringes, envelope range "
+              + ("n/a (some positions uncaptured)" if envelope is None else f"{envelope:.2f} dB"))
     return EXIT_OK
 
 

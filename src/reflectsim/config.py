@@ -30,6 +30,16 @@ from .scene import (
 # Flat-plate grid used when `reflector.facets_per_side = auto`.
 _DEFAULT_FACETS_PER_SIDE = {Band.GHZ28: 6, Band.GHZ39: 6, Band.GHZ120: 16}
 
+# Range of every length key but the curvature radius; the sweep offset, which
+# may be 0 or negative, is bounded in magnitude only. Above the range, path
+# lengths would pass about 1e10 m, where float64 rounds them in steps over
+# 2e-6 m (a few mrad of phase at 120 GHz), and squared lengths approach float
+# overflow. The floor is under 1/1000 of the shortest wavelength (2.5 mm at
+# 120 GHz) and keeps the TX footprint area and the convex capture map, traced
+# at 4097 points across the chord, far from float underflow and rounding.
+_MIN_LENGTH_M = 1e-6
+_MAX_LENGTH_M = 1e9
+
 
 class ConfigError(ValueError):
     """Configuration problem with key and line context."""
@@ -93,6 +103,12 @@ class ScenarioConfig:
             key = _FIELD_KEYS.get(field.name)
             if isinstance(value, float):
                 _check(math.isfinite(value), key, "must be a finite number")
+                if key == "geometry.sweep_offset":
+                    _check(abs(value) <= _MAX_LENGTH_M, key,
+                           f"must be at most {_MAX_LENGTH_M:g} m in magnitude")
+                elif key in _LENGTH_KEYS:
+                    _check(_MIN_LENGTH_M <= value <= _MAX_LENGTH_M, key,
+                           f"must be in [{_MIN_LENGTH_M:g}, {_MAX_LENGTH_M:g}] m")
             elif isinstance(value, str) and key is not None:
                 try:
                     parsed = _KEY_TABLE[key][1](value)
@@ -112,8 +128,6 @@ class ScenarioConfig:
             name = _KEY_TABLE[key][0]
             _check(getattr(self, name) == _DEFAULTS[name], key,
                    f"only valid for {other} reflectors")
-        _check(self.width_m > 0, "reflector.width", "must be positive")
-        _check(self.height_m > 0, "reflector.height", "must be positive")
         _check(self.facets_per_side is None or self.facets_per_side >= 1,
                "reflector.facets_per_side", "must be >= 1 or 'auto'")
         _check(0.0 < self.reflection_efficiency <= 1.0,
@@ -122,23 +136,15 @@ class ScenarioConfig:
             _check(self.radius_of_curvature_m > self.width_m / 2.0,
                    "reflector.radius_of_curvature",
                    f"must exceed half the chord width ({self.width_m / 2.0:.4f} m)")
-            _check(self.section_height_m is None or 0.0 < self.section_height_m <= self.height_m,
+            _check(self.section_height_m is None or self.section_height_m <= self.height_m,
                    "reflector.section_height", "must be in (0, height] or 'auto'")
-            _check(self.azimuth_ray_spacing_m is None or self.azimuth_ray_spacing_m > 0,
-                   "reflector.azimuth_ray_spacing", "must be positive or 'auto'")
-        _check(self.tx_range_m > 0, "geometry.tx_range", "must be positive")
-        _check(self.rx_range_m > 0, "geometry.rx_range", "must be positive")
         _check(0.0 <= self.incidence_deg < 90.0, "geometry.incidence_deg", "must be in [0, 90)")
-        _check(self.sweep_length_m > 0, "geometry.sweep_length", "must be positive")
         _check(self.n_positions >= 2, "geometry.n_positions", "must be >= 2")
         geometry = self._geometry()
         near_x = min(geometry.sweep_start[0], geometry.sweep_end[0])
         _check(near_x > 0, "geometry.rx_range",
                f"the RX sweep reaches x = {near_x:.4f} m; every RX position must be "
                "in front of the reflector plane (x > 0)")
-        for key, value in (("engine.d_ref", self.d_ref_m),
-                           ("engine.capture_distance", self.capture_distance_m)):
-            _check(value is None or value > 0, key, "must be positive or 'auto'")
         for key, value in (("engine.alpha_flat", self.alpha_flat),
                            ("engine.alpha_curved", self.alpha_curved)):
             _check(value is None or 0.0 < value <= 1.0, key, "must be in (0, 1] or 'auto'")
@@ -157,9 +163,6 @@ class ScenarioConfig:
         sweep_center = self.rx_range_m * mirror_dir + self.sweep_offset_m * sweep_axis
         sweep_start = sweep_center - 0.5 * self.sweep_length_m * sweep_axis
         sweep_end = sweep_center + 0.5 * self.sweep_length_m * sweep_axis
-        _check(float(np.linalg.norm(sweep_end - sweep_start)) > 0.0, "geometry.sweep_length",
-               "the sweep is too short for its distance from the reflector: "
-               "both of its ends round to the same point")
         return ScenarioGeometry(
             tx_position=self.tx_range_m * np.array([math.cos(inc), math.sin(inc), 0.0]),
             reflector_center=np.zeros(3),
@@ -284,10 +287,10 @@ _parse_kind = _choice("flat", "convex")
 _KEY_TABLE = {
     "band": ("band", Band.parse),
     "engine.mode": ("mode", SumMode.parse),
-    "engine.d_ref": ("d_ref_m", _parse_auto_float),
+    "engine.d_ref": ("d_ref_m", _parse_auto_length),
     "engine.alpha_flat": ("alpha_flat", _parse_auto_float),
     "engine.alpha_curved": ("alpha_curved", _parse_auto_float),
-    "engine.capture_distance": ("capture_distance_m", _parse_auto_float),
+    "engine.capture_distance": ("capture_distance_m", _parse_auto_length),
     "reflector.kind": ("reflector_kind", _parse_kind),
     "reflector.width": ("width_m", _parse_length),
     "reflector.height": ("height_m", _parse_length),
@@ -309,6 +312,11 @@ _KEY_TABLE = {
 }
 
 _FIELD_KEYS = {field_name: key for key, (field_name, _) in _KEY_TABLE.items()}
+# Keys held to the length range. The curvature radius only has to exceed half
+# the chord: at or above the planar-limit flag it enters nothing but R/(R + 2d).
+_LENGTH_KEYS = {key for key, (_, parse) in _KEY_TABLE.items()
+                if parse in (_parse_length, _parse_auto_length)
+                and key != "reflector.radius_of_curvature"}
 _DEFAULTS = {field.name: field.default for field in dataclasses.fields(ScenarioConfig)}
 
 _FLAT_ONLY_KEYS = {"reflector.facets_per_side"}

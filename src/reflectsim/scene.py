@@ -20,6 +20,9 @@ _UP = np.array([0.0, 0.0, 1.0])
 PLANAR_LIMIT_RADIUS_M = 1e6
 
 _CAPTURE_GRID_POINTS = 4097
+# RX positions whose capture lines are solved together: the (block, 4097)
+# temporaries stay in cache; 32 or more positions per block run slower.
+_CAPTURE_BLOCK = 16
 
 
 class GeometryError(ValueError):
@@ -254,7 +257,9 @@ def convex_captures(
     dropped. The specular rays off the arc are traced once, in the horizontal
     plane (the cylinder axis is vertical, so every height section shares the
     azimuth solution); only their crossings with each capture line depend on
-    the RX point.
+    the RX point, and those are solved for `_CAPTURE_BLOCK` RX points at a
+    time. The intercepts of the rays that reach a capture line must be
+    strictly ordered along the arc, or a GeometryError is raised.
 
     Returns `n_az` and, per RX point, the captured arc angles (K,) and their
     intercepts (K, 2) on the capture segment in the horizontal plane; K is 0
@@ -278,49 +283,56 @@ def convex_captures(
     gamma = spec.azimuth_ray_spacing_m
     n_az = math.ceil(capture_length_m(pattern, capture_distance_m) / gamma - 1e-12)
     targets = (np.arange(n_az) - (n_az - 1) / 2.0) * gamma
+    px, py = points.T.copy()
+    dx, dy = d_out.T.copy()
     captures = []
-    for point in rx_points:
-        rx = vec3(point)
-        if float(np.dot(rx - geom.reflector_center, geom.reflector_normal)) <= 0.0:
-            raise GeometryError("RX must be in front of the reflector")
-        sight = geom.reflector_center - rx
-        seg = np.array([-sight[1], sight[0]])
-        norm_seg = float(np.linalg.norm(seg))
-        if norm_seg < 1e-12:
-            raise GeometryError("RX sight line is vertical; capture segment undefined")
-        seg = seg / norm_seg
-        # The intersection has always used a twice-normalized direction;
-        # normalizing once moves the last bits of the convex profiles.
-        line = seg / np.linalg.norm(seg)
+    for start in range(0, len(rx_points), _CAPTURE_BLOCK):
+        q2s, segs, lines = [], [], []
+        for point in rx_points[start:start + _CAPTURE_BLOCK]:
+            rx = vec3(point)
+            if float(np.dot(rx - geom.reflector_center, geom.reflector_normal)) <= 0.0:
+                raise GeometryError("RX must be in front of the reflector")
+            sight = geom.reflector_center - rx
+            seg = np.array([-sight[1], sight[0]])
+            norm_seg = float(np.linalg.norm(seg))
+            if norm_seg < 1e-12:
+                raise GeometryError("RX sight line is vertical; capture segment undefined")
+            seg = seg / norm_seg
+            q2s.append(rx[:2])
+            segs.append(seg)
+            # The intersection has always used a twice-normalized direction;
+            # normalizing once moves the last bits of the convex profiles.
+            lines.append(seg / np.linalg.norm(seg))
 
-        # Intersect point + tau * d_out with the capture line rx + s * line.
-        q2 = rx[:2]
-        rel = q2[None, :] - points
-        cross_du = d_out[:, 0] * line[1] - d_out[:, 1] * line[0]
-        cross_ru = rel[:, 0] * line[1] - rel[:, 1] * line[0]
+        # Intersect point + tau * d_out with each capture line q + s * line as
+        # (block, arc point) arrays. Each element is computed by the same
+        # operations whatever the block size, so blocking changes no bit.
+        q = np.array(q2s)
+        line = np.array(lines)
+        qx, qy = q[:, :1], q[:, 1:]
+        l0, l1 = line[:, :1], line[:, 1:]
+        cross_du = dx * l1 - dy * l0
+        cross_ru = (qx - px) * l1 - (qy - py) * l0
         valid = np.abs(cross_du) > 1e-15
-        tau = np.where(valid, cross_ru / np.where(valid, cross_du, 1.0), np.nan)
+        tau = np.divide(cross_ru, cross_du, out=np.full(cross_du.shape, np.nan), where=valid)
         valid &= tau > 1e-9
-        hit = points + tau[:, None] * d_out
-        s = np.sum((hit - q2[None, :]) * line[None, :], axis=1)
+        s = (px + tau * dx - qx) * l0 + (py + tau * dy - qy) * l1
 
-        beta_v = beta[valid]
-        s_v = s[valid]
-        if beta_v.size < 2:
-            captures.append((np.empty(0), np.empty((0, 2))))
-            continue
-        order = np.argsort(s_v, kind="stable")
-        s_sorted = s_v[order]
-        beta_sorted = beta_v[order]
-        keep = np.concatenate(([True], np.diff(s_sorted) > 0.0))
-        s_sorted = s_sorted[keep]
-        beta_sorted = beta_sorted[keep]
-        d_beta = np.diff(beta_sorted)
-        if not (np.all(d_beta > 0.0) or np.all(d_beta < 0.0)):
-            raise GeometryError("arc reflection map is not monotone for this geometry")
-        kept = targets[(targets >= s_sorted[0]) & (targets <= s_sorted[-1])]
-        captures.append((np.interp(kept, s_sorted, beta_sorted),
-                         q2[None, :] + kept[:, None] * seg[None, :]))
+        for q2, seg, s_row, valid_row in zip(q2s, segs, s, valid):
+            # np.interp needs increasing intercepts: flip a decreasing map.
+            beta_v = beta[valid_row]
+            s_v = s_row[valid_row]
+            if beta_v.size < 2:
+                captures.append((np.empty(0), np.empty((0, 2))))
+                continue
+            ds = np.diff(s_v)
+            if np.all(ds < 0.0):
+                s_v, beta_v = s_v[::-1], beta_v[::-1]
+            elif not np.all(ds > 0.0):
+                raise GeometryError("arc reflection map is not monotone for this geometry")
+            kept = targets[(targets >= s_v[0]) & (targets <= s_v[-1])]
+            captures.append((np.interp(kept, s_v, beta_v),
+                             q2[None, :] + kept[:, None] * seg[None, :]))
     return n_az, captures
 
 

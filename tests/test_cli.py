@@ -57,7 +57,7 @@ def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
-def test_uncaptured_run_longer_than_window_gives_strict_json_stats(tmp_path):
+def test_uncaptured_run_longer_than_window_gives_strict_json_stats(tmp_path, capsys):
     # At a 5 m offset the last quarter of the 28 GHz convex sweep captures no
     # ray: a run of -inf powers longer than the smoothing window, where the
     # smoothed envelope is -inf too.
@@ -77,6 +77,11 @@ def test_uncaptured_run_longer_than_window_gives_strict_json_stats(tmp_path):
     assert stats["rhs_decay_db"] is None
     assert stats["envelope_dynamic_range_db"] is None
     assert np.isfinite(stats["peak_db"])
+    # The summary line prints what the stats file holds.
+    printed = capsys.readouterr().out
+    assert "inf" not in printed.lower() and "nan" not in printed.lower()
+    assert f"peak {stats['peak_db']:.2f} dB" in printed
+    assert "envelope range n/a (some positions uncaptured)" in printed
 
 
 def test_run_that_captures_nothing_prints_no_nan(tmp_path, capsys):

@@ -14,6 +14,7 @@ from reflectsim.cli import main
 from reflectsim.config import ConfigError, ScenarioConfig, dump_config, parse_config
 from reflectsim.engine import SumMode, alpha_flat
 from reflectsim.runner import run_sweep
+from reflectsim.scene import INCH_M
 
 # Every key whose value is a float or a length, read off the key table.
 _NUMBER_PARSERS = (config_module._parse_float, config_module._parse_auto_float,
@@ -264,9 +265,14 @@ OUT_OF_RANGE = [
     ("geometry.incidence_deg", "-5"),
     ("geometry.incidence_deg", "90"),
     ("geometry.sweep_length", "0"),
-    # In range, but too short for the range: both sweep ends round to one point.
+    # Lengths outside [1e-6, 1e9] m. A width or height of 1e200 ran with
+    # overflow warnings and exited 0; tx_range 1e308 and 1e-162 exited 2.
     ("geometry.sweep_length", "1e-20"),
     ("geometry.rx_range", "1e160"),
+    ("reflector.width", "1e200"),
+    ("reflector.height", "1e200"),
+    ("geometry.tx_range", "1e308"),
+    ("geometry.tx_range", "1e-162"),
     ("geometry.n_positions", "1"),
     ("geometry.n_positions", "0"),
     ("geometry.sweep_offset", "-5"),  # sweep reaches the reflector plane
@@ -340,6 +346,47 @@ def test_configs_built_in_code_are_checked_too():
         with pytest.raises(ConfigError) as info:
             ScenarioConfig(band=Band.GHZ28, **{field: value})
         assert info.value.key == key
+
+
+def test_length_keys_share_one_range():
+    lo, hi = config_module._MIN_LENGTH_M, config_module._MAX_LENGTH_M
+    assert config_module._LENGTH_KEYS == {
+        "engine.d_ref", "engine.capture_distance", "reflector.width", "reflector.height",
+        "reflector.section_height", "reflector.azimuth_ray_spacing", "geometry.tx_range",
+        "geometry.rx_range", "geometry.sweep_length", "geometry.sweep_offset"}
+    convex = dict(reflector_kind="convex", radius_of_curvature_m=0.5)
+    for key in sorted(config_module._LENGTH_KEYS):
+        field = config_module._KEY_TABLE[key][0]
+        kind = convex if key in config_module._CONVEX_ONLY_KEYS else {}
+        # The offset may be 0 or negative: only its magnitude is bounded.
+        below = (-math.nextafter(hi, math.inf) if key == "geometry.sweep_offset"
+                 else math.nextafter(lo, 0.0))
+        for value in (below, math.nextafter(hi, math.inf)):
+            with pytest.raises(ConfigError, match=r"1e\+09") as info:
+                ScenarioConfig(band=Band.GHZ28, **{**kind, field: value})
+            assert info.value.key == key
+    # Both ends of the range are in it.
+    ScenarioConfig(band=Band.GHZ28, width_m=lo, height_m=hi, tx_range_m=hi, d_ref_m=lo,
+                   sweep_offset_m=hi)
+    ScenarioConfig(band=Band.GHZ28, width_m=hi, tx_range_m=lo, d_ref_m=hi, sweep_length_m=lo,
+                   sweep_offset_m=-lo)
+    ScenarioConfig(band=Band.GHZ28, reflector_kind="convex", width_m=lo, radius_of_curvature_m=lo,
+                   section_height_m=lo, azimuth_ray_spacing_m=hi, capture_distance_m=lo,
+                   rx_range_m=hi)
+    ScenarioConfig(band=Band.GHZ28, reflector_kind="convex", radius_of_curvature_m=0.5,
+                   height_m=hi, section_height_m=hi, azimuth_ray_spacing_m=lo,
+                   capture_distance_m=hi)
+    # The radius only has to exceed half the chord; far past the planar-limit
+    # flag it still runs clean.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
+                                radius_of_curvature_m=1e300, n_positions=5)
+        assert np.all(np.isfinite(run_sweep(config).power_db))
+    # Every length key takes an inch suffix, and the range applies after it.
+    assert parse_config("band = 28\nengine.d_ref = 100in\n").d_ref_m == 100 * INCH_M
+    with pytest.raises(ConfigError, match="engine.d_ref"):
+        parse_config("band = 28\nengine.d_ref = 4e10in\n")
 
 
 KINDS = [dict(reflector_kind="flat"),
@@ -447,6 +494,31 @@ _VALUES = {
 }
 
 
+# Length keys whose magnitudes are also drawn log-uniformly over
+# 1e-300..1e300, far past both ends of the length range, mapped to the ray
+# spacing that divides them. A length over an explicit spacing is a ray count,
+# which stays coarse: such a length is spread only while its spacing is auto.
+# The spacings themselves are never spread.
+_SPREAD = {
+    "engine.d_ref": None,
+    "engine.capture_distance": "reflector.azimuth_ray_spacing",
+    "reflector.width": None,
+    "reflector.height": "reflector.section_height",
+    "reflector.radius_of_curvature": None,
+    "geometry.tx_range": None,
+    "geometry.rx_range": "reflector.azimuth_ray_spacing",
+    "geometry.sweep_length": None,
+    "geometry.sweep_offset": None,
+}
+
+
+def _magnitude(signed):
+    value = st.floats(-300.0, 300.0).map(lambda exponent: 10.0 ** exponent)
+    if signed:
+        value = st.tuples(st.sampled_from([1.0, -1.0]), value).map(lambda sv: sv[0] * sv[1])
+    return value.map(repr)
+
+
 @st.composite
 def _documents(draw):
     kind = draw(st.sampled_from(["flat", "convex"]))
@@ -456,6 +528,10 @@ def _documents(draw):
     keys += [key for key in ("geometry.n_positions", "reflector.radius_of_curvature")
              if key not in keys and key not in foreign]
     values = {key: draw(_VALUES[key][0]) for key in keys}
+    for key in keys:
+        if (key in _SPREAD and values.get(_SPREAD[key], "auto") == "auto"
+                and draw(st.booleans())):
+            values[key] = draw(_magnitude(signed=key == "geometry.sweep_offset"))
     broken = draw(st.one_of(st.none(), st.sampled_from(keys)))
     if broken is not None:
         values[broken] = draw(st.sampled_from(_VALUES[broken][1]))
@@ -464,7 +540,7 @@ def _documents(draw):
     return draw(st.permutations(lines))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(_documents())
 def test_every_document_is_rejected_with_key_and_line_or_runs_clean(lines):
     text = "\n".join(lines) + "\n"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from reflectsim import engine
+from reflectsim import engine, scene
 from reflectsim.antenna import AntennaPattern, Band
 from reflectsim.engine import (
     SumMode,
@@ -277,8 +277,11 @@ def test_convex_no_capture_returns_sentinel():
 def test_convex_sweep_does_not_depend_on_blocking(mode, monkeypatch):
     # At sweep offset 5 m the 28 GHz sweep mixes uncaptured positions with
     # ray counts that vary along it. A small ray block makes the strided sweep
-    # span block boundaries within its ray-count groups.
+    # span block boundaries within its ray-count groups, and a capture block
+    # that does not divide its 200 positions puts capture-line blocks across
+    # ray-count groups and across the start of the uncaptured run.
     monkeypatch.setattr(engine, "_RAY_BLOCK", 1000)
+    monkeypatch.setattr(scene, "_CAPTURE_BLOCK", 7)
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
                          sweep_offset_m=5.0).to_scenario()
     rx = scn.geometry.rx_positions()[::9]
@@ -289,6 +292,12 @@ def test_convex_sweep_does_not_depend_on_blocking(mode, monkeypatch):
     groups = {int(k): np.count_nonzero(counts == k) for k in np.unique(counts[counts > 0])}
     assert 0 in counts and len(groups) > 1
     assert any(size > engine._RAY_BLOCK // (n_el * k) for k, size in groups.items())
+    assert counts.size % scene._CAPTURE_BLOCK != 0
+    starts = range(scene._CAPTURE_BLOCK, counts.size, scene._CAPTURE_BLOCK)
+    assert any(counts[i - 1] == counts[i] > 0 for i in starts)
+    captured = [np.count_nonzero(counts[i:i + scene._CAPTURE_BLOCK])
+                for i in range(0, counts.size, scene._CAPTURE_BLOCK)]
+    assert any(0 < n < scene._CAPTURE_BLOCK for n in captured)
 
     swept = convex_sweep_power(scn, rx, mode)
     alone = [convex_sweep_power(scn, point[None, :], mode)[0] for point in rx]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from reflectsim.antenna import Band
+from reflectsim.antenna import Band, band_defaults
 from reflectsim.config import ConfigError, ScenarioConfig, parse_config
 from reflectsim.scene import (
     ConvexReflectorSpec,
@@ -218,6 +218,63 @@ def test_section_convex_rejects_rx_behind_reflector():
     rx = np.vstack([specular_point(scn.geometry), behind])
     with pytest.raises(GeometryError):
         convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern, 2.5)
+
+
+def _captures_at(radius_m, tx, rx):
+    """`convex_captures` at one RX for a 16-section, 16-inch plate facing +x at
+    the origin, with 3.31 cm ray spacing, the 28 GHz RX pattern and a 2.5 m
+    capture distance. Returns the targets, the capture-line origin and
+    direction, the captured arc angles and their intercepts."""
+    spec = ConvexReflectorSpec(chord_width_m=SIDE, height_m=SIDE, radius_of_curvature_m=radius_m,
+                               section_height_m=SIDE / 16, azimuth_ray_spacing_m=0.0331,
+                               reflection_efficiency=1.0)
+    rx = np.asarray(rx)
+    geom = ScenarioGeometry(tx_position=tx, reflector_center=np.zeros(3),
+                            reflector_normal=[1.0, 0.0, 0.0], incidence_angle_deg=30.0,
+                            sweep_start=rx, sweep_end=rx + [0.0, 1.0, 0.0], n_rx_positions=2)
+    n_az, ((angles, intercepts),) = convex_captures(
+        spec, geom, rx[None, :], band_defaults(Band.GHZ28).rx_pattern, 2.5)
+    targets = (np.arange(n_az) - (n_az - 1) / 2.0) * spec.azimuth_ray_spacing_m
+    line = np.array([rx[1], -rx[0]]) / np.linalg.norm(rx[:2])
+    return targets, rx[:2], line, angles, intercepts
+
+
+def test_capture_map_increasing_along_the_arc():
+    # A nearly flat arc lit from far to the side: the reflected intercepts
+    # grow with the arc angle, the opposite of the default sweeps' maps.
+    radius = 119.25068253803899
+    tx = np.array([6.863308605723315, -7.905305784640073, 0.4197838364770865])
+    rx = [0.04410115685021309, -0.07342395706239557, 0.35237264271198265]
+    targets, q, line, angles, intercepts = _captures_at(radius, tx, rx)
+    assert angles.size == 7 and np.all(np.diff(angles) > 0.0)
+    offsets = (intercepts - q) @ line
+    first = int(np.argmin(np.abs(targets - offsets[0])))
+    assert_allclose(offsets, targets[first:first + 7], rtol=0.0, atol=1e-12)
+
+    # Re-trace each captured angle: its reflected ray passes through its intercept.
+    normal = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # e_h = +y here
+    launch = radius * (normal - [1.0, 0.0])
+    d_in = launch - tx[:2]
+    d_in /= np.linalg.norm(d_in, axis=1, keepdims=True)
+    d_out = d_in - 2.0 * np.sum(d_in * normal, axis=1, keepdims=True) * normal
+    rel = intercepts - launch
+    assert np.all(np.sum(rel * d_out, axis=1) > 0.0)
+    assert np.max(np.abs(d_out[:, 0] * rel[:, 1] - d_out[:, 1] * rel[:, 0])) < 1e-9
+
+    # The default 28 GHz sweep's map runs the other way.
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
+    _, default_angles, _ = _capture_and_paths(scn, specular_point(scn.geometry))
+    assert np.all(np.diff(default_angles) < 0.0)
+
+
+def test_capture_map_that_is_not_monotone_is_rejected():
+    # A tight arc lit from far to the side: part of its reflected fan turns
+    # past the direction of the capture line, so the intercepts run off one
+    # end of the line and come back from the other.
+    with pytest.raises(GeometryError, match="not monotone"):
+        _captures_at(0.22876151890631236,
+                     [0.8605285095721427, -8.126597734089998, 0.9610066152749481],
+                     [0.29169247385091673, -2.893838176250152, -0.6420837448390428])
 
 
 def test_specular_point_is_sweep_midpoint_by_construction():
