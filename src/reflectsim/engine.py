@@ -241,22 +241,24 @@ def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode)
         return flat_sweep_power(_planar_limit_scenario(scenario), rx, mode)
     geom = scenario.geometry
     tx_boresight, rx_boresight = scenario.tx_boresight, scenario.rx_boresight
-    n_az, captures = convex_captures(spec, geom, rx, scenario.rx_pattern,
-                                     scenario.capture_distance_m)
-    n_el = spec.n_height_sections
+    angles, intercepts = convex_captures(spec, geom, rx, scenario.rx_pattern,
+                                         scenario.capture_distance_m)
+    n_el, n_az = spec.n_height_sections, angles.shape[1]
 
-    counts = np.array([angles.size for angles, _ in captures], dtype=int)
+    captured = ~np.isnan(angles)
+    counts = captured.sum(1)
     total = np.zeros(len(rx), dtype=complex)  # uncaptured positions stay 0 -> -inf
     for k in np.unique(counts[counts > 0]):
         rows = np.flatnonzero(counts == k)
         step = max(1, _RAY_BLOCK // (n_el * k))
         for start in range(0, rows.size, step):
             block = rows[start:start + step]
+            kept = captured[block]
             paths = convex_path_geometry_batch(
                 spec,
                 geom,
-                np.stack([captures[i][0] for i in block]),
-                np.stack([captures[i][1] for i in block]),
+                angles[block][kept].reshape(-1, k),
+                intercepts[block][kept].reshape(-1, k, 2),
                 tx_boresight,
                 rx_boresight,
             )

@@ -115,15 +115,12 @@ def smoothed_envelope_db(power_db: np.ndarray, window: int = DEFAULT_SMOOTHING_S
     return out
 
 
-def analyze(
-    profile: PowerProfile,
-    smoothing_window: int = DEFAULT_SMOOTHING_SAMPLES,
-    fringe_prominence_db: float = DEFAULT_FRINGE_PROMINENCE_DB,
-) -> ProfileStats:
+def analyze(profile: PowerProfile) -> ProfileStats:
     """Peak, fringe count, and envelope statistics of a sweep profile.
 
     Fringes are local maxima of the envelope-detrended profile with at least
-    `fringe_prominence_db` of prominence. The decay number is the smoothed
+    DEFAULT_FRINGE_PROMINENCE_DB (1 dB) of prominence, over the
+    DEFAULT_SMOOTHING_SAMPLES (51) envelope. The decay number is the smoothed
     envelope at the sweep end minus at the peak position. Both envelope
     numbers are None when no position received power.
     """
@@ -132,14 +129,14 @@ def analyze(
             f"analyze needs at least {MIN_ANALYZE_SAMPLES} samples, got {len(profile)}"
         )
     power = profile.power_db
-    envelope = smoothed_envelope_db(power, smoothing_window)
+    envelope = smoothed_envelope_db(power)
     peak_idx = int(np.argmax(power))
 
     # Detrend only where both are finite; -inf stretches count as flat.
     detrended = np.zeros_like(power)
     finite = np.isfinite(power) & np.isfinite(envelope)
     detrended[finite] = power[finite] - envelope[finite]
-    peaks, _ = find_peaks(detrended, prominence=fringe_prominence_db)
+    peaks, _ = find_peaks(detrended, prominence=DEFAULT_FRINGE_PROMINENCE_DB)
 
     dynamic_range = decay = None
     if np.isfinite(envelope[peak_idx]):  # else the envelope is -inf throughout
@@ -207,11 +204,3 @@ def flat_vs_convex_gap_db(flat: ProfileStats, convex: ProfileStats) -> float:
     """
     return flat.peak_db - convex.peak_db
 
-
-def envelope_rise_db(power_db: np.ndarray, start_idx: int, window: int = DEFAULT_SMOOTHING_SAMPLES) -> float:
-    """Largest rise of the smoothed envelope above its running minimum, walking
-    from `start_idx` toward the last sample. Zero for a monotone decay."""
-    envelope = smoothed_envelope_db(power_db, window)
-    tail = envelope[start_idx:]
-    running_min = np.minimum.accumulate(tail)
-    return float(np.max(tail - running_min))

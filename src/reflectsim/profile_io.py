@@ -16,6 +16,11 @@ PROFILE_SCHEMA_VERSION = "1"
 
 _CSV_HEADER = "position_m,power_db"
 
+# Largest measured power magnitude accepted (dB). The smoothed envelope sums
+# 10**(p/10) over 51 samples, which overflows from about 3065 dB on; a far
+# more negative power overflows the squared compare residuals instead.
+_MAX_ABS_POWER_DB = 3000.0
+
 
 class ProfileFormatError(ValueError):
     """Malformed profile file; carries the offending row when known."""
@@ -87,9 +92,12 @@ def import_measured(path: Union[str, Path], band: Band) -> PowerProfile:
             raise ProfileFormatError(f"{path}: row {row_no}: non-numeric value") from None
         if not math.isfinite(pos):
             raise ProfileFormatError(f"{path}: row {row_no}: position must be finite")
-        if math.isnan(pwr) or pwr == math.inf:
+        if not (abs(pwr) <= _MAX_ABS_POWER_DB or pwr == -math.inf):
             # -inf is the no-capture sentinel that export_profile writes.
-            raise ProfileFormatError(f"{path}: row {row_no}: power must be finite or -inf")
+            raise ProfileFormatError(
+                f"{path}: row {row_no}: power must be -inf or in "
+                f"[-{_MAX_ABS_POWER_DB:g}, {_MAX_ABS_POWER_DB:g}] dB, got {pwr!r}"
+            )
         if positions and pos <= positions[-1]:
             raise ProfileFormatError(
                 f"{path}: row {row_no}: positions must be strictly increasing"

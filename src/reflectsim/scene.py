@@ -165,10 +165,6 @@ class ConvexReflectorSpec:
             raise ValueError("reflection_efficiency must be in (0, 1]")
 
     @property
-    def focal_length_m(self) -> float:
-        return self.radius_of_curvature_m / 2.0
-
-    @property
     def n_height_sections(self) -> int:
         return math.ceil(self.height_m / self.section_height_m - 1e-12)
 
@@ -241,30 +237,51 @@ def capture_length_m(pattern: AntennaPattern, distance_m: float) -> float:
     return 2.0 * distance_m * math.tan(math.radians(pattern.hpbw_az_deg) / 2.0)
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """(M, 1) norms of the rows of an (M, 2) array, each with the bits of a
+    1-D np.linalg.norm (a BLAS dot); norm(axis=1) differs in the last bit."""
+    return np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+
+
 def convex_captures(
     spec: ConvexReflectorSpec,
     geom: ScenarioGeometry,
     rx_points: np.ndarray,
     pattern: AntennaPattern,
     capture_distance_m: float,
-) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Find, at each RX point, the arc launch angles whose reflections it captures.
 
     The capture segment of an RX point is horizontal, perpendicular to its
     sight line toward the reflector center, centered on it, and
     2*d*tan(HPBW_az/2) long. `n_az` target intercepts are spaced
-    `azimuth_ray_spacing_m` apart across it; targets the arc cannot reach are
-    dropped. The specular rays off the arc are traced once, in the horizontal
-    plane (the cylinder axis is vertical, so every height section shares the
+    `azimuth_ray_spacing_m` apart across it. All RX points are checked first.
+    The specular rays off the arc are traced once, in the horizontal plane
+    (the cylinder axis is vertical, so every height section shares the
     azimuth solution); only their crossings with each capture line depend on
     the RX point, and those are solved for `_CAPTURE_BLOCK` RX points at a
     time. The intercepts of the rays that reach a capture line must be
     strictly ordered along the arc, or a GeometryError is raised.
 
-    Returns `n_az` and, per RX point, the captured arc angles (K,) and their
-    intercepts (K, 2) on the capture segment in the horizontal plane; K is 0
-    when nothing is capturable.
+    Returns the captured arc angle of each target (M, n_az), NaN where the
+    arc cannot reach it, and the target intercepts (M, n_az, 2) on the
+    capture segments in the horizontal plane.
     """
+    rx = np.asarray(rx_points, dtype=float)
+    if not np.all(np.isfinite(rx)):
+        raise GeometryError("RX positions must be finite")
+    if np.any((rx - geom.reflector_center) @ geom.reflector_normal <= 0.0):
+        raise GeometryError("RX must be in front of the reflector")
+    sight = geom.reflector_center - rx
+    seg = np.stack([-sight[:, 1], sight[:, 0]], axis=1)
+    norm_seg = _row_norms(seg)
+    if np.any(norm_seg < 1e-12):
+        raise GeometryError("RX sight line is vertical; capture segment undefined")
+    seg = seg / norm_seg
+    # The intersection has always used a twice-normalized direction;
+    # normalizing once moves the last bits of the convex profiles.
+    line = seg / _row_norms(seg)
+
     e_h, _ = surface_axes(geom.reflector_normal)
     n2 = geom.reflector_normal[:2]
     eh2 = e_h[:2]
@@ -285,32 +302,14 @@ def convex_captures(
     targets = (np.arange(n_az) - (n_az - 1) / 2.0) * gamma
     px, py = points.T.copy()
     dx, dy = d_out.T.copy()
-    captures = []
-    for start in range(0, len(rx_points), _CAPTURE_BLOCK):
-        q2s, segs, lines = [], [], []
-        for point in rx_points[start:start + _CAPTURE_BLOCK]:
-            rx = vec3(point)
-            if float(np.dot(rx - geom.reflector_center, geom.reflector_normal)) <= 0.0:
-                raise GeometryError("RX must be in front of the reflector")
-            sight = geom.reflector_center - rx
-            seg = np.array([-sight[1], sight[0]])
-            norm_seg = float(np.linalg.norm(seg))
-            if norm_seg < 1e-12:
-                raise GeometryError("RX sight line is vertical; capture segment undefined")
-            seg = seg / norm_seg
-            q2s.append(rx[:2])
-            segs.append(seg)
-            # The intersection has always used a twice-normalized direction;
-            # normalizing once moves the last bits of the convex profiles.
-            lines.append(seg / np.linalg.norm(seg))
-
+    angles = np.full((len(rx), n_az), np.nan)
+    for start in range(0, len(rx), _CAPTURE_BLOCK):
+        block = slice(start, start + _CAPTURE_BLOCK)
         # Intersect point + tau * d_out with each capture line q + s * line as
         # (block, arc point) arrays. Each element is computed by the same
         # operations whatever the block size, so blocking changes no bit.
-        q = np.array(q2s)
-        line = np.array(lines)
-        qx, qy = q[:, :1], q[:, 1:]
-        l0, l1 = line[:, :1], line[:, 1:]
+        qx, qy = rx[block, :1], rx[block, 1:2]
+        l0, l1 = line[block, :1], line[block, 1:]
         cross_du = dx * l1 - dy * l0
         cross_ru = (qx - px) * l1 - (qy - py) * l0
         valid = np.abs(cross_du) > 1e-15
@@ -318,22 +317,20 @@ def convex_captures(
         valid &= tau > 1e-9
         s = (px + tau * dx - qx) * l0 + (py + tau * dy - qy) * l1
 
-        for q2, seg, s_row, valid_row in zip(q2s, segs, s, valid):
+        for i, (s_row, valid_row) in enumerate(zip(s, valid), start):
             # np.interp needs increasing intercepts: flip a decreasing map.
             beta_v = beta[valid_row]
             s_v = s_row[valid_row]
             if beta_v.size < 2:
-                captures.append((np.empty(0), np.empty((0, 2))))
                 continue
             ds = np.diff(s_v)
             if np.all(ds < 0.0):
                 s_v, beta_v = s_v[::-1], beta_v[::-1]
             elif not np.all(ds > 0.0):
                 raise GeometryError("arc reflection map is not monotone for this geometry")
-            kept = targets[(targets >= s_v[0]) & (targets <= s_v[-1])]
-            captures.append((np.interp(kept, s_v, beta_v),
-                             q2[None, :] + kept[:, None] * seg[None, :]))
-    return n_az, captures
+            angles[i] = np.interp(targets, s_v, beta_v, left=np.nan, right=np.nan)
+    intercepts = rx[:, None, :2] + targets[None, :, None] * seg[:, None, :]
+    return angles, intercepts
 
 
 def convex_path_geometry_batch(
@@ -346,12 +343,12 @@ def convex_path_geometry_batch(
 ):
     """Vectorized ray path solve for G RX positions that each capture K rays.
 
-    `arc_angles` (G, K) and `intercepts` (G, K, 2) are stacked rows of
-    `convex_captures`. Each ray runs TX -> arc launch point in one of the S
-    height sections -> its intercept on the capture segment (the specular
-    path the antenna actually collects), so the path length is d1 + the
-    reflected leg to the intercept, and the arrival angles are those of the
-    reflected ray direction against the RX boresight. Returns
+    `arc_angles` (G, K) and `intercepts` (G, K, 2) are the captured entries
+    of G rows of `convex_captures`. Each ray runs TX -> arc launch point in
+    one of the S height sections -> its intercept on the capture segment (the
+    specular path the antenna actually collects), so the path length is d1 +
+    the reflected leg to the intercept, and the arrival angles are those of
+    the reflected ray direction against the RX boresight. Returns
     (distance, tx_az, tx_el, rx_az, rx_el), each of shape (G, S*K) ordered
     section-major, all angles in degrees.
     """

@@ -172,6 +172,17 @@ def test_compare_missing_measured_file_is_runtime_error(tmp_path, capsys):
     assert main(["compare", "--config", str(cfg), str(tmp_path / "nope.csv")]) == 2
 
 
+def test_compare_rejects_a_power_beyond_the_bound(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    measured = tmp_path / "loud.csv"
+    rows = [f"{i * 0.001!r},{5000.0 if i == 200 else -60.0}" for i in range(400)]
+    measured.write_text("position_m,power_db\n" + "\n".join(rows) + "\n")
+    assert main(["compare", "--config", str(cfg), str(measured)]) == 2
+    captured = capsys.readouterr()
+    assert f"{measured}: row 202: power" in captured.err
+    assert captured.out == ""
+
+
 def test_bands_lists_all_three(capsys):
     assert main(["bands"]) == 0
     out = capsys.readouterr().out

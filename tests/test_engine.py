@@ -285,9 +285,9 @@ def test_convex_sweep_does_not_depend_on_blocking(mode, monkeypatch):
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
                          sweep_offset_m=5.0).to_scenario()
     rx = scn.geometry.rx_positions()[::9]
-    _, captures = convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern,
-                                  scn.capture_distance_m)
-    counts = np.array([angles.size for angles, _ in captures])
+    angles, _ = convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern,
+                                scn.capture_distance_m)
+    counts = np.count_nonzero(~np.isnan(angles), axis=1)
     n_el = scn.reflector.n_height_sections
     groups = {int(k): np.count_nonzero(counts == k) for k in np.unique(counts[counts > 0])}
     assert 0 in counts and len(groups) > 1
@@ -299,9 +299,14 @@ def test_convex_sweep_does_not_depend_on_blocking(mode, monkeypatch):
                 for i in range(0, counts.size, scene._CAPTURE_BLOCK)]
     assert any(0 < n < scene._CAPTURE_BLOCK for n in captured)
 
+    one_by_one = [convex_captures(scn.reflector, scn.geometry, point[None, :], scn.rx_pattern,
+                                  scn.capture_distance_m)[0][0] for point in rx]
+    assert np.array_equal(angles, one_by_one, equal_nan=True)
+
     swept = convex_sweep_power(scn, rx, mode)
     alone = [convex_sweep_power(scn, point[None, :], mode)[0] for point in rx]
     assert np.array_equal(swept, alone)
+    assert np.array_equal(np.isneginf(swept), counts == 0)
 
 
 def test_planar_limit_flag_matches_flat_sweep():

@@ -8,7 +8,6 @@ from reflectsim.metrics import (
     PowerProfile,
     analyze,
     compare,
-    envelope_rise_db,
     flat_vs_convex_gap_db,
     smoothed_envelope_db,
 )
@@ -179,16 +178,6 @@ def test_flat_vs_convex_gap_measured_values(flat_peak, convex_peak, gap):
     flat = analyze(make_profile(np.full(200, flat_peak)))
     convex = analyze(make_profile(np.full(200, convex_peak)))
     assert_allclose(flat_vs_convex_gap_db(flat, convex), gap, atol=1e-9)
-
-
-def test_envelope_rise_zero_for_monotone_decay():
-    power = np.linspace(-50.0, -80.0, 400)
-    assert envelope_rise_db(power, start_idx=0) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_envelope_rise_detects_bump():
-    power = np.concatenate([np.linspace(-50, -70, 200), np.linspace(-70, -55, 200)])
-    assert envelope_rise_db(power, start_idx=0, window=1) == pytest.approx(15.0, abs=0.2)
 
 
 def test_profile_validation():

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from reflectsim.antenna import Band
-from reflectsim.metrics import PowerProfile
+from reflectsim.metrics import PowerProfile, analyze, compare
 from reflectsim.profile_io import (
     ProfileFormatError,
     export_profile,
@@ -125,6 +125,22 @@ def test_import_rejects_malformed_row(tmp_path):
     # A -inf power is the no-capture sentinel and stays accepted.
     path.write_text("position_m,power_db\n0.0,-54.0\n0.001,-inf\n")
     assert import_measured(path, Band.GHZ28).power_db[1] == float("-inf")
+
+
+def test_import_bounds_the_power_so_the_metrics_stay_finite(tmp_path):
+    path = tmp_path / "loud.csv"
+    for power in ("3000.0000001", "5000", "-3000.0000001", "-1e300"):
+        path.write_text(f"position_m,power_db\n0.0,-54.0\n0.001,{power}\n")
+        with pytest.raises(ProfileFormatError, match=re.escape(f"{path}: row 3: power")):
+            import_measured(path, Band.GHZ28)
+    # At the bound, a smoothing window full of the loudest power and residuals
+    # against the quietest one stay finite (a RuntimeWarning fails the suite).
+    rows = [f"{i * 0.001!r},{3000.0 if i < 100 else -3000.0}" for i in range(200)]
+    path.write_text("position_m,power_db\n" + "\n".join(rows) + "\n")
+    measured = import_measured(path, Band.GHZ28)
+    assert np.isfinite(analyze(measured).envelope_dynamic_range_db)
+    flat = PowerProfile(measured.positions_m, np.full(200, -3000.0), Band.GHZ28, "flat")
+    assert np.isfinite(compare(flat, measured).rmse_db)
 
 
 def test_import_requires_schema_columns(tmp_path):

@@ -13,6 +13,7 @@ from reflectsim.scene import (
     GeometryError,
     REFLECTOR_SIDE_16IN_M,
     ScenarioGeometry,
+    _CAPTURE_BLOCK,
     capture_length_m,
     convex_captures,
     convex_path_geometry_batch,
@@ -122,8 +123,11 @@ def _capture_and_paths(scn, rx):
     """Nominal target count, captured arc angles (K,) and the traced ray bundle
     (one row of each path array, or None when nothing is captured) of a convex
     scenario at one RX."""
-    n_az, ((angles, intercepts),) = convex_captures(
+    (angles,), (intercepts,) = convex_captures(
         scn.reflector, scn.geometry, rx[None, :], scn.rx_pattern, 2.5)
+    n_az = angles.size
+    captured = ~np.isnan(angles)
+    angles, intercepts = angles[captured], intercepts[captured]
     if angles.size == 0:
         return n_az, angles, None
     paths = convex_path_geometry_batch(scn.reflector, scn.geometry, angles[None],
@@ -147,8 +151,8 @@ def test_section_convex_default_counts():
     # R = 0.5 m diverges rays strongly, so all 32 intercept targets are reachable
     assert n_az == 32
     assert angles.size == 32
-    _, ((_, intercepts),) = convex_captures(scn.reflector, scn.geometry, rx[None, :],
-                                            scn.rx_pattern, 2.5)
+    _, (intercepts,) = convex_captures(scn.reflector, scn.geometry, rx[None, :],
+                                       scn.rx_pattern, 2.5)
     gamma = scn.reflector.azimuth_ray_spacing_m
     offsets = np.linalg.norm(intercepts - rx[:2], axis=1)
     assert_allclose(offsets, np.abs(np.arange(32) - 15.5) * gamma, rtol=1e-12)
@@ -220,11 +224,12 @@ def test_section_convex_rejects_rx_behind_reflector():
         convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern, 2.5)
 
 
-def _captures_at(radius_m, tx, rx):
-    """`convex_captures` at one RX for a 16-section, 16-inch plate facing +x at
-    the origin, with 3.31 cm ray spacing, the 28 GHz RX pattern and a 2.5 m
-    capture distance. Returns the targets, the capture-line origin and
-    direction, the captured arc angles and their intercepts."""
+def _captures_at(radius_m, tx, rx, *more_rx):
+    """`convex_captures` at one RX, followed by `more_rx`, for a 16-section,
+    16-inch plate facing +x at the origin, with 3.31 cm ray spacing, the
+    28 GHz RX pattern and a 2.5 m capture distance. Returns the targets, the
+    capture-line origin and direction, and the captured arc angles and their
+    intercepts at the first RX."""
     spec = ConvexReflectorSpec(chord_width_m=SIDE, height_m=SIDE, radius_of_curvature_m=radius_m,
                                section_height_m=SIDE / 16, azimuth_ray_spacing_m=0.0331,
                                reflection_efficiency=1.0)
@@ -232,11 +237,13 @@ def _captures_at(radius_m, tx, rx):
     geom = ScenarioGeometry(tx_position=tx, reflector_center=np.zeros(3),
                             reflector_normal=[1.0, 0.0, 0.0], incidence_angle_deg=30.0,
                             sweep_start=rx, sweep_end=rx + [0.0, 1.0, 0.0], n_rx_positions=2)
-    n_az, ((angles, intercepts),) = convex_captures(
-        spec, geom, rx[None, :], band_defaults(Band.GHZ28).rx_pattern, 2.5)
+    (angles, *_), (intercepts, *_) = convex_captures(
+        spec, geom, np.array([rx, *more_rx]), band_defaults(Band.GHZ28).rx_pattern, 2.5)
+    n_az = angles.size
     targets = (np.arange(n_az) - (n_az - 1) / 2.0) * spec.azimuth_ray_spacing_m
     line = np.array([rx[1], -rx[0]]) / np.linalg.norm(rx[:2])
-    return targets, rx[:2], line, angles, intercepts
+    captured = ~np.isnan(angles)
+    return targets, rx[:2], line, angles[captured], intercepts[captured]
 
 
 def test_capture_map_increasing_along_the_arc():
@@ -275,6 +282,16 @@ def test_capture_map_that_is_not_monotone_is_rejected():
         _captures_at(0.22876151890631236,
                      [0.8605285095721427, -8.126597734089998, 0.9610066152749481],
                      [0.29169247385091673, -2.893838176250152, -0.6420837448390428])
+
+
+def test_every_rx_is_checked_before_any_capture_line():
+    # The first capture block has a map that is not monotone; a non-finite RX
+    # in the next block is reported first.
+    rx = [0.29169247385091673, -2.893838176250152, -0.6420837448390428]
+    with pytest.raises(GeometryError, match="finite"):
+        _captures_at(0.22876151890631236,
+                     [0.8605285095721427, -8.126597734089998, 0.9610066152749481],
+                     rx, *[rx] * _CAPTURE_BLOCK, [np.nan, 0.5, 0.0])
 
 
 def test_specular_point_is_sweep_midpoint_by_construction():
@@ -418,7 +435,6 @@ def test_reflector_spec_validation():
         ConvexReflectorSpec(**{**convex, "section_height_m": 1.0})  # above height
     with pytest.raises(ValueError, match="spacing"):
         ConvexReflectorSpec(**{**convex, "azimuth_ray_spacing_m": 0.0})
-    assert_allclose(ConvexReflectorSpec(**convex).focal_length_m, 0.25)
 
 
 def test_vec3_rejects_non_finite():
