@@ -6,7 +6,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -23,6 +22,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
+# Config keys that command-line flags set, each flag's `dest`; a flag's value
+# wins over the document's.
+_FLAG_KEYS = ("band", "reflector.kind", "engine.mode", "output.dir", "output.format")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -33,14 +36,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_scenario_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", type=Path, help="scenario config file")
-        p.add_argument("--band", choices=["28", "39", "120"], help="band in GHz")
-        p.add_argument("--reflector", choices=["flat", "convex"], help="reflector kind")
-        p.add_argument("--mode", choices=["literal", "physical"], help="summation mode")
+        p.add_argument("--band", help="band: 28, 39 or 120 (GHz)")
+        p.add_argument("--reflector", dest="reflector.kind", help="reflector kind: flat or convex")
+        p.add_argument("--mode", dest="engine.mode", help="summation mode: physical or literal")
 
     sim = sub.add_parser("simulate", help="run one sweep and export profile + stats")
     add_scenario_flags(sim)
-    sim.add_argument("--out", type=Path, help="output directory (default from config)")
-    sim.add_argument("--format", choices=["csv", "json"], help="profile file format")
+    sim.add_argument("--out", dest="output.dir", type=Path,
+                     help="output directory (default from config)")
+    sim.add_argument("--format", dest="output.format", help="profile file format: csv or json")
     sim.add_argument("--dump-config", action="store_true",
                      help="print the resolved config and exit")
 
@@ -57,14 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
-    text = ""
-    if args.config is not None:
-        text = Path(args.config).read_text(encoding="utf-8")
-    band = Band.parse(args.band) if args.band else None
-    config = parse_config(text, default_band=band, default_reflector=args.reflector)
-    if args.mode:
-        config = replace(config, mode=SumMode.parse(args.mode))
-    return config
+    text = "" if args.config is None else args.config.read_text(encoding="utf-8")
+    overrides = {key: str(getattr(args, key)) for key in _FLAG_KEYS
+                 if getattr(args, key, None) is not None}
+    return parse_config(text, overrides)
 
 
 def _write_json(path: Optional[Path], payload: dict) -> None:
@@ -77,10 +77,6 @@ def _write_json(path: Optional[Path], payload: dict) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    if args.out is not None:
-        config = replace(config, output_dir=str(args.out))
-    if args.format is not None:
-        config = replace(config, output_format=args.format)
     if args.dump_config:
         sys.stdout.write(dump_config(config))
         return EXIT_OK

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -280,9 +280,6 @@ def _choice(*options: str):
     return parse_choice
 
 
-_parse_kind = _choice("flat", "convex")
-
-
 # key -> (config field, value parser)
 _KEY_TABLE = {
     "band": ("band", Band.parse),
@@ -291,7 +288,7 @@ _KEY_TABLE = {
     "engine.alpha_flat": ("alpha_flat", _parse_auto_float),
     "engine.alpha_curved": ("alpha_curved", _parse_auto_float),
     "engine.capture_distance": ("capture_distance_m", _parse_auto_length),
-    "reflector.kind": ("reflector_kind", _parse_kind),
+    "reflector.kind": ("reflector_kind", _choice("flat", "convex")),
     "reflector.width": ("width_m", _parse_length),
     "reflector.height": ("height_m", _parse_length),
     "reflector.facets_per_side": ("facets_per_side", _auto(_parse_int)),
@@ -332,19 +329,30 @@ _SWEEP_KEYS = ("geometry.rx_range", "geometry.incidence_deg",
                "geometry.sweep_length", "geometry.sweep_offset")
 
 
-def parse_config(
-    text: str,
-    default_band: Optional[Band] = None,
-    default_reflector: Optional[str] = None,
-) -> ScenarioConfig:
+def parse_config(text: str, overrides: Optional[Mapping[str, str]] = None) -> ScenarioConfig:
     """Parse and validate a config document.
 
-    `default_band` / `default_reflector` fill in for keys absent from the
-    text (e.g. supplied as command-line flags); an empty document plus a band
-    is a complete default scenario.
+    `overrides` maps config keys to text values (e.g. command-line flags).
+    Each is read by its key's parser and replaces the document's value; an
+    error in one names the key and no line. An empty document plus a band is
+    a complete default scenario.
     """
     values: dict[str, object] = {}
-    seen: dict[str, int] = {}
+    seen: dict[str, Optional[int]] = {}  # key -> line that set it, None for an override
+
+    def set_key(key: str, value: str, line: Optional[int]) -> None:
+        if key not in _KEY_TABLE:
+            raise ConfigError(f"unknown key {key!r}", key=key, line=line)
+        if not value:
+            raise ConfigError("missing value", key=key, line=line)
+        field_name, parser = _KEY_TABLE[key]
+        try:
+            values[field_name] = parser(value)
+        except ValueError as exc:
+            raise ConfigError(str(exc), key=key, line=line) from None
+        seen.pop(key, None)  # an override counts as set after every line
+        seen[key] = line
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -353,31 +361,18 @@ def parse_config(
             raise ConfigError("expected 'key = value'", line=lineno)
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        value = value.strip()
-        if key not in _KEY_TABLE:
-            raise ConfigError(f"unknown key {key!r}", key=key, line=lineno)
         if key in seen:
             raise ConfigError(f"duplicate key (first set on line {seen[key]})",
                               key=key, line=lineno)
-        if not value:
-            raise ConfigError("missing value", key=key, line=lineno)
-        seen[key] = lineno
-        field_name, parser = _KEY_TABLE[key]
-        try:
-            values[field_name] = parser(value)
-        except ValueError as exc:
-            raise ConfigError(str(exc), key=key, line=lineno) from None
+        set_key(key, value.strip(), lineno)
+    for key, value in (overrides or {}).items():
+        set_key(key, value, None)
 
     if "band" not in values:
-        if default_band is None:
-            raise ConfigError("band is required (set 'band = ...' or pass --band)", key="band")
-        values["band"] = default_band
-    if "reflector_kind" not in values and default_reflector is not None:
-        values["reflector_kind"] = _parse_kind(default_reflector)
-
+        raise ConfigError("band is required (set 'band = ...' or pass --band)", key="band")
     kind = values.get("reflector_kind", "flat")
     other, foreign = ("convex", _CONVEX_ONLY_KEYS) if kind == "flat" else ("flat", _FLAT_ONLY_KEYS)
-    misplaced = sorted(foreign & seen.keys(), key=seen.__getitem__)
+    misplaced = [key for key in seen if key in foreign]
     if misplaced:
         key = misplaced[0]
         raise ConfigError(f"only valid for {other} reflectors", key=key, line=seen[key])
@@ -391,8 +386,8 @@ def parse_config(
         if key in _SWEEP_KEYS and key not in seen:
             # A default never fails its own range, so this is the joint rule
             # that the sweep stays in front of the reflector: name the sweep
-            # key the document set last.
-            key = max((k for k in _SWEEP_KEYS if k in seen), key=seen.__getitem__, default=key)
+            # key set last.
+            key = next((k for k in reversed(seen) if k in _SWEEP_KEYS), key)
         raise ConfigError(exc.message, key=key, line=seen.get(key)) from None
 
 

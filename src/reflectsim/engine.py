@@ -94,47 +94,6 @@ def alpha_curved(flat_alpha: float, reflector: ConvexReflectorSpec,
     return flat_alpha * r / (r + 2.0 * geometry.rx_range_m)
 
 
-def _amplitudes(
-    tx_pattern: AntennaPattern,
-    rx_pattern: AntennaPattern,
-    distance_m,
-    tx_az,
-    tx_el,
-    rx_az,
-    rx_el,
-    wavelength_m: float,
-    d_ref_m: float,
-    alpha: float,
-    efficiency: float,
-    tx_power_mw: float,
-    mode: SumMode,
-    normalization: float,
-):
-    """Complex per-ray terms for either sum mode (vectorized).
-
-    The phase is referenced to `d_ref_m`; `normalization` carries the 1/N
-    ray-set averaging factor in PHYSICAL mode and is ignored by LITERAL mode.
-    """
-    d = np.asarray(distance_m, dtype=float)
-    gain_tx = tx_pattern.gain(tx_az, tx_el)
-    gain_rx = rx_pattern.gain(rx_az, rx_el)
-    phasor = np.exp(1j * (-2.0 * math.pi * (d - d_ref_m) / wavelength_m))
-    if mode is SumMode.PHYSICAL:
-        amp = (
-            normalization
-            * np.sqrt(tx_power_mw * gain_tx * gain_rx * alpha * efficiency)
-            * (wavelength_m / (FOUR_PI * d))
-        )
-    else:
-        amp = (
-            tx_power_mw / (FOUR_PI * d) ** 2
-            * np.sqrt(gain_tx * gain_rx)
-            * wavelength_m ** 2
-            * alpha
-        )
-    return amp * phasor
-
-
 def _power_db_from_sum(total: np.ndarray, mode: SumMode) -> np.ndarray:
     """Power (dB) of each coherent sum; a zero sum maps to the -inf sentinel."""
     mag = np.abs(total)
@@ -150,22 +109,31 @@ def _power_db_from_sum(total: np.ndarray, mode: SumMode) -> np.ndarray:
 def _ray_sums(scenario: Scenario, paths, mode: SumMode, n_nominal: int) -> np.ndarray:
     """Coherent sum of each row of a (G, N) ray block from a path solve.
 
-    PHYSICAL mode averages over the N rays of a row; LITERAL mode applies the
+    Each ray's phase is referenced to `scenario.d_ref_m`. PHYSICAL mode
+    averages over the N rays of a row; LITERAL mode applies the
     sqrt(n_nominal) prefactor instead.
     """
-    amp = _amplitudes(
-        scenario.tx_pattern,
-        scenario.rx_pattern,
-        *paths,
-        scenario.wavelength_m,
-        scenario.d_ref_m,
-        scenario.alpha,
-        scenario.reflector.reflection_efficiency,
-        10.0 ** (scenario.tx_power_dbm / 10.0),
-        mode,
-        normalization=1.0 / paths[0].shape[1],
-    )
-    total = amp.sum(axis=1)
+    d, tx_az, tx_el, rx_az, rx_el = paths
+    lam = scenario.wavelength_m
+    tx_power_mw = 10.0 ** (scenario.tx_power_dbm / 10.0)
+    gain_tx = scenario.tx_pattern.gain(tx_az, tx_el)
+    gain_rx = scenario.rx_pattern.gain(rx_az, rx_el)
+    phasor = np.exp(1j * (-2.0 * math.pi * (d - scenario.d_ref_m) / lam))
+    if mode is SumMode.PHYSICAL:
+        amp = (
+            (1.0 / d.shape[1])
+            * np.sqrt(tx_power_mw * gain_tx * gain_rx * scenario.alpha
+                      * scenario.reflector.reflection_efficiency)
+            * (lam / (FOUR_PI * d))
+        )
+    else:
+        amp = (
+            tx_power_mw / (FOUR_PI * d) ** 2
+            * np.sqrt(gain_tx * gain_rx)
+            * lam ** 2
+            * scenario.alpha
+        )
+    total = (amp * phasor).sum(axis=1)
     if mode is SumMode.LITERAL:
         total = math.sqrt(n_nominal) * total
     return total

@@ -26,6 +26,15 @@ class ProfileFormatError(ValueError):
     """Malformed profile file; carries the offending row when known."""
 
 
+def _check_power(power: float, path: Path, where: str) -> None:
+    # -inf is the no-capture sentinel that export_profile writes.
+    if not (abs(power) <= _MAX_ABS_POWER_DB or power == -math.inf):
+        raise ProfileFormatError(
+            f"{path}: {where}: power must be -inf or in "
+            f"[-{_MAX_ABS_POWER_DB:g}, {_MAX_ABS_POWER_DB:g}] dB, got {power!r}"
+        )
+
+
 def export_profile(profile: PowerProfile, format: str, path: Union[str, Path]) -> None:
     """Write a profile as CSV (`position_m,power_db` rows) or JSON.
 
@@ -92,12 +101,7 @@ def import_measured(path: Union[str, Path], band: Band) -> PowerProfile:
             raise ProfileFormatError(f"{path}: row {row_no}: non-numeric value") from None
         if not math.isfinite(pos):
             raise ProfileFormatError(f"{path}: row {row_no}: position must be finite")
-        if not (abs(pwr) <= _MAX_ABS_POWER_DB or pwr == -math.inf):
-            # -inf is the no-capture sentinel that export_profile writes.
-            raise ProfileFormatError(
-                f"{path}: row {row_no}: power must be -inf or in "
-                f"[-{_MAX_ABS_POWER_DB:g}, {_MAX_ABS_POWER_DB:g}] dB, got {pwr!r}"
-            )
+        _check_power(pwr, path, f"row {row_no}")
         if positions and pos <= positions[-1]:
             raise ProfileFormatError(
                 f"{path}: row {row_no}: positions must be strictly increasing"
@@ -117,12 +121,15 @@ def import_measured(path: Union[str, Path], band: Band) -> PowerProfile:
 
 
 def read_profile_json(path: Union[str, Path]) -> PowerProfile:
-    """Read a profile previously exported as JSON; null powers read as -inf."""
+    """Read a profile previously exported as JSON; null powers read as -inf.
+
+    Powers are held to the same bound as `import_measured`'s.
+    """
     path = Path(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     try:
         meta = doc["meta"]
-        return PowerProfile(
+        profile = PowerProfile(
             positions_m=np.array(doc["positions_m"], dtype=float),
             power_db=np.array([-np.inf if p is None else p for p in doc["power_db"]],
                               dtype=float),
@@ -132,4 +139,7 @@ def read_profile_json(path: Union[str, Path]) -> PowerProfile:
         )
     except (KeyError, TypeError) as exc:
         raise ProfileFormatError(f"{path}: missing or malformed field: {exc}") from None
+    for index, power in enumerate(profile.power_db):
+        _check_power(float(power), path, f"power_db[{index}]")
+    return profile
 

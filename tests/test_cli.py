@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,18 @@ from reflectsim.antenna import Band
 FAST_CONFIG = """\
 band = 28
 geometry.n_positions = 200
+"""
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# A document that sets the key of every scenario flag.
+FLAG_KEYS_CONFIG = """\
+band = 28
+reflector.kind = flat
+engine.mode = physical
+geometry.n_positions = 200
+output.dir = doc_out
+output.format = csv
 """
 
 
@@ -41,6 +54,59 @@ def test_simulate_band_flag_only(tmp_path):
                  "--out", str(out), "--format", "json"])
     assert code == 0
     assert (out / "39ghz_flat.json").exists()
+
+
+@pytest.mark.parametrize("flag, value, line", [
+    ("--band", "39", "band = 39ghz"),
+    ("--mode", "literal", "engine.mode = literal"),
+    ("--out", "flag_out", "output.dir = flag_out"),
+    ("--format", "json", "output.format = json"),
+])
+def test_flag_wins_over_the_document_and_dump_config_prints_it(tmp_path, capsys,
+                                                               flag, value, line):
+    cfg = write_config(tmp_path, FLAG_KEYS_CONFIG)
+    assert main(["simulate", "--config", str(cfg), flag, value, "--dump-config"]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def test_band_flag_wins_over_the_document(tmp_path):
+    cfg = write_config(tmp_path, FLAG_KEYS_CONFIG)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--band", "39", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["39ghz_flat.csv", "39ghz_flat.stats.json"]
+
+
+def test_reflector_flag_wins_over_the_document(tmp_path, capsys):
+    # A convex document without its required radius is a valid flat one.
+    cfg = write_config(tmp_path, "band = 28\nreflector.kind = convex\n")
+    assert main(["simulate", "--config", str(cfg), "--reflector", "flat", "--dump-config"]) == 0
+    assert "reflector.kind = flat" in capsys.readouterr().out.splitlines()
+    assert main(["simulate", "--config", str(CONFIGS / "28ghz_flat.cfg"),
+                 "--reflector", "convex"]) == 1
+    assert "error: reflector.radius_of_curvature: required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--band", "60", "band"),
+    ("--reflector", "parabolic", "reflector.kind"),
+    ("--mode", "exact", "engine.mode"),
+    ("--format", "xml", "output.format"),
+])
+def test_bad_flag_value_is_validation_error_naming_its_key(tmp_path, capsys, flag, value, key):
+    cfg = write_config(tmp_path, FLAG_KEYS_CONFIG)
+    assert main(["simulate", "--config", str(cfg), flag, value]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+
+def test_compare_flags_win_over_the_document_and_out_stays_the_report(tmp_path):
+    cfg = write_config(tmp_path, FLAG_KEYS_CONFIG)
+    measured = tmp_path / "measured.csv"
+    export_profile(PowerProfile(np.arange(200) * 1e-3, np.full(200, -60.0), Band.GHZ28,
+                                "measured"), "csv", measured)
+    report_path = tmp_path / "report.json"
+    assert main(["compare", "--config", str(cfg), str(measured), "--band", "39",
+                 "--reflector", "flat", "--mode", "literal", "--out", str(report_path)]) == 0
+    assert json.loads(report_path.read_text())["sim_label"] == "39ghz_flat"
 
 
 def test_simulate_outputs_are_byte_stable(tmp_path):

@@ -24,7 +24,7 @@ NUMBER_KEYS = sorted(key for key, (_, parser) in config_module._KEY_TABLE.items(
 
 
 def test_empty_text_with_band_flag_gives_full_defaults():
-    cfg = parse_config("", default_band=Band.GHZ28)
+    cfg = parse_config("", {"band": "28"})
     assert cfg.band is Band.GHZ28
     assert cfg.reflector_kind == "flat"
     assert cfg.mode is SumMode.PHYSICAL
@@ -52,7 +52,39 @@ def test_convex_requires_radius():
 
 def test_convex_via_default_reflector_flag_also_requires_radius():
     with pytest.raises(ConfigError, match="radius_of_curvature"):
-        parse_config("band = 39\n", default_reflector="convex")
+        parse_config("band = 39\n", {"reflector.kind": "convex"})
+
+
+def test_override_replaces_the_documents_value():
+    text = "band = 28\nengine.mode = physical\noutput.dir = a\noutput.format = csv\n"
+    cfg = parse_config(text, {"band": "39ghz", "engine.mode": "literal",
+                              "output.dir": "b", "output.format": "json"})
+    assert (cfg.band, cfg.mode, cfg.output_dir, cfg.output_format) == (
+        Band.GHZ39, SumMode.LITERAL, "b", "json")
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"band": "60"}, "band"),
+    ({"engine.mode": "exact"}, "engine.mode"),
+    ({"output.format": "xml"}, "output.format"),
+    ({"output.dir": " b"}, "output.dir"),
+    ({"output.dir": ""}, "output.dir"),
+    ({"reflector.color": "red"}, "reflector.color"),
+])
+def test_override_error_names_the_key_and_no_line(overrides, key):
+    # output.dir is also set on line 2, where it is valid.
+    with pytest.raises(ConfigError) as info:
+        parse_config("band = 28\noutput.dir = a\n", overrides)
+    assert info.value.key == key
+    assert info.value.line is None
+
+
+def test_override_kind_is_applied_before_the_kind_checks():
+    with pytest.raises(ConfigError, match="line 2: reflector.facets_per_side: only valid for flat"):
+        parse_config("band = 28\nreflector.facets_per_side = 8\n", {"reflector.kind": "convex"})
+    text = "band = 28\nreflector.kind = convex\nreflector.radius_of_curvature = 0.5\n"
+    with pytest.raises(ConfigError, match="line 3: reflector.radius_of_curvature: only valid for convex"):
+        parse_config(text, {"reflector.kind": "flat"})
 
 
 def test_unknown_key_reports_line():
@@ -176,7 +208,7 @@ def test_convex_radius_must_exceed_half_chord():
 
 
 def test_dump_round_trip_flat_defaults():
-    cfg = parse_config("", default_band=Band.GHZ39)
+    cfg = parse_config("", {"band": "39"})
     assert parse_config(dump_config(cfg)) == cfg
 
 
@@ -202,7 +234,7 @@ def test_dump_round_trip_convex_custom():
 
 
 def test_dump_is_idempotent():
-    cfg = parse_config("", default_band=Band.GHZ28)
+    cfg = parse_config("", {"band": "28"})
     once = dump_config(cfg)
     twice = dump_config(parse_config(once))
     assert once == twice
@@ -241,7 +273,7 @@ def test_auto_values_accepted():
 
 
 def test_resolved_label_defaults_to_band_and_kind():
-    cfg = parse_config("band = 120\n", default_reflector="flat")
+    cfg = parse_config("band = 120\n", {"reflector.kind": "flat"})
     assert cfg.resolved_label() == "120ghz_flat"
 
 
@@ -319,6 +351,10 @@ def test_sweep_reaching_the_reflector_is_rejected(kind):
         parse_config(text + "geometry.sweep_offset = -1\ngeometry.sweep_length = 8\n")
     assert info.value.key == "geometry.sweep_length"
     assert info.value.line == text.count("\n") + 2
+    # An override counts as written after every line.
+    with pytest.raises(ConfigError) as info:
+        parse_config(text + "geometry.sweep_length = 8\n", {"geometry.sweep_offset": "-1"})
+    assert (info.value.key, info.value.line) == ("geometry.sweep_offset", None)
     with pytest.raises(ConfigError) as info:
         parse_config(text + "geometry.incidence_deg = 89\n")
     assert (info.value.key, info.value.line) == ("geometry.incidence_deg", text.count("\n") + 1)

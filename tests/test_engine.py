@@ -10,7 +10,7 @@ from reflectsim import engine, scene
 from reflectsim.antenna import AntennaPattern, Band
 from reflectsim.engine import (
     SumMode,
-    _amplitudes,
+    _ray_sums,
     alpha_curved,
     alpha_flat,
     convex_sweep_power,
@@ -105,27 +105,30 @@ def test_alpha_ordering_strict_for_finite_radius(radius):
 
 # ---------------------------------------------------------------- amplitudes
 
-PAT = AntennaPattern(17.0, 24.0, 26.0)
+# 28 GHz horns on both ends (17 dBi, 24/26 deg HPBW), 0 dBm, no attenuation,
+# a 1 cm wavelength and the phase referenced to 5 m.
+BORESIGHT_SCENARIO = dataclasses.replace(
+    ScenarioConfig(band=Band.GHZ28, alpha_flat=1.0).to_scenario(),
+    wavelength_m=0.01, d_ref_m=5.0, tx_power_dbm=0.0,
+)
+LAM = BORESIGHT_SCENARIO.wavelength_m
 
 
-def boresight_amplitudes(distance_m, wavelength_m, d_ref_m=5.0):
-    """PHYSICAL-mode terms of on-boresight rays at the given path lengths."""
-    d = np.asarray(distance_m, dtype=float)
+def boresight_amplitudes(distance_m):
+    """PHYSICAL-mode terms of on-boresight rays at the given path lengths, one ray per row."""
+    d = np.asarray(distance_m, dtype=float)[:, None]
     zero = np.zeros_like(d)
-    return _amplitudes(PAT, PAT, d, zero, zero, zero, zero, wavelength_m, d_ref_m,
-                       alpha=1.0, efficiency=1.0, tx_power_mw=1.0, mode=SumMode.PHYSICAL,
-                       normalization=1.0)
+    return _ray_sums(BORESIGHT_SCENARIO, (d, zero, zero, zero, zero), SumMode.PHYSICAL, 1)
 
 
 def test_contribution_at_reference_distance_is_real_positive():
-    (amp,) = boresight_amplitudes([5.0], 0.01)
+    (amp,) = boresight_amplitudes([5.0])
     assert amp.imag == 0.0
     assert amp.real > 0.0
 
 
 def test_contribution_half_wave_flips_sign():
-    lam = 0.01
-    ref, half = boresight_amplitudes([5.0, 5.0 + lam / 2.0], lam)
+    ref, half = boresight_amplitudes([5.0, 5.0 + LAM / 2.0])
     assert_allclose(abs(np.angle(half)), math.pi, rtol=1e-12)
     assert half.real < 0.0
     assert abs(half.imag) < 1e-12 * abs(half.real)
@@ -133,8 +136,7 @@ def test_contribution_half_wave_flips_sign():
 
 
 def test_half_wave_pair_cancels():
-    lam = 0.01
-    a, b_raw = boresight_amplitudes([5.0, 5.0 + lam / 2.0], lam)
+    a, b_raw = boresight_amplitudes([5.0, 5.0 + LAM / 2.0])
     # same magnitude, half a wavelength longer path
     b = b_raw * abs(a) / abs(b_raw)
     assert abs(a + b) < 1e-12 * abs(a)

@@ -143,6 +143,22 @@ def test_import_bounds_the_power_so_the_metrics_stay_finite(tmp_path):
     assert np.isfinite(compare(flat, measured).rmse_db)
 
 
+def test_json_read_bounds_the_power_like_the_csv_import(tmp_path):
+    path = tmp_path / "loud.json"
+    profile = PowerProfile(np.arange(200) * 0.001, np.full(200, -60.0), Band.GHZ28, "flat")
+    export_profile(profile, "json", path)
+    doc = json.loads(path.read_text())
+    for power in (5000.0, -1e300):
+        doc["power_db"][7] = power
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ProfileFormatError, match=re.escape(f"{path}: power_db[7]: power")):
+            read_profile_json(path)
+    # The bound and the null (-inf) sentinel read back.
+    doc["power_db"][7], doc["power_db"][8] = -3000.0, None
+    path.write_text(json.dumps(doc))
+    assert read_profile_json(path).power_db[7:9].tolist() == [-3000.0, -np.inf]
+
+
 def test_import_requires_schema_columns(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,y\n0,1\n")
