@@ -7,7 +7,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .antenna import Band
 
@@ -115,14 +114,74 @@ def smoothed_envelope_db(power_db: np.ndarray, window: int = DEFAULT_SMOOTHING_S
     return out
 
 
+def _detrended(power: np.ndarray, envelope: np.ndarray) -> np.ndarray:
+    # Detrend only where both are finite; -inf stretches count as flat.
+    out = np.zeros_like(power)
+    finite = np.isfinite(power) & np.isfinite(envelope)
+    out[finite] = power[finite] - envelope[finite]
+    return out
+
+
+def _prominent_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
+    """Indices of the local maxima of `x` with at least `prominence`.
+
+    Follows scipy.signal.find_peaks(x, prominence=prominence)[0]: a peak is
+    a run of equal values with strictly lower neighbours, reported at index
+    (first + last) // 2, so the array ends are never peaks. A side's base
+    is the minimum of `x` from the peak out to, not including, the first
+    strictly higher sample (or to the array end). The walk out to that
+    sample is a binary search over range-max tables, done for every peak
+    at once; the range-min tables give the base on the way.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n < 3:
+        return np.zeros(0, dtype=np.intp)
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.append(starts[1:] - 1, n - 1)
+    values = x[starts]
+    inner = (values[1:-1] > values[:-2]) & (values[1:-1] > values[2:])
+    peaks = (starts[1:-1][inner] + ends[1:-1][inner]) // 2
+    if peaks.size == 0:
+        return peaks
+
+    # maxs[k][i], mins[k][i]: max and min of x[i : i + 2**k].
+    maxs, mins = [x], [x]
+    step = 1
+    while 2 * step <= n:
+        maxs.append(np.maximum(maxs[-1][:-step], maxs[-1][step:]))
+        mins.append(np.minimum(mins[-1][:-step], mins[-1][step:]))
+        step *= 2
+
+    height = left_base = right_base = x[peaks]
+    left, right = peaks, peaks + 1  # x[left : right] <= height throughout
+    for k in range(len(maxs) - 1, -1, -1):
+        step = 1 << k
+        start = left - step
+        at = np.maximum(start, 0)
+        take = (start >= 0) & (maxs[k][at] <= height)
+        left = np.where(take, start, left)
+        left_base = np.where(take, np.minimum(left_base, mins[k][at]), left_base)
+        at = np.minimum(right, n - step)
+        take = (right + step <= n) & (maxs[k][at] <= height)
+        right_base = np.where(take, np.minimum(right_base, mins[k][at]), right_base)
+        right = np.where(take, right + step, right)
+    return peaks[height - np.maximum(left_base, right_base) >= prominence]
+
+
 def analyze(profile: PowerProfile) -> ProfileStats:
     """Peak, fringe count, and envelope statistics of a sweep profile.
 
-    Fringes are local maxima of the envelope-detrended profile with at least
-    DEFAULT_FRINGE_PROMINENCE_DB (1 dB) of prominence, over the
-    DEFAULT_SMOOTHING_SAMPLES (51) envelope. The decay number is the smoothed
-    envelope at the sweep end minus at the peak position. Both envelope
-    numbers are None when no position received power.
+    Fringes are counted on the profile minus its DEFAULT_SMOOTHING_SAMPLES
+    (51) envelope, with samples where either is -inf set to 0. A fringe is
+    a run of equal samples whose neighbours on both sides are strictly
+    lower, reported at the run's midpoint; the first and last sample are
+    never fringes. Each side's base is the lowest sample met walking out
+    from the fringe before the first strictly higher sample (or the array
+    end), and the fringe counts when its height above the higher of the
+    two bases is >= DEFAULT_FRINGE_PROMINENCE_DB (1 dB). The decay number
+    is the smoothed envelope at the sweep end minus at the peak position.
+    Both envelope numbers are None when no position received power.
     """
     if len(profile) < MIN_ANALYZE_SAMPLES:
         raise ValueError(
@@ -132,11 +191,7 @@ def analyze(profile: PowerProfile) -> ProfileStats:
     envelope = smoothed_envelope_db(power)
     peak_idx = int(np.argmax(power))
 
-    # Detrend only where both are finite; -inf stretches count as flat.
-    detrended = np.zeros_like(power)
-    finite = np.isfinite(power) & np.isfinite(envelope)
-    detrended[finite] = power[finite] - envelope[finite]
-    peaks, _ = find_peaks(detrended, prominence=DEFAULT_FRINGE_PROMINENCE_DB)
+    peaks = _prominent_peaks(_detrended(power, envelope), DEFAULT_FRINGE_PROMINENCE_DB)
 
     dynamic_range = decay = None
     if np.isfinite(envelope[peak_idx]):  # else the envelope is -inf throughout

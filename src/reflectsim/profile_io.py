@@ -123,23 +123,26 @@ def import_measured(path: Union[str, Path], band: Band) -> PowerProfile:
 def read_profile_json(path: Union[str, Path]) -> PowerProfile:
     """Read a profile previously exported as JSON; null powers read as -inf.
 
-    Powers are held to the same bound as `import_measured`'s.
+    Positions must be finite and powers are held to the same bound, as in
+    `import_measured`.
     """
     path = Path(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     try:
         meta = doc["meta"]
-        profile = PowerProfile(
-            positions_m=np.array(doc["positions_m"], dtype=float),
-            power_db=np.array([-np.inf if p is None else p for p in doc["power_db"]],
-                              dtype=float),
-            band=Band.parse(meta["band"]),
-            reflector_kind=meta["kind"],
-            label=meta.get("label", path.stem),
-        )
+        positions = np.array(doc["positions_m"], dtype=float)
+        powers = np.array([-np.inf if p is None else p for p in doc["power_db"]], dtype=float)
+        band = Band.parse(meta["band"])
+        kind = meta["kind"]
+        label = meta.get("label", path.stem)
     except (KeyError, TypeError) as exc:
         raise ProfileFormatError(f"{path}: missing or malformed field: {exc}") from None
-    for index, power in enumerate(profile.power_db):
-        _check_power(float(power), path, f"power_db[{index}]")
-    return profile
+    for index, position in enumerate(np.ravel(positions).tolist()):
+        if not math.isfinite(position):
+            raise ProfileFormatError(
+                f"{path}: positions_m[{index}]: position must be finite, got {position!r}"
+            )
+    for index, power in enumerate(np.ravel(powers).tolist()):
+        _check_power(power, path, f"power_db[{index}]")
+    return PowerProfile(positions, powers, band, kind, label)
 

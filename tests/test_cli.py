@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -17,7 +20,8 @@ band = 28
 geometry.n_positions = 200
 """
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 # A document that sets the key of every scenario flag.
 FLAG_KEYS_CONFIG = """\
@@ -34,6 +38,16 @@ def write_config(tmp_path, text=FAST_CONFIG, name="scenario.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def test_cli_import_loads_no_scipy():
+    # Importing scipy.signal costs over a second of every CLI start.
+    code = ("import sys, reflectsim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_simulate_writes_profile_and_stats(tmp_path, capsys):

@@ -1,16 +1,25 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.signal import find_peaks
 
 from reflectsim.antenna import Band
 from reflectsim.metrics import (
+    DEFAULT_FRINGE_PROMINENCE_DB,
     ComparisonReport,
     PowerProfile,
+    _detrended,
+    _prominent_peaks,
     analyze,
     compare,
     flat_vs_convex_gap_db,
     smoothed_envelope_db,
 )
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "profiles.npz"
 
 
 def make_profile(power_db, positions=None, label="test"):
@@ -62,6 +71,70 @@ def test_fringe_count_invariant_under_reversal():
     fwd = analyze(make_profile(power))
     rev = analyze(make_profile(power[::-1]))
     assert fwd.fringe_count == rev.fringe_count
+
+
+def test_plateau_peak_reports_its_midpoint():
+    x = np.array([0.0, 2.0, 2.0, 2.0, 2.0, 0.0, 0.0, 3.0, 3.0, 3.0, 1.0])
+    assert _prominent_peaks(x, 1.0).tolist() == [2, 8]
+
+
+def test_array_ends_are_never_peaks():
+    x = np.array([5.0, 1.0, 3.0, 1.0, 1.0, 4.0, 6.0])
+    assert _prominent_peaks(x, 1.0).tolist() == [2]
+    # A plateau that runs into the end is no peak either.
+    assert _prominent_peaks(np.array([0.0, 2.0, 2.0]), 0.0).tolist() == []
+    for n in range(3):
+        assert _prominent_peaks(np.ones(n), 0.0).tolist() == []
+
+
+def test_prominence_is_kept_at_equality_and_uses_the_higher_base():
+    # Bases 1 (left) and 0 (right): prominence 3 - max(1, 0) = 2.
+    x = np.array([4.0, 1.0, 3.0, 0.0, 5.0])
+    assert _prominent_peaks(x, 2.0).tolist() == [2]
+    assert _prominent_peaks(x, np.nextafter(2.0, 3.0)).tolist() == []
+    # An equal peak does not stop the walk and a strictly higher one does:
+    # both peaks of height 2 reach bases 0 and 1 (prominence 1, not 0.5).
+    x = np.array([0.0, 2.0, 1.5, 2.0, 1.0, 3.0, 0.0])
+    assert _prominent_peaks(x, 1.0).tolist() == [1, 3, 5]
+    assert _prominent_peaks(x, np.nextafter(1.0, 2.0)).tolist() == [5]
+
+
+def test_minus_inf_stretch_is_zeroed_before_counting_fringes():
+    power = np.full(301, -60.0)
+    power[100:200] = -np.inf
+    detrended = _detrended(power, smoothed_envelope_db(power))
+    assert np.all(detrended[100:200] == 0.0)
+    # The envelope dips towards the stretch, so the last finite sample on
+    # each side stands about 2.9 dB above it: one fringe per stretch edge.
+    assert _prominent_peaks(detrended, 1.0).tolist() == [99, 200]
+    assert analyze(make_profile(power)).fringe_count == 2
+
+
+_PEAK_INPUTS = st.one_of(
+    st.lists(st.integers(0, 3), max_size=400),
+    st.lists(st.integers(-2, 2), max_size=400).map(np.cumsum),
+    st.lists(st.floats(-5.0, 5.0).map(lambda v: round(v, 1)), max_size=400),
+    st.tuples(st.integers(-3, 3), st.integers(0, 400)).map(lambda t: [t[0]] * t[1]),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_PEAK_INPUTS, st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]))
+def test_prominent_peaks_match_scipy_find_peaks(values, prominence):
+    x = np.asarray(values, dtype=float)
+    expected = find_peaks(x, prominence=prominence)[0]
+    assert np.array_equal(_prominent_peaks(x, prominence), expected)
+
+
+def test_fringes_of_the_golden_profiles_match_scipy_find_peaks():
+    with np.load(GOLDEN) as data:
+        profiles = {name: data[name][1] for name in data.files}
+    assert len(profiles) == 10
+    for name, power in profiles.items():
+        detrended = _detrended(power, smoothed_envelope_db(power))
+        expected = find_peaks(detrended, prominence=DEFAULT_FRINGE_PROMINENCE_DB)[0]
+        actual = _prominent_peaks(detrended, DEFAULT_FRINGE_PROMINENCE_DB)
+        assert np.array_equal(actual, expected), name
 
 
 def test_analyze_requires_enough_samples():

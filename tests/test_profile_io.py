@@ -159,6 +159,24 @@ def test_json_read_bounds_the_power_like_the_csv_import(tmp_path):
     assert read_profile_json(path).power_db[7:9].tolist() == [-3000.0, -np.inf]
 
 
+def test_json_read_rejects_a_non_finite_position(tmp_path):
+    # json.loads reads Infinity and NaN. An infinite last position passed the
+    # strictly-increasing check and, at the loudest sample, gave analyze a
+    # peak_position_m of inf that no strict JSON writer accepts.
+    path = tmp_path / "far.json"
+    power = np.full(200, -60.0)
+    power[-1] = -50.0
+    export_profile(PowerProfile(np.arange(200) * 0.001, power, Band.GHZ28, "flat"), "json", path)
+    doc = json.loads(path.read_text())
+    for index, position in ((199, np.inf), (3, np.nan)):
+        positions = list(doc["positions_m"])
+        positions[index] = position
+        path.write_text(json.dumps({**doc, "positions_m": positions}))
+        with pytest.raises(ProfileFormatError,
+                           match=re.escape(f"{path}: positions_m[{index}]: position")):
+            read_profile_json(path)
+
+
 def test_import_requires_schema_columns(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,y\n0,1\n")
