@@ -15,7 +15,6 @@ from .metrics import (
     ProfileStats,
     analyze,
     compare,
-    flat_vs_convex_gap_db,
     smoothed_envelope_db,
 )
 from .profile_io import export_profile, import_measured, read_profile_json
@@ -55,7 +54,6 @@ __all__ = [
     "dump_config",
     "export_profile",
     "facetize_flat",
-    "flat_vs_convex_gap_db",
     "import_measured",
     "parse_config",
     "read_profile_json",

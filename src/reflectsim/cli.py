@@ -4,17 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import engine, metrics, scene
+from . import metrics
 from .antenna import Band, band_defaults
 from .config import ConfigError, ScenarioConfig, dump_config, parse_config
-from .engine import SumMode
 from .profile_io import ProfileFormatError, export_profile, import_measured
 from .runner import run_sweep
 
@@ -54,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--out", type=Path, help="write the JSON report here (default stdout)")
 
     sub.add_parser("bands", help="print per-band link defaults")
-
-    sub.add_parser("oracle", help="run independent brute-force cross-checks")
 
     return parser
 
@@ -136,71 +130,6 @@ def _cmd_bands(_args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _oracle_checks() -> list[tuple[str, bool, str]]:
-    """Independent closed-form cross-checks of the core geometry and link math."""
-    checks: list[tuple[str, bool, str]] = []
-
-    # Uniform 6x6 facet grid offsets across a 16-inch plate.
-    scn = ScenarioConfig(band=Band.GHZ28).to_scenario()
-    facets = scene.facetize_flat(scn.reflector, scn.geometry)
-    got = sorted({round(float(y), 12) for y in facets[:, 1]})
-    side = scene.REFLECTOR_SIDE_16IN_M
-    want = sorted(round(k * side / 12.0, 12) for k in (-5, -3, -1, 1, 3, 5))
-    checks.append(("facet_grid_offsets", got == want, f"{got} vs {want}"))
-
-    # Capture length from the HPBW cone at the nominal range.
-    l_ant = scene.capture_length_m(scn.rx_pattern, 2.5)
-    want_l = 2.0 * 2.5 * math.tan(math.radians(24.0) / 2.0)
-    checks.append(("capture_length_28ghz", abs(l_ant - want_l) < 1e-12,
-                   f"{l_ant:.6f} vs {want_l:.6f}"))
-
-    # Footprint attenuation from the closed-form ellipse.
-    a = scn.alpha
-    semi_az = 2.5 * math.tan(math.radians(12.0))
-    semi_el = 2.5 * math.tan(math.radians(13.0)) / math.cos(math.radians(30.0))
-    want_a = side * side * math.cos(math.radians(30.0)) / (math.pi * semi_az * semi_el)
-    checks.append(("alpha_flat_28ghz", abs(a - want_a) < 1e-12, f"{a:.6f} vs {want_a:.6f}"))
-
-    # Wavelengths straight from c/f.
-    for band, f_hz in ((Band.GHZ28, 28e9), (Band.GHZ39, 39e9), (Band.GHZ120, 120e9)):
-        lam = band_defaults(band).wavelength_m
-        want_lam = 299792458.0 / f_hz
-        checks.append((f"wavelength_{band.value}", abs(lam - want_lam) < 1e-15,
-                       f"{lam:.9f} vs {want_lam:.9f}"))
-
-    # Single-facet boresight link equals the analytic free-space budget.
-    single = ScenarioConfig(band=Band.GHZ28, facets_per_side=1, alpha_flat=1.0).to_scenario()
-    rx = scene.specular_point(single.geometry)
-    got_db = float(engine.flat_sweep_power(single, rx[None, :], SumMode.PHYSICAL)[0])
-    lam = single.wavelength_m
-    want_db = (single.tx_power_dbm + 2 * 17.0
-               + 20.0 * math.log10(lam / (4.0 * math.pi * 5.0)))
-    checks.append(("friis_single_facet", abs(got_db - want_db) < 1e-9,
-                   f"{got_db:.9f} vs {want_db:.9f} dBm"))
-
-    # Image-source path length through the reflector center.
-    d_spec = float(np.linalg.norm(single.geometry.tx_position)
-                   + np.linalg.norm(rx))
-    checks.append(("specular_path_length", abs(d_spec - 5.0) < 1e-9, f"{d_spec:.9f} vs 5.0"))
-
-    # Half-power definition of the pattern model.
-    p = band_defaults(Band.GHZ39).tx_pattern
-    drop = p.boresight_gain_dbi - float(p.gain_db(p.hpbw_az_deg / 2.0, 0.0))
-    checks.append(("hpbw_half_power", abs(drop - 3.0) < 1e-12, f"{drop:.6f} vs 3.0 dB"))
-
-    return checks
-
-
-def _cmd_oracle(_args: argparse.Namespace) -> int:
-    checks = _oracle_checks()
-    failed = 0
-    for name, ok, detail in checks:
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-        failed += 0 if ok else 1
-    print(f"{len(checks) - failed}/{len(checks)} oracle checks passed")
-    return EXIT_OK if failed == 0 else EXIT_RUNTIME
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -212,7 +141,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "simulate": _cmd_simulate,
         "compare": _cmd_compare,
         "bands": _cmd_bands,
-        "oracle": _cmd_oracle,
     }
     try:
         return handlers[args.command](args)

@@ -91,7 +91,6 @@ class ScenarioConfig:
     d_ref_m: Optional[float] = None
     alpha_flat: Optional[float] = None
     alpha_curved: Optional[float] = None
-    capture_distance_m: Optional[float] = None
     eh_swap: bool = False
     output_dir: str = "out"
     output_format: str = "csv"
@@ -177,8 +176,6 @@ class ScenarioConfig:
         """Measurement-style scenario with every `auto` default resolved."""
         geometry = self._geometry()
         link = band_defaults(self.band, eh_swap=self.eh_swap)
-        capture_distance_m = (geometry.rx_range_m if self.capture_distance_m is None
-                              else self.capture_distance_m)
         reflector: ReflectorSpec
         if self.reflector_kind == "flat":
             reflector = FlatReflectorSpec(
@@ -196,7 +193,7 @@ class ScenarioConfig:
                 section_height_m=(self.height_m / 16.0
                                   if self.section_height_m is None else self.section_height_m),
                 azimuth_ray_spacing_m=(
-                    capture_length_m(link.rx_pattern, capture_distance_m) / 32.0
+                    capture_length_m(link.rx_pattern, geometry.rx_range_m) / 32.0
                     if self.azimuth_ray_spacing_m is None else self.azimuth_ray_spacing_m),
                 reflection_efficiency=self.reflection_efficiency,
             )
@@ -223,7 +220,6 @@ class ScenarioConfig:
             wavelength_m=link.wavelength_m,
             d_ref_m=d_ref_m,
             alpha=alpha,
-            capture_distance_m=capture_distance_m,
             label=self.resolved_label(),
         )
 
@@ -287,7 +283,6 @@ _KEY_TABLE = {
     "engine.d_ref": ("d_ref_m", _parse_auto_length),
     "engine.alpha_flat": ("alpha_flat", _parse_auto_float),
     "engine.alpha_curved": ("alpha_curved", _parse_auto_float),
-    "engine.capture_distance": ("capture_distance_m", _parse_auto_length),
     "reflector.kind": ("reflector_kind", _choice("flat", "convex")),
     "reflector.width": ("width_m", _parse_length),
     "reflector.height": ("height_m", _parse_length),
@@ -319,7 +314,6 @@ _DEFAULTS = {field.name: field.default for field in dataclasses.fields(ScenarioC
 _FLAT_ONLY_KEYS = {"reflector.facets_per_side"}
 _CONVEX_ONLY_KEYS = {
     "engine.alpha_curved",
-    "engine.capture_distance",
     "reflector.radius_of_curvature",
     "reflector.section_height",
     "reflector.azimuth_ray_spacing",

@@ -209,8 +209,7 @@ def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode)
         return flat_sweep_power(_planar_limit_scenario(scenario), rx, mode)
     geom = scenario.geometry
     tx_boresight, rx_boresight = scenario.tx_boresight, scenario.rx_boresight
-    angles, intercepts = convex_captures(spec, geom, rx, scenario.rx_pattern,
-                                         scenario.capture_distance_m)
+    angles, intercepts = convex_captures(spec, geom, rx, scenario.rx_pattern)
     n_el, n_az = spec.n_height_sections, angles.shape[1]
 
     captured = ~np.isnan(angles)

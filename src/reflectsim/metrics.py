@@ -92,19 +92,18 @@ class ComparisonReport:
         return asdict(self)
 
 
-def smoothed_envelope_db(power_db: np.ndarray, window: int = DEFAULT_SMOOTHING_SAMPLES) -> np.ndarray:
-    """Centered moving average of the profile, taken over linear power.
+def smoothed_envelope_db(power_db: np.ndarray) -> np.ndarray:
+    """Centered DEFAULT_SMOOTHING_SAMPLES moving average of the profile, taken
+    over linear power.
 
     Averaging in the linear domain makes the envelope track the local mean
     power, so narrow interference nulls do not drag it down; -inf samples
     contribute zero power. Edges average over the available part of the
     window.
     """
-    if window < 1:
-        raise ValueError("smoothing window must be >= 1")
     pwr = np.asarray(power_db, dtype=float)
     linear = 10.0 ** (pwr / 10.0)
-    kernel = np.ones(min(window, pwr.size))
+    kernel = np.ones(min(DEFAULT_SMOOTHING_SAMPLES, pwr.size))
     sums = np.convolve(linear, kernel, mode="same")
     counts = np.convolve(np.ones_like(linear), kernel, mode="same")
     mean = sums / counts
@@ -249,13 +248,4 @@ def compare(sim: PowerProfile, measured: PowerProfile) -> ComparisonReport:
         sim_label=sim.label,
         measured_label=measured.label,
     )
-
-
-def flat_vs_convex_gap_db(flat: ProfileStats, convex: ProfileStats) -> float:
-    """Peak-power advantage of the flat reflector over the convex one (dB).
-
-    Both stats must come from the same band; only within-band differences
-    are meaningful since absolute levels sit on an uncalibrated scale.
-    """
-    return flat.peak_db - convex.peak_db
 

@@ -123,26 +123,40 @@ def import_measured(path: Union[str, Path], band: Band) -> PowerProfile:
 def read_profile_json(path: Union[str, Path]) -> PowerProfile:
     """Read a profile previously exported as JSON; null powers read as -inf.
 
-    Positions must be finite and powers are held to the same bound, as in
-    `import_measured`.
+    Positions must be finite and strictly increasing and powers are held to
+    the same bound, as in `import_measured`. Every malformed document raises
+    a ProfileFormatError naming the file.
     """
     path = Path(path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
     try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
         meta = doc["meta"]
         positions = np.array(doc["positions_m"], dtype=float)
         powers = np.array([-np.inf if p is None else p for p in doc["power_db"]], dtype=float)
         band = Band.parse(meta["band"])
         kind = meta["kind"]
         label = meta.get("label", path.stem)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers text that is not UTF-8 JSON, ragged or non-numeric
+        # arrays and an unknown band.
         raise ProfileFormatError(f"{path}: missing or malformed field: {exc}") from None
-    for index, position in enumerate(np.ravel(positions).tolist()):
+    if positions.ndim != 1 or powers.ndim != 1:
+        raise ProfileFormatError(f"{path}: positions_m and power_db must be lists of numbers")
+    if positions.size != powers.size:
+        raise ProfileFormatError(f"{path}: positions_m has {positions.size} entries, "
+                                 f"power_db {powers.size}")
+    if positions.size == 0:
+        raise ProfileFormatError(f"{path}: no positions")
+    values = positions.tolist()
+    for index, position in enumerate(values):
         if not math.isfinite(position):
             raise ProfileFormatError(
                 f"{path}: positions_m[{index}]: position must be finite, got {position!r}"
             )
-    for index, power in enumerate(np.ravel(powers).tolist()):
+        if index and position <= values[index - 1]:
+            raise ProfileFormatError(
+                f"{path}: positions_m[{index}]: positions must be strictly increasing"
+            )
+    for index, power in enumerate(powers.tolist()):
         _check_power(power, path, f"power_db[{index}]")
     return PowerProfile(positions, powers, band, kind, label)
-

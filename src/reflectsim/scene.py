@@ -29,12 +29,9 @@ class GeometryError(ValueError):
     """Raised for degenerate or inconsistent scene geometry."""
 
 
-def vec3(x, y=None, z=None) -> np.ndarray:
-    """Build a finite 3-vector from components or any length-3 sequence."""
-    if y is None and z is None:
-        arr = np.asarray(x, dtype=float).reshape(3).copy()
-    else:
-        arr = np.array([x, y, z], dtype=float)
+def vec3(v) -> np.ndarray:
+    """Build a finite 3-vector from any length-3 sequence."""
+    arr = np.asarray(v, dtype=float).reshape(3).copy()
     if not np.all(np.isfinite(arr)):
         raise GeometryError(f"vector components must be finite, got {arr}")
     return arr
@@ -190,7 +187,6 @@ class Scenario:
     wavelength_m: float
     d_ref_m: float             # phase-reference path length
     alpha: float               # attenuation factor applied to every ray
-    capture_distance_m: float  # range that sizes the convex RX capture segment
     label: str
 
     @property
@@ -248,14 +244,14 @@ def convex_captures(
     geom: ScenarioGeometry,
     rx_points: np.ndarray,
     pattern: AntennaPattern,
-    capture_distance_m: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Find, at each RX point, the arc launch angles whose reflections it captures.
 
     The capture segment of an RX point is horizontal, perpendicular to its
     sight line toward the reflector center, centered on it, and
-    2*d*tan(HPBW_az/2) long. `n_az` target intercepts are spaced
-    `azimuth_ray_spacing_m` apart across it. All RX points are checked first.
+    2*d*tan(HPBW_az/2) long at the sweep's range d = `geom.rx_range_m`.
+    `n_az` target intercepts are spaced `azimuth_ray_spacing_m` apart across
+    it. All RX points are checked first.
     The specular rays off the arc are traced once, in the horizontal plane
     (the cylinder axis is vertical, so every height section shares the
     azimuth solution); only their crossings with each capture line depend on
@@ -298,7 +294,7 @@ def convex_captures(
     d_out = d_in - 2.0 * np.sum(d_in * normals, axis=1, keepdims=True) * normals
 
     gamma = spec.azimuth_ray_spacing_m
-    n_az = math.ceil(capture_length_m(pattern, capture_distance_m) / gamma - 1e-12)
+    n_az = math.ceil(capture_length_m(pattern, geom.rx_range_m) / gamma - 1e-12)
     targets = (np.arange(n_az) - (n_az - 1) / 2.0) * gamma
     px, py = points.T.copy()
     dx, dy = d_out.T.copy()

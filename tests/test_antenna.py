@@ -18,6 +18,11 @@ def test_half_power_at_half_beamwidth():
     # 3 dB down at hpbw/2 in each plane, by definition of the beamwidth
     assert_allclose(PATTERN_28.gain_db(12.0, 0.0), 14.0, atol=1e-12)
     assert_allclose(PATTERN_28.gain_db(0.0, 13.0), 14.0, atol=1e-12)
+    for band in Band:
+        for p in (band_defaults(band).tx_pattern, band_defaults(band).rx_pattern):
+            peak = p.boresight_gain_dbi
+            assert_allclose(p.gain_db(p.hpbw_az_deg / 2.0, 0.0), peak - 3.0, atol=1e-12)
+            assert_allclose(p.gain_db(0.0, p.hpbw_el_deg / 2.0), peak - 3.0, atol=1e-12)
 
 
 def test_sidelobe_floor_clamps_wide_angles():

@@ -268,10 +268,3 @@ def test_bands_lists_all_three(capsys):
     out = capsys.readouterr().out
     for token in ("28ghz", "39ghz", "120ghz"):
         assert token in out
-
-
-def test_oracle_checks_pass(capsys):
-    assert main(["oracle"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert "oracle checks passed" in out

@@ -92,6 +92,15 @@ def test_unknown_key_reports_line():
         parse_config("band = 28\n\nreflector.witdh = 16in\n")
 
 
+def test_capture_distance_is_not_a_key():
+    # The convex capture segment is sized at the RX range; no key sets it.
+    text = ("band = 28\nreflector.kind = convex\nreflector.radius_of_curvature = 0.5\n"
+            "engine.capture_distance = 2.5\n")
+    with pytest.raises(ConfigError, match="unknown key") as info:
+        parse_config(text)
+    assert (info.value.key, info.value.line) == ("engine.capture_distance", 4)
+
+
 def test_syntax_error_reports_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("band = 28\nnot a key value pair\n")
@@ -119,9 +128,9 @@ def test_convex_only_key_rejected_for_flat():
         parse_config("band = 28\nreflector.radius_of_curvature = 0.5\n")
 
 
-@pytest.mark.parametrize("line", ["engine.alpha_curved = 0.01", "engine.capture_distance = 99"])
+@pytest.mark.parametrize("line", ["engine.alpha_curved = 0.01"])
 def test_convex_engine_key_rejected_for_flat(line, tmp_path, capsys):
-    # A flat run has no curved factor and no capture segment to size.
+    # A flat run has no curved factor.
     key = line.split(" = ")[0]
     text = f"band = 28\n{line}\n"
     with pytest.raises(ConfigError, match="only valid for convex reflectors") as info:
@@ -136,7 +145,6 @@ def test_convex_engine_key_rejected_for_flat(line, tmp_path, capsys):
 
 @pytest.mark.parametrize("field, key", [
     ("alpha_curved", "engine.alpha_curved"),
-    ("capture_distance_m", "engine.capture_distance"),
     ("radius_of_curvature_m", "reflector.radius_of_curvature"),
     ("section_height_m", "reflector.section_height"),
     ("azimuth_ray_spacing_m", "reflector.azimuth_ray_spacing"),
@@ -258,12 +266,10 @@ def test_scenario_wiring_of_convex_engine_overrides():
         "reflector.radius_of_curvature = 0.5\n"
         "engine.d_ref = 12.5\n"
         "engine.alpha_curved = 0.07\n"
-        "engine.capture_distance = 4.0\n"
     )
     scn = parse_config(text).to_scenario()
     assert scn.d_ref_m == 12.5
     assert scn.alpha == 0.07
-    assert scn.capture_distance_m == 4.0
 
 
 def test_auto_values_accepted():
@@ -314,7 +320,6 @@ OUT_OF_RANGE = [
     ("engine.alpha_flat", "2"),
     ("engine.alpha_curved", "0"),
     ("engine.alpha_curved", "1.5"),
-    ("engine.capture_distance", "0"),
 ]
 
 
@@ -387,7 +392,7 @@ def test_configs_built_in_code_are_checked_too():
 def test_length_keys_share_one_range():
     lo, hi = config_module._MIN_LENGTH_M, config_module._MAX_LENGTH_M
     assert config_module._LENGTH_KEYS == {
-        "engine.d_ref", "engine.capture_distance", "reflector.width", "reflector.height",
+        "engine.d_ref", "reflector.width", "reflector.height",
         "reflector.section_height", "reflector.azimuth_ray_spacing", "geometry.tx_range",
         "geometry.rx_range", "geometry.sweep_length", "geometry.sweep_offset"}
     convex = dict(reflector_kind="convex", radius_of_curvature_m=0.5)
@@ -407,11 +412,9 @@ def test_length_keys_share_one_range():
     ScenarioConfig(band=Band.GHZ28, width_m=hi, tx_range_m=lo, d_ref_m=hi, sweep_length_m=lo,
                    sweep_offset_m=-lo)
     ScenarioConfig(band=Band.GHZ28, reflector_kind="convex", width_m=lo, radius_of_curvature_m=lo,
-                   section_height_m=lo, azimuth_ray_spacing_m=hi, capture_distance_m=lo,
-                   rx_range_m=hi)
+                   section_height_m=lo, azimuth_ray_spacing_m=hi, rx_range_m=hi)
     ScenarioConfig(band=Band.GHZ28, reflector_kind="convex", radius_of_curvature_m=0.5,
-                   height_m=hi, section_height_m=hi, azimuth_ray_spacing_m=lo,
-                   capture_distance_m=hi)
+                   height_m=hi, section_height_m=hi, azimuth_ray_spacing_m=lo)
     # The radius only has to exceed half the chord; far past the planar-limit
     # flag it still runs clean.
     with warnings.catch_warnings():
@@ -443,13 +446,12 @@ def test_every_auto_value_is_resolved_to_its_closed_form(band, kind):
     g = scn.geometry
     assert isinstance(scn.d_ref_m, float)
     assert abs(scn.d_ref_m - 5.0) < 1e-12  # 2.5 m out to the plate and 2.5 m back
-    assert scn.capture_distance_m == g.rx_range_m
-    assert abs(scn.capture_distance_m - 2.5) < 1e-12
+    assert abs(g.rx_range_m - 2.5) < 1e-12
     flat = alpha_flat(g, scn.tx_pattern, scn.reflector)
     if cfg.reflector_kind == "flat":
         assert scn.alpha == flat
         return
-    d = scn.capture_distance_m
+    d = g.rx_range_m
     hpbw = math.radians(scn.rx_pattern.hpbw_az_deg)
     assert_allclose(scn.reflector.azimuth_ray_spacing_m, 2.0 * d * math.tan(hpbw / 2.0) / 32.0,
                     rtol=1e-12)
@@ -474,13 +476,12 @@ def test_each_set_value_wins_over_its_default(kind):
 
 def test_each_set_convex_value_wins_over_its_default():
     base = dict(band=Band.GHZ39, reflector_kind="convex", radius_of_curvature_m=0.5)
-    scn = ScenarioConfig(capture_distance_m=4.0, **base).to_scenario()
-    assert scn.capture_distance_m == 4.0
-    # The auto spacing follows the set capture distance.
+    scn = ScenarioConfig(rx_range_m=4.0, **base).to_scenario()
+    # The auto spacing follows the RX range.
     hpbw = math.radians(scn.rx_pattern.hpbw_az_deg)
     assert_allclose(scn.reflector.azimuth_ray_spacing_m, 2.0 * 4.0 * math.tan(hpbw / 2.0) / 32.0,
                     rtol=1e-12)
-    scn = ScenarioConfig(capture_distance_m=4.0, azimuth_ray_spacing_m=0.03, **base).to_scenario()
+    scn = ScenarioConfig(rx_range_m=4.0, azimuth_ray_spacing_m=0.03, **base).to_scenario()
     assert scn.reflector.azimuth_ray_spacing_m == 0.03
     scn = ScenarioConfig(section_height_m=0.05, **base).to_scenario()
     assert scn.reflector.section_height_m == 0.05
@@ -511,7 +512,6 @@ _VALUES = {
     "engine.d_ref": (_auto_or(_number(0.5, 20.0)), ["0", "-1", "nan"]),
     "engine.alpha_flat": (_auto_or(_number(0.01, 1.0)), ["0", "1.5"]),
     "engine.alpha_curved": (_auto_or(_number(0.01, 1.0)), ["0", "-0.2", "1.01"]),
-    "engine.capture_distance": (_auto_or(_number(0.1, 5.0)), ["0", "-1"]),
     "reflector.width": (_number(0.05, 1.0), ["0", "-0.1", "inf"]),
     "reflector.height": (_number(0.05, 1.0), ["0", "-1"]),
     "reflector.facets_per_side": (_auto_or(st.integers(1, 8).map(str)), ["0", "-1", "2.5"]),
@@ -537,7 +537,6 @@ _VALUES = {
 # The spacings themselves are never spread.
 _SPREAD = {
     "engine.d_ref": None,
-    "engine.capture_distance": "reflector.azimuth_ray_spacing",
     "reflector.width": None,
     "reflector.height": "reflector.section_height",
     "reflector.radius_of_curvature": None,
@@ -618,7 +617,6 @@ _FIELD_VALUES = {
     "d_ref_m": st.one_of(st.none(), _any_float()),
     "alpha_flat": st.one_of(st.none(), _any_float()),
     "alpha_curved": st.one_of(st.none(), _any_float()),
-    "capture_distance_m": st.one_of(st.none(), _any_float()),
     "eh_swap": st.booleans(),
     "output_dir": st.one_of(st.sampled_from(["runs/a b", "", "a#b", "out "]), st.text(max_size=8)),
     "output_format": st.sampled_from(["csv", "json", "xml"]),

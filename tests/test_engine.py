@@ -287,8 +287,7 @@ def test_convex_sweep_does_not_depend_on_blocking(mode, monkeypatch):
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
                          sweep_offset_m=5.0).to_scenario()
     rx = scn.geometry.rx_positions()[::9]
-    angles, _ = convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern,
-                                scn.capture_distance_m)
+    angles, _ = convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern)
     counts = np.count_nonzero(~np.isnan(angles), axis=1)
     n_el = scn.reflector.n_height_sections
     groups = {int(k): np.count_nonzero(counts == k) for k in np.unique(counts[counts > 0])}
@@ -301,8 +300,8 @@ def test_convex_sweep_does_not_depend_on_blocking(mode, monkeypatch):
                 for i in range(0, counts.size, scene._CAPTURE_BLOCK)]
     assert any(0 < n < scene._CAPTURE_BLOCK for n in captured)
 
-    one_by_one = [convex_captures(scn.reflector, scn.geometry, point[None, :], scn.rx_pattern,
-                                  scn.capture_distance_m)[0][0] for point in rx]
+    one_by_one = [convex_captures(scn.reflector, scn.geometry, point[None, :],
+                                  scn.rx_pattern)[0][0] for point in rx]
     assert np.array_equal(angles, one_by_one, equal_nan=True)
 
     swept = convex_sweep_power(scn, rx, mode)

@@ -15,7 +15,6 @@ from reflectsim.metrics import (
     _prominent_peaks,
     analyze,
     compare,
-    flat_vs_convex_gap_db,
     smoothed_envelope_db,
 )
 
@@ -146,14 +145,14 @@ def test_smoothed_envelope_tracks_mean_power():
     # Deep dB nulls carry almost no linear power, so they barely move the envelope.
     power = np.full(301, -60.0)
     power[150] = -110.0
-    env = smoothed_envelope_db(power, window=51)
+    env = smoothed_envelope_db(power)
     assert env[150] > -61.0
 
 
 def test_envelope_handles_minus_inf():
     power = np.full(301, -60.0)
     power[10] = -np.inf
-    env = smoothed_envelope_db(power, window=51)
+    env = smoothed_envelope_db(power)
     assert np.all(np.isfinite(env))
 
 
@@ -250,7 +249,7 @@ def test_report_serialization_round_trip():
 def test_flat_vs_convex_gap_measured_values(flat_peak, convex_peak, gap):
     flat = analyze(make_profile(np.full(200, flat_peak)))
     convex = analyze(make_profile(np.full(200, convex_peak)))
-    assert_allclose(flat_vs_convex_gap_db(flat, convex), gap, atol=1e-9)
+    assert_allclose(flat.peak_db - convex.peak_db, gap, atol=1e-9)
 
 
 def test_profile_validation():

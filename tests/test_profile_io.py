@@ -196,3 +196,46 @@ def test_import_tags_the_callers_band(tmp_path):
     path = tmp_path / "sweep_120ghz_convex.csv"
     path.write_text("position_m,power_db\n0.0,-54.0\n0.001,-55.0\n")
     assert import_measured(path, Band.GHZ39).band is Band.GHZ39
+
+
+# (name, edit of a valid 5-sample JSON document or replacement text, message
+# after the file name): every malformed document is a ProfileFormatError
+# that names the file, where PowerProfile, numpy, Band.parse or json.loads
+# used to raise a bare ValueError.
+MALFORMED_JSON = [
+    ("reversed", lambda d: {**d, "positions_m": d["positions_m"][::-1]},
+     "positions_m[1]: positions must be strictly increasing"),
+    ("repeated", lambda d: {**d, "positions_m": [0.0, 0.001, 0.002, 0.002, 0.004]},
+     "positions_m[3]: positions must be strictly increasing"),
+    ("unequal", lambda d: {**d, "power_db": d["power_db"][:4]},
+     "positions_m has 5 entries, power_db 4"),
+    ("empty", lambda d: {**d, "positions_m": [], "power_db": []}, "no positions"),
+    ("ragged", lambda d: {**d, "positions_m": [[0.0, 0.001], [0.002]]},
+     "missing or malformed field"),
+    ("nested", lambda d: {**d, "positions_m": [[0.0], [0.001], [0.002], [0.003], [0.004]]},
+     "positions_m and power_db must be lists of numbers"),
+    ("non-numeric position", lambda d: {**d, "positions_m": ["a"] * 5},
+     "missing or malformed field"),
+    ("non-numeric power", lambda d: {**d, "power_db": ["loud"] * 5},
+     "missing or malformed field"),
+    ("unknown band", lambda d: {**d, "meta": {**d["meta"], "band": "60"}},
+     "missing or malformed field: unknown band '60'"),
+    ("not JSON", "position_m,power_db\n0.0,-60.0\n", "missing or malformed field"),
+    ("not UTF-8", b"\xff\xfe{}", "missing or malformed field"),
+]
+
+
+@pytest.mark.parametrize("edit, message", [case[1:] for case in MALFORMED_JSON],
+                         ids=[case[0] for case in MALFORMED_JSON])
+def test_json_read_names_the_file_for_every_malformed_document(tmp_path, edit, message):
+    path = tmp_path / "bad.json"
+    profile = PowerProfile(np.arange(5) * 0.001, np.full(5, -60.0), Band.GHZ28, "flat")
+    export_profile(profile, "json", path)
+    if isinstance(edit, bytes):
+        path.write_bytes(edit)
+    elif isinstance(edit, str):
+        path.write_text(edit)
+    else:
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ProfileFormatError, match=re.escape(f"{path}: {message}")):
+        read_profile_json(path)

@@ -124,7 +124,7 @@ def _capture_and_paths(scn, rx):
     (one row of each path array, or None when nothing is captured) of a convex
     scenario at one RX."""
     (angles,), (intercepts,) = convex_captures(
-        scn.reflector, scn.geometry, rx[None, :], scn.rx_pattern, 2.5)
+        scn.reflector, scn.geometry, rx[None, :], scn.rx_pattern)
     n_az = angles.size
     captured = ~np.isnan(angles)
     angles, intercepts = angles[captured], intercepts[captured]
@@ -152,7 +152,7 @@ def test_section_convex_default_counts():
     assert n_az == 32
     assert angles.size == 32
     _, (intercepts,) = convex_captures(scn.reflector, scn.geometry, rx[None, :],
-                                       scn.rx_pattern, 2.5)
+                                       scn.rx_pattern)
     gamma = scn.reflector.azimuth_ray_spacing_m
     offsets = np.linalg.norm(intercepts - rx[:2], axis=1)
     assert_allclose(offsets, np.abs(np.arange(32) - 15.5) * gamma, rtol=1e-12)
@@ -217,17 +217,18 @@ def test_section_convex_rejects_rx_behind_reflector():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
     behind = -1.0 * scn.geometry.reflector_normal
     with pytest.raises(GeometryError):
-        convex_captures(scn.reflector, scn.geometry, behind[None, :], scn.rx_pattern, 2.5)
+        convex_captures(scn.reflector, scn.geometry, behind[None, :], scn.rx_pattern)
     # One bad position in a sweep rejects the whole sweep.
     rx = np.vstack([specular_point(scn.geometry), behind])
     with pytest.raises(GeometryError):
-        convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern, 2.5)
+        convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern)
 
 
 def _captures_at(radius_m, tx, rx, *more_rx):
     """`convex_captures` at one RX, followed by `more_rx`, for a 16-section,
     16-inch plate facing +x at the origin, with 3.31 cm ray spacing, the
-    28 GHz RX pattern and a 2.5 m capture distance. Returns the targets, the
+    28 GHz RX pattern and a sweep midpoint 2.5 m out, which sizes the capture
+    segments. Returns the targets, the
     capture-line origin and direction, and the captured arc angles and their
     intercepts at the first RX."""
     spec = ConvexReflectorSpec(chord_width_m=SIDE, height_m=SIDE, radius_of_curvature_m=radius_m,
@@ -236,9 +237,10 @@ def _captures_at(radius_m, tx, rx, *more_rx):
     rx = np.asarray(rx)
     geom = ScenarioGeometry(tx_position=tx, reflector_center=np.zeros(3),
                             reflector_normal=[1.0, 0.0, 0.0], incidence_angle_deg=30.0,
-                            sweep_start=rx, sweep_end=rx + [0.0, 1.0, 0.0], n_rx_positions=2)
+                            sweep_start=[2.5, -0.5, 0.0], sweep_end=[2.5, 0.5, 0.0],
+                            n_rx_positions=2)
     (angles, *_), (intercepts, *_) = convex_captures(
-        spec, geom, np.array([rx, *more_rx]), band_defaults(Band.GHZ28).rx_pattern, 2.5)
+        spec, geom, np.array([rx, *more_rx]), band_defaults(Band.GHZ28).rx_pattern)
     n_az = angles.size
     targets = (np.arange(n_az) - (n_az - 1) / 2.0) * spec.azimuth_ray_spacing_m
     line = np.array([rx[1], -rx[0]]) / np.linalg.norm(rx[:2])
@@ -439,7 +441,7 @@ def test_reflector_spec_validation():
 
 def test_vec3_rejects_non_finite():
     with pytest.raises(GeometryError):
-        vec3(1.0, float("nan"), 0.0)
+        vec3([1.0, float("nan"), 0.0])
 
 
 def test_default_scenario_unknown_inputs():
