@@ -105,15 +105,11 @@ _BAND_TABLE = {
 }
 
 
-def band_defaults(band: Band, eh_swap: bool = False) -> BandDefaults:
-    """Default link parameters for a band.
-
-    The horizontal sweep geometry maps the H-plane to azimuth and the E-plane
-    to elevation; `eh_swap` flips that convention.
-    """
+def band_defaults(band: Band) -> BandDefaults:
+    """Default link parameters for a band. The horizontal sweep geometry maps
+    the H-plane to azimuth and the E-plane to elevation."""
     if band not in _BAND_TABLE:
         raise ValueError(f"unknown band {band!r}")
     gain_dbi, hpbw_h, hpbw_e, tx_power_dbm = _BAND_TABLE[band]
-    az, el = (hpbw_e, hpbw_h) if eh_swap else (hpbw_h, hpbw_e)
-    pattern = AntennaPattern(gain_dbi, hpbw_az_deg=az, hpbw_el_deg=el)
+    pattern = AntennaPattern(gain_dbi, hpbw_az_deg=hpbw_h, hpbw_el_deg=hpbw_e)
     return BandDefaults(pattern, pattern, tx_power_dbm, band.wavelength_m)

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .antenna import Band, band_defaults
-from .engine import SumMode, alpha_curved, alpha_flat
+from .engine import SumMode, alpha_curved, alpha_flat, rays_per_position
 from .scene import (
     INCH_M,
     REFLECTOR_SIDE_16IN_M,
@@ -39,6 +41,10 @@ _DEFAULT_FACETS_PER_SIDE = {Band.GHZ28: 6, Band.GHZ39: 6, Band.GHZ120: 16}
 # at 4097 points across the chord, far from float underflow and rounding.
 _MIN_LENGTH_M = 1e-6
 _MAX_LENGTH_M = 1e9
+
+# Rays summed per RX position (256^2 flat facets): a flat sweep block of 200
+# positions holds (200, rays) float arrays, about 1.3 GB at this bound.
+_MAX_RAYS_PER_POSITION = 65536
 
 
 class ConfigError(ValueError):
@@ -88,10 +94,6 @@ class ScenarioConfig:
     sweep_length_m: float = 1.8
     n_positions: int = 1800
     sweep_offset_m: float = 0.0
-    d_ref_m: Optional[float] = None
-    alpha_flat: Optional[float] = None
-    alpha_curved: Optional[float] = None
-    eh_swap: bool = False
     output_dir: str = "out"
     output_format: str = "csv"
     label: str = ""
@@ -100,7 +102,17 @@ class ScenarioConfig:
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             key = _FIELD_KEYS.get(field.name)
-            if isinstance(value, float):
+            if key in _NUMBER_KEYS and value is not None:
+                integral = key in _INT_KEYS
+                # A bool is an int, but no document can write one.
+                _check(isinstance(value, numbers.Integral if integral else numbers.Real)
+                       and not isinstance(value, bool), key,
+                       "must be an integer" if integral else "must be a number")
+                if integral:
+                    continue
+                # Stored as a float, so that it dumps as one.
+                value = float(value) if abs(value) <= sys.float_info.max else math.inf
+                object.__setattr__(self, field.name, value)
                 _check(math.isfinite(value), key, "must be a finite number")
                 if key == "geometry.sweep_offset":
                     _check(abs(value) <= _MAX_LENGTH_M, key,
@@ -139,30 +151,37 @@ class ScenarioConfig:
                    "reflector.section_height", "must be in (0, height] or 'auto'")
         _check(0.0 <= self.incidence_deg < 90.0, "geometry.incidence_deg", "must be in [0, 90)")
         _check(self.n_positions >= 2, "geometry.n_positions", "must be >= 2")
-        geometry = self._geometry()
-        near_x = min(geometry.sweep_start[0], geometry.sweep_end[0])
+        scenario = self.to_scenario()
+        near_x = min(scenario.geometry.sweep_start[0], scenario.geometry.sweep_end[0])
         _check(near_x > 0, "geometry.rx_range",
                f"the RX sweep reaches x = {near_x:.4f} m; every RX position must be "
                "in front of the reflector plane (x > 0)")
-        for key, value in (("engine.alpha_flat", self.alpha_flat),
-                           ("engine.alpha_curved", self.alpha_curved)):
-            _check(value is None or 0.0 < value <= 1.0, key, "must be in (0, 1] or 'auto'")
+        rays = rays_per_position(scenario)
+        key = ("reflector.facets_per_side" if self.reflector_kind == "flat"
+               else "reflector.azimuth_ray_spacing" if self.section_height_m is None
+               else "reflector.section_height")
+        _check(rays <= _MAX_RAYS_PER_POSITION, key,
+               f"gives {rays} rays per RX position; at most {_MAX_RAYS_PER_POSITION}")
 
     def resolved_label(self) -> str:
         return self.label or f"{self.band.value}_{self.reflector_kind}"
 
-    def _geometry(self) -> ScenarioGeometry:
-        """Reflector at the origin facing +x, the TX at `tx_range_m` along a
-        direction `incidence_deg` off the normal, and the RX sweep centered on
-        the specular point at `rx_range_m` (shifted by `sweep_offset_m`),
-        perpendicular to the specular direction in the horizontal plane."""
+    def to_scenario(self) -> Scenario:
+        """Measurement-style scenario with every `auto` default resolved.
+
+        The reflector sits at the origin facing +x, the TX at `tx_range_m`
+        along a direction `incidence_deg` off the normal, and the RX sweep is
+        centered on the specular point at `rx_range_m` (shifted by
+        `sweep_offset_m`), perpendicular to the specular direction in the
+        horizontal plane.
+        """
         inc = math.radians(self.incidence_deg)
         mirror_dir = np.array([math.cos(inc), -math.sin(inc), 0.0])
         sweep_axis = np.array([math.sin(inc), math.cos(inc), 0.0])
         sweep_center = self.rx_range_m * mirror_dir + self.sweep_offset_m * sweep_axis
         sweep_start = sweep_center - 0.5 * self.sweep_length_m * sweep_axis
         sweep_end = sweep_center + 0.5 * self.sweep_length_m * sweep_axis
-        return ScenarioGeometry(
+        geometry = ScenarioGeometry(
             tx_position=self.tx_range_m * np.array([math.cos(inc), math.sin(inc), 0.0]),
             reflector_center=np.zeros(3),
             reflector_normal=np.array([1.0, 0.0, 0.0]),
@@ -171,11 +190,7 @@ class ScenarioConfig:
             sweep_end=sweep_end,
             n_rx_positions=self.n_positions,
         )
-
-    def to_scenario(self) -> Scenario:
-        """Measurement-style scenario with every `auto` default resolved."""
-        geometry = self._geometry()
-        link = band_defaults(self.band, eh_swap=self.eh_swap)
+        link = band_defaults(self.band)
         reflector: ReflectorSpec
         if self.reflector_kind == "flat":
             reflector = FlatReflectorSpec(
@@ -198,18 +213,12 @@ class ScenarioConfig:
                 reflection_efficiency=self.reflection_efficiency,
             )
 
-        if self.reflector_kind == "convex" and self.alpha_curved is not None:
-            alpha = self.alpha_curved
-        else:
-            alpha = (alpha_flat(geometry, link.tx_pattern, reflector)
-                     if self.alpha_flat is None else self.alpha_flat)
-            if self.reflector_kind == "convex":
-                # The flat factor, set or derived, scaled by R/(R + 2d).
-                alpha = alpha_curved(alpha, reflector, geometry)
-        d_ref_m = self.d_ref_m
-        if d_ref_m is None:  # TX -> reflector center -> sweep midpoint
-            d_ref_m = (float(np.linalg.norm(geometry.tx_position - geometry.reflector_center))
-                       + geometry.rx_range_m)
+        alpha = alpha_flat(geometry, link.tx_pattern, reflector)
+        if self.reflector_kind == "convex":
+            alpha = alpha_curved(alpha, reflector, geometry)
+        # Phase reference: TX -> reflector center -> sweep midpoint.
+        d_ref_m = (float(np.linalg.norm(geometry.tx_position - geometry.reflector_center))
+                   + geometry.rx_range_m)
         return Scenario(
             band=self.band,
             geometry=geometry,
@@ -253,17 +262,7 @@ def _auto(parse):
     return parse_auto
 
 
-_parse_auto_float = _auto(_parse_float)
 _parse_auto_length = _auto(_parse_length)
-
-
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "yes", "1"):
-        return True
-    if t in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected true/false, got {text!r}")
 
 
 def _choice(*options: str):
@@ -280,9 +279,6 @@ def _choice(*options: str):
 _KEY_TABLE = {
     "band": ("band", Band.parse),
     "engine.mode": ("mode", SumMode.parse),
-    "engine.d_ref": ("d_ref_m", _parse_auto_length),
-    "engine.alpha_flat": ("alpha_flat", _parse_auto_float),
-    "engine.alpha_curved": ("alpha_curved", _parse_auto_float),
     "reflector.kind": ("reflector_kind", _choice("flat", "convex")),
     "reflector.width": ("width_m", _parse_length),
     "reflector.height": ("height_m", _parse_length),
@@ -297,13 +293,15 @@ _KEY_TABLE = {
     "geometry.sweep_length": ("sweep_length_m", _parse_length),
     "geometry.n_positions": ("n_positions", _parse_int),
     "geometry.sweep_offset": ("sweep_offset_m", _parse_length),
-    "antenna.eh_swap": ("eh_swap", _parse_bool),
     "output.dir": ("output_dir", str),
     "output.format": ("output_format", _choice("csv", "json")),
     "output.label": ("label", str),
 }
 
 _FIELD_KEYS = {field_name: key for key, (field_name, _) in _KEY_TABLE.items()}
+_INT_KEYS = {"reflector.facets_per_side", "geometry.n_positions"}
+_NUMBER_KEYS = _INT_KEYS | {key for key, (_, parse) in _KEY_TABLE.items()
+                            if parse in (_parse_float, _parse_length, _parse_auto_length)}
 # Keys held to the length range. The curvature radius only has to exceed half
 # the chord: at or above the planar-limit flag it enters nothing but R/(R + 2d).
 _LENGTH_KEYS = {key for key, (_, parse) in _KEY_TABLE.items()
@@ -312,12 +310,8 @@ _LENGTH_KEYS = {key for key, (_, parse) in _KEY_TABLE.items()
 _DEFAULTS = {field.name: field.default for field in dataclasses.fields(ScenarioConfig)}
 
 _FLAT_ONLY_KEYS = {"reflector.facets_per_side"}
-_CONVEX_ONLY_KEYS = {
-    "engine.alpha_curved",
-    "reflector.radius_of_curvature",
-    "reflector.section_height",
-    "reflector.azimuth_ray_spacing",
-}
+_CONVEX_ONLY_KEYS = {"reflector.radius_of_curvature", "reflector.section_height",
+                     "reflector.azimuth_ray_spacing"}
 # Keys that place the RX sweep together.
 _SWEEP_KEYS = ("geometry.rx_range", "geometry.incidence_deg",
                "geometry.sweep_length", "geometry.sweep_offset")
@@ -385,18 +379,6 @@ def parse_config(text: str, overrides: Optional[Mapping[str, str]] = None) -> Sc
         raise ConfigError(exc.message, key=key, line=seen.get(key)) from None
 
 
-def _format_value(value: object) -> str:
-    if value is None:
-        return "auto"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (Band, SumMode)):
-        return value.value
-    return str(value)
-
-
 def dump_config(config: ScenarioConfig) -> str:
     """Canonical text form; parses back to an equal config."""
     skip = _CONVEX_ONLY_KEYS if config.reflector_kind == "flat" else _FLAT_ONLY_KEYS
@@ -408,5 +390,6 @@ def dump_config(config: ScenarioConfig) -> str:
         value = getattr(config, field_name)
         if key == "output.label" and value == "":
             continue
-        lines.append(f"{key} = {_format_value(value)}")
+        # str() of a float is its repr, and of a Band or SumMode its value.
+        lines.append(f"{key} = {'auto' if value is None else str(value)}")
     return "\n".join(lines) + "\n"

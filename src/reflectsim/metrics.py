@@ -97,16 +97,16 @@ def smoothed_envelope_db(power_db: np.ndarray) -> np.ndarray:
     over linear power.
 
     Averaging in the linear domain makes the envelope track the local mean
-    power, so narrow interference nulls do not drag it down; -inf samples
-    contribute zero power. Edges average over the available part of the
-    window.
+    power, so narrow interference nulls do not drag it down. A window
+    averages its finite samples only (at the edges, those inside the
+    array), and gives -inf if it has none.
     """
     pwr = np.asarray(power_db, dtype=float)
     linear = 10.0 ** (pwr / 10.0)
     kernel = np.ones(min(DEFAULT_SMOOTHING_SAMPLES, pwr.size))
     sums = np.convolve(linear, kernel, mode="same")
-    counts = np.convolve(np.ones_like(linear), kernel, mode="same")
-    mean = sums / counts
+    counts = np.convolve(np.isfinite(pwr).astype(float), kernel, mode="same")
+    mean = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0.0)
     out = np.full(mean.shape, -np.inf)
     nz = mean > 0.0
     out[nz] = 10.0 * np.log10(mean[nz])

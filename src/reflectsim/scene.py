@@ -233,6 +233,12 @@ def capture_length_m(pattern: AntennaPattern, distance_m: float) -> float:
     return 2.0 * distance_m * math.tan(math.radians(pattern.hpbw_az_deg) / 2.0)
 
 
+def azimuth_target_count(spec: ConvexReflectorSpec, pattern: AntennaPattern,
+                         rx_range_m: float) -> int:
+    """Target intercepts, `azimuth_ray_spacing_m` apart, across a capture segment."""
+    return math.ceil(capture_length_m(pattern, rx_range_m) / spec.azimuth_ray_spacing_m - 1e-12)
+
+
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """(M, 1) norms of the rows of an (M, 2) array, each with the bits of a
     1-D np.linalg.norm (a BLAS dot); norm(axis=1) differs in the last bit."""
@@ -294,7 +300,7 @@ def convex_captures(
     d_out = d_in - 2.0 * np.sum(d_in * normals, axis=1, keepdims=True) * normals
 
     gamma = spec.azimuth_ray_spacing_m
-    n_az = math.ceil(capture_length_m(pattern, geom.rx_range_m) / gamma - 1e-12)
+    n_az = azimuth_target_count(spec, pattern, geom.rx_range_m)
     targets = (np.arange(n_az) - (n_az - 1) / 2.0) * gamma
     px, py = points.T.copy()
     dx, dy = d_out.T.copy()

@@ -105,8 +105,8 @@ def test_c1_friis_identity_all_bands():
     t0 = time.perf_counter()
     worst = 0.0
     for band in BANDS:
-        scn = ScenarioConfig(band=band, reflector_kind="flat", facets_per_side=1,
-                             alpha_flat=1.0).to_scenario()
+        scn = dataclasses.replace(ScenarioConfig(band=band, reflector_kind="flat",
+                                                 facets_per_side=1).to_scenario(), alpha=1.0)
         rx = specular_point(scn.geometry)[None, :]
         (got,) = flat_sweep_power(scn, rx, SumMode.PHYSICAL)
         want = friis_dbm(scn.tx_power_dbm, scn.tx_pattern.boresight_gain_dbi,
@@ -220,9 +220,9 @@ def _swapped_link(scn, rx_point):
 
 
 def test_c7a_reciprocity():
-    flat = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", alpha_flat=0.3,
+    flat = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat",
                           sweep_offset_m=0.25).to_scenario()
-    flat = dataclasses.replace(flat, tx_pattern=AntennaPattern(17.0, 24.0, 26.0),
+    flat = dataclasses.replace(flat, alpha=0.3, tx_pattern=AntennaPattern(17.0, 24.0, 26.0),
                                rx_pattern=AntennaPattern(20.0, 16.0, 15.0))
     rx = flat.geometry.sweep_midpoint
     (d_flat,) = np.abs(
@@ -230,8 +230,8 @@ def test_c7a_reciprocity():
         - flat_sweep_power(_swapped_link(flat, rx), flat.geometry.tx_position[None, :],
                            SumMode.PHYSICAL))
 
-    convex = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
-                            alpha_curved=0.05).to_scenario()
+    convex = dataclasses.replace(
+        ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario(), alpha=0.05)
     rx_c = specular_point(convex.geometry)
     (d_convex,) = np.abs(
         convex_sweep_power(convex, rx_c[None, :], SumMode.PHYSICAL)
@@ -243,8 +243,7 @@ def test_c7a_reciprocity():
 
 def test_c7b_reference_path_invariance():
     base = ScenarioConfig(band=Band.GHZ39, reflector_kind="flat").to_scenario()
-    shifted = ScenarioConfig(band=Band.GHZ39, reflector_kind="flat",
-                             d_ref_m=base.d_ref_m + 7.3).to_scenario()
+    shifted = dataclasses.replace(base, d_ref_m=base.d_ref_m + 7.3)
     rx = base.geometry.sweep_start + 0.62 * (base.geometry.sweep_end - base.geometry.sweep_start)
     (delta,) = np.abs(flat_sweep_power(base, rx[None, :], SumMode.PHYSICAL)
                       - flat_sweep_power(shifted, rx[None, :], SumMode.PHYSICAL))

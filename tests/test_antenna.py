@@ -67,12 +67,6 @@ def test_wavelength_28ghz_value():
     assert round(band_defaults(Band.GHZ28).wavelength_m, 6) == 0.010707
 
 
-def test_eh_swap_exchanges_planes():
-    d = band_defaults(Band.GHZ39, eh_swap=True)
-    assert d.tx_pattern.hpbw_az_deg == 15.0
-    assert d.tx_pattern.hpbw_el_deg == 16.0
-
-
 @pytest.mark.parametrize("text, band", [("28", Band.GHZ28), ("39ghz", Band.GHZ39),
                                         ("120 GHz", Band.GHZ120)])
 def test_band_parse(text, band):

@@ -78,11 +78,6 @@ def test_alpha_flat_degenerate_footprint_raises():
         alpha_flat(scn.geometry, degenerate, scn.reflector)
 
 
-def test_alpha_flat_override_wins():
-    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", alpha_flat=0.42).to_scenario()
-    assert scn.alpha == 0.42
-
-
 def test_alpha_curved_demo_radius():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
                          radius_of_curvature_m=0.5).to_scenario()
@@ -108,8 +103,8 @@ def test_alpha_ordering_strict_for_finite_radius(radius):
 # 28 GHz horns on both ends (17 dBi, 24/26 deg HPBW), 0 dBm, no attenuation,
 # a 1 cm wavelength and the phase referenced to 5 m.
 BORESIGHT_SCENARIO = dataclasses.replace(
-    ScenarioConfig(band=Band.GHZ28, alpha_flat=1.0).to_scenario(),
-    wavelength_m=0.01, d_ref_m=5.0, tx_power_dbm=0.0,
+    ScenarioConfig(band=Band.GHZ28).to_scenario(),
+    wavelength_m=0.01, d_ref_m=5.0, tx_power_dbm=0.0, alpha=1.0,
 )
 LAM = BORESIGHT_SCENARIO.wavelength_m
 
@@ -145,8 +140,8 @@ def test_half_wave_pair_cancels():
 # ------------------------------------------------------------------ flat path
 
 def test_friis_identity_single_facet():
-    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", facets_per_side=1,
-                         alpha_flat=1.0).to_scenario()
+    scn = dataclasses.replace(ScenarioConfig(band=Band.GHZ28, reflector_kind="flat",
+                                             facets_per_side=1).to_scenario(), alpha=1.0)
     rx = specular_point(scn.geometry)[None, :]
     (got,) = flat_sweep_power(scn, rx, SumMode.PHYSICAL)
     want = friis_dbm(scn.tx_power_dbm, 17.0, scn.wavelength_m, 5.0)
@@ -156,8 +151,8 @@ def test_friis_identity_single_facet():
 def test_literal_mode_single_facet_formula():
     # One facet plus the center ray at the same point: two identical terms,
     # sqrt(1) prefactor, magnitude reported as 10*log10|sum|.
-    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", facets_per_side=1,
-                         alpha_flat=1.0).to_scenario()
+    scn = dataclasses.replace(ScenarioConfig(band=Band.GHZ28, reflector_kind="flat",
+                                             facets_per_side=1).to_scenario(), alpha=1.0)
     rx = specular_point(scn.geometry)[None, :]
     (got,) = flat_sweep_power(scn, rx, SumMode.LITERAL)
     p_mw = 10.0 ** (scn.tx_power_dbm / 10.0)
@@ -167,8 +162,7 @@ def test_literal_mode_single_facet_formula():
 
 def test_reference_path_shift_leaves_power_unchanged():
     base = ScenarioConfig(band=Band.GHZ39, reflector_kind="flat").to_scenario()
-    shifted = ScenarioConfig(band=Band.GHZ39, reflector_kind="flat",
-                             d_ref_m=base.d_ref_m + 7.3).to_scenario()
+    shifted = dataclasses.replace(base, d_ref_m=base.d_ref_m + 7.3)
     rx = base.geometry.sweep_start + 0.62 * (base.geometry.sweep_end - base.geometry.sweep_start)
     for mode in SumMode:
         delta = flat_sweep_power(base, rx[None, :], mode) - flat_sweep_power(
@@ -209,9 +203,9 @@ def test_reciprocity_flat():
     # Distinct patterns at the two ends; attenuation pinned so the swap is
     # exact. Evaluation at the sweep midpoint, where the fixed-boresight
     # convention makes the swapped link well defined.
-    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", alpha_flat=0.3,
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat",
                          sweep_offset_m=0.25).to_scenario()
-    scn = dataclasses.replace(scn, tx_pattern=AntennaPattern(17.0, 24.0, 26.0),
+    scn = dataclasses.replace(scn, alpha=0.3, tx_pattern=AntennaPattern(17.0, 24.0, 26.0),
                               rx_pattern=AntennaPattern(20.0, 16.0, 15.0))
     rx = scn.geometry.sweep_midpoint
     fwd = flat_sweep_power(scn, rx[None, :], SumMode.PHYSICAL)
@@ -221,7 +215,8 @@ def test_reciprocity_flat():
 
 
 def test_reciprocity_convex():
-    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex", alpha_curved=0.05).to_scenario()
+    scn = dataclasses.replace(
+        ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario(), alpha=0.05)
     rx = specular_point(scn.geometry)
     fwd = convex_sweep_power(scn, rx[None, :], SumMode.PHYSICAL)
     rev = convex_sweep_power(_swapped_link(scn, rx), scn.geometry.tx_position[None, :],
@@ -258,8 +253,9 @@ def test_flat_requires_flat_spec():
 def test_convex_single_ray_friis():
     # One height section, one azimuth target centered on the RX: the captured
     # ray is the exact specular path through the arc apex.
-    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex", section_height_m=SIDE,
-                         azimuth_ray_spacing_m=10.0, alpha_curved=1.0).to_scenario()
+    scn = dataclasses.replace(
+        ScenarioConfig(band=Band.GHZ28, reflector_kind="convex", section_height_m=SIDE,
+                       azimuth_ray_spacing_m=10.0).to_scenario(), alpha=1.0)
     rx = specular_point(scn.geometry)[None, :]
     (got,) = convex_sweep_power(scn, rx, SumMode.PHYSICAL)
     want = friis_dbm(scn.tx_power_dbm, 17.0, scn.wavelength_m, 5.0)

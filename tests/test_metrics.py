@@ -101,12 +101,16 @@ def test_prominence_is_kept_at_equality_and_uses_the_higher_base():
 def test_minus_inf_stretch_is_zeroed_before_counting_fringes():
     power = np.full(301, -60.0)
     power[100:200] = -np.inf
-    detrended = _detrended(power, smoothed_envelope_db(power))
+    envelope = smoothed_envelope_db(power)
+    detrended = _detrended(power, envelope)
     assert np.all(detrended[100:200] == 0.0)
-    # The envelope dips towards the stretch, so the last finite sample on
-    # each side stands about 2.9 dB above it: one fringe per stretch edge.
-    assert _prominent_peaks(detrended, 1.0).tolist() == [99, 200]
-    assert analyze(make_profile(power)).fringe_count == 2
+    # Each window averages its finite samples only, so the envelope does not
+    # dip beside the stretch (it used to, leaving the last finite sample on
+    # each side 2.9 dB above it as a fringe); windows inside it are -inf.
+    assert np.all(envelope[:100] == -60.0) and np.all(envelope[200:] == -60.0)
+    assert np.flatnonzero(np.isneginf(envelope)).tolist() == list(range(125, 175))
+    assert _prominent_peaks(detrended, 1.0).tolist() == []
+    assert analyze(make_profile(power)).fringe_count == 0
 
 
 _PEAK_INPUTS = st.one_of(
