@@ -17,7 +17,7 @@ from .metrics import (
     compare,
     smoothed_envelope_db,
 )
-from .profile_io import export_profile, import_measured, read_profile_json
+from .profile_io import export_profile, import_measured
 from .runner import run_sweep, sweep_profile
 from .scene import (
     ConvexReflectorSpec,
@@ -56,7 +56,6 @@ __all__ = [
     "facetize_flat",
     "import_measured",
     "parse_config",
-    "read_profile_json",
     "run_sweep",
     "smoothed_envelope_db",
     "specular_point",

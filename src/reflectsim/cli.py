@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 from . import metrics
 from .antenna import Band, band_defaults
 from .config import ConfigError, ScenarioConfig, dump_config, parse_config
-from .profile_io import ProfileFormatError, export_profile, import_measured
+from .profile_io import export_profile, import_measured
 from .runner import run_sweep
 
 EXIT_OK = 0
@@ -20,7 +20,7 @@ EXIT_RUNTIME = 2
 
 # Config keys that command-line flags set, each flag's `dest`; a flag's value
 # wins over the document's.
-_FLAG_KEYS = ("band", "reflector.kind", "engine.mode", "output.dir", "output.format")
+_FLAG_KEYS = ("band", "reflector.kind", "engine.mode", "output.dir")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_flags(sim)
     sim.add_argument("--out", dest="output.dir", type=Path,
                      help="output directory (default from config)")
-    sim.add_argument("--format", dest="output.format", help="profile file format: csv or json")
     sim.add_argument("--dump-config", action="store_true",
                      help="print the resolved config and exit")
 
@@ -82,8 +81,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     label = config.resolved_label()
-    profile_path = out_dir / f"{label}.{config.output_format}"
-    export_profile(profile, config.output_format, profile_path)
+    profile_path = out_dir / f"{label}.csv"
+    # By keyword: perfbench/spans.py reads the written file's size from `path`.
+    export_profile(profile, path=profile_path)
 
     summary = {
         "label": label,
@@ -111,7 +111,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _load_config(args)
     sim = run_sweep(config)
-    measured = import_measured(args.measured, config.band)
+    measured = import_measured(args.measured)
     report = metrics.compare(sim, measured)
     _write_json(args.out, report.to_dict())
     return EXIT_OK
@@ -147,7 +147,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ValueError, OSError, ProfileFormatError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -8,8 +8,6 @@ from typing import Optional
 
 import numpy as np
 
-from .antenna import Band
-
 DEFAULT_SMOOTHING_SAMPLES = 51
 DEFAULT_FRINGE_PROMINENCE_DB = 1.0
 
@@ -22,8 +20,6 @@ class PowerProfile:
 
     positions_m: np.ndarray
     power_db: np.ndarray
-    band: Band
-    reflector_kind: str
     label: str = ""
 
     def __post_init__(self) -> None:

@@ -19,10 +19,8 @@ def sweep_profile(scenario: Scenario, mode: SumMode) -> PowerProfile:
     rx_points = scenario.geometry.rx_positions()
     if scenario.is_convex:
         power = convex_sweep_power(scenario, rx_points, mode)
-        kind = "convex"
     else:
         power = flat_sweep_power(scenario, rx_points, mode)
-        kind = "flat"
     if mode is SumMode.LITERAL:
         top = np.max(power)
         if np.isfinite(top):
@@ -30,8 +28,6 @@ def sweep_profile(scenario: Scenario, mode: SumMode) -> PowerProfile:
     return PowerProfile(
         positions_m=scenario.geometry.rx_offsets_m(),
         power_db=power,
-        band=scenario.band,
-        reflector_kind=kind,
         label=scenario.label,
     )
 

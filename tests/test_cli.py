@@ -13,7 +13,6 @@ from reflectsim.config import parse_config
 from reflectsim.profile_io import export_profile, import_measured
 from reflectsim import metrics
 from reflectsim.metrics import PowerProfile
-from reflectsim.antenna import Band
 
 FAST_CONFIG = """\
 band = 28
@@ -30,7 +29,6 @@ reflector.kind = flat
 engine.mode = physical
 geometry.n_positions = 200
 output.dir = doc_out
-output.format = csv
 """
 
 
@@ -65,16 +63,15 @@ def test_simulate_writes_profile_and_stats(tmp_path, capsys):
 def test_simulate_band_flag_only(tmp_path):
     out = tmp_path / "out"
     code = main(["simulate", "--band", "39", "--reflector", "flat",
-                 "--out", str(out), "--format", "json"])
+                 "--out", str(out)])
     assert code == 0
-    assert (out / "39ghz_flat.json").exists()
+    assert (out / "39ghz_flat.csv").exists()
 
 
 @pytest.mark.parametrize("flag, value, line", [
     ("--band", "39", "band = 39ghz"),
     ("--mode", "literal", "engine.mode = literal"),
     ("--out", "flag_out", "output.dir = flag_out"),
-    ("--format", "json", "output.format = json"),
 ])
 def test_flag_wins_over_the_document_and_dump_config_prints_it(tmp_path, capsys,
                                                                flag, value, line):
@@ -104,7 +101,6 @@ def test_reflector_flag_wins_over_the_document(tmp_path, capsys):
     ("--band", "60", "band"),
     ("--reflector", "parabolic", "reflector.kind"),
     ("--mode", "exact", "engine.mode"),
-    ("--format", "xml", "output.format"),
 ])
 def test_bad_flag_value_is_validation_error_naming_its_key(tmp_path, capsys, flag, value, key):
     cfg = write_config(tmp_path, FLAG_KEYS_CONFIG)
@@ -115,8 +111,7 @@ def test_bad_flag_value_is_validation_error_naming_its_key(tmp_path, capsys, fla
 def test_compare_flags_win_over_the_document_and_out_stays_the_report(tmp_path):
     cfg = write_config(tmp_path, FLAG_KEYS_CONFIG)
     measured = tmp_path / "measured.csv"
-    export_profile(PowerProfile(np.arange(200) * 1e-3, np.full(200, -60.0), Band.GHZ28,
-                                "measured"), "csv", measured)
+    export_profile(PowerProfile(np.arange(200) * 1e-3, np.full(200, -60.0)), measured)
     report_path = tmp_path / "report.json"
     assert main(["compare", "--config", str(cfg), str(measured), "--band", "39",
                  "--reflector", "flat", "--mode", "literal", "--out", str(report_path)]) == 0
@@ -148,7 +143,7 @@ def test_uncaptured_run_longer_than_window_gives_strict_json_stats(tmp_path, cap
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    power = import_measured(out / "28ghz_convex.csv", Band.GHZ28).power_db
+    power = import_measured(out / "28ghz_convex.csv").power_db
     uncaptured = np.flatnonzero(np.isneginf(power))
     assert uncaptured.size > metrics.DEFAULT_SMOOTHING_SAMPLES
     assert np.all(np.diff(uncaptured) == 1)
@@ -176,7 +171,7 @@ def test_run_that_captures_nothing_prints_no_nan(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "nan" not in printed.lower()
     assert "no RX position received power" in printed
-    assert np.all(np.isneginf(import_measured(out / "28ghz_convex.csv", Band.GHZ28).power_db))
+    assert np.all(np.isneginf(import_measured(out / "28ghz_convex.csv").power_db))
     text = (out / "28ghz_convex.stats.json").read_text()
     stats = json.loads(text, parse_constant=_reject_constant)["stats"]
     assert stats["peak_db"] is None
@@ -196,7 +191,7 @@ def test_compare_of_uncaptured_run_fits_over_the_finite_overlap(tmp_path):
         assert main(["compare", "--config", str(cfg), str(out / "28ghz_convex.csv"),
                      "--out", str(report_path)]) == 0
     n_uncaptured = int(np.count_nonzero(np.isneginf(
-        import_measured(out / "28ghz_convex.csv", Band.GHZ28).power_db)))
+        import_measured(out / "28ghz_convex.csv").power_db)))
     report = json.loads(report_path.read_text(), parse_constant=_reject_constant)
     assert report["offset_db"] == 0.0
     assert report["rmse_db"] == 0.0
@@ -230,11 +225,10 @@ def test_compare_against_exported_measurement(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    sim = import_measured(out / "28ghz_flat.csv", Band.GHZ28)
-    measured = PowerProfile(sim.positions_m, sim.power_db + 7.0, Band.GHZ28,
-                            "measured", "meas")
+    sim = import_measured(out / "28ghz_flat.csv")
+    measured = PowerProfile(sim.positions_m, sim.power_db + 7.0, "meas")
     measured_path = tmp_path / "measured_28ghz.csv"
-    export_profile(measured, "csv", measured_path)
+    export_profile(measured, measured_path)
 
     report_path = tmp_path / "report.json"
     code = main(["compare", "--config", str(cfg), str(measured_path),

@@ -1,4 +1,5 @@
 
+import argparse
 import dataclasses
 import math
 import warnings
@@ -11,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from reflectsim import config as config_module, engine
 from reflectsim.antenna import Band, band_defaults
-from reflectsim.cli import main
+from reflectsim.cli import build_parser, main
 from reflectsim.config import ConfigError, ScenarioConfig, dump_config, parse_config
 from reflectsim.engine import SumMode, alpha_flat
 from reflectsim.runner import run_sweep
@@ -59,11 +60,9 @@ def test_convex_via_default_reflector_flag_also_requires_radius():
 
 
 def test_override_replaces_the_documents_value():
-    text = "band = 28\nengine.mode = physical\noutput.dir = a\noutput.format = csv\n"
-    cfg = parse_config(text, {"band": "39ghz", "engine.mode": "literal",
-                              "output.dir": "b", "output.format": "json"})
-    assert (cfg.band, cfg.mode, cfg.output_dir, cfg.output_format) == (
-        Band.GHZ39, SumMode.LITERAL, "b", "json")
+    text = "band = 28\nengine.mode = physical\noutput.dir = a\n"
+    cfg = parse_config(text, {"band": "39ghz", "engine.mode": "literal", "output.dir": "b"})
+    assert (cfg.band, cfg.mode, cfg.output_dir) == (Band.GHZ39, SumMode.LITERAL, "b")
 
 
 @pytest.mark.parametrize("overrides, key", [
@@ -98,10 +97,11 @@ def test_unknown_key_reports_line():
 def test_capture_distance_is_not_a_key():
     # None of these keys exists: the convex capture segment is sized at the RX
     # range, the phase reference and the attenuation are derived from the
-    # geometry, and the band fixes which horn plane is azimuth.
+    # geometry, the band fixes which horn plane is azimuth, and every profile
+    # is written as CSV.
     for key, value in [("engine.capture_distance", "2.5"), ("engine.d_ref", "5.0"),
                        ("engine.alpha_flat", "0.2"), ("engine.alpha_curved", "0.07"),
-                       ("antenna.eh_swap", "true")]:
+                       ("antenna.eh_swap", "true"), ("output.format", "csv")]:
         text = ("band = 28\nreflector.kind = convex\nreflector.radius_of_curvature = 0.5\n"
                 f"{key} = {value}\n")
         with pytest.raises(ConfigError, match="unknown key") as info:
@@ -228,7 +228,6 @@ def test_dump_round_trip_convex_custom():
         "reflector.reflection_efficiency = 0.85\n"
         "geometry.sweep_offset = -0.1\n"
         "geometry.n_positions = 333\n"
-        "output.format = json\n"
         "output.label = demo_run\n"
     )
     cfg = parse_config(text)
@@ -352,7 +351,6 @@ def test_configs_built_in_code_are_checked_too():
     for field, value, key in [("sweep_offset_m", float("inf"), "geometry.sweep_offset"),
                               ("tx_range_m", float("inf"), "geometry.tx_range"),
                               ("reflector_kind", "parabolic", "reflector.kind"),
-                              ("output_format", "xml", "output.format"),
                               ("output_dir", "", "output.dir"),
                               ("output_dir", "runs # 2", "output.dir"),
                               ("label", "two\nlines", "output.label"),
@@ -368,10 +366,26 @@ def test_configs_built_in_code_are_checked_too():
                               ("width_m", True, "reflector.width"),
                               ("facets_per_side", True, "reflector.facets_per_side"),
                               ("n_positions", True, "geometry.n_positions"),
-                              ("n_positions", 12.0, "geometry.n_positions")]:
+                              ("n_positions", 12.0, "geometry.n_positions"),
+                              # 10**12 positions used to fail allocating 7.28 TiB.
+                              ("n_positions", 10**12, "geometry.n_positions")]:
         with pytest.raises(ConfigError) as info:
             ScenarioConfig(band=Band.GHZ28, **{field: value})
         assert info.value.key == key
+    # A value of the wrong type is rejected naming the type expected: band=None
+    # used to raise a bare ValueError, label=5 to construct and then fail to
+    # round-trip, and band="28" to get the message for a multi-line value.
+    for field, value, key, message in [
+            ("band", None, "band", "expected a Band, got None"),
+            ("band", "28", "band", "expected a Band, got '28'"),
+            ("mode", "physical", "engine.mode", "expected a SumMode, got 'physical'"),
+            ("reflector_kind", "Flat", "reflector.kind", "expected 'flat', got 'Flat'"),
+            ("label", 5, "output.label", "expected a str, got 5"),
+            ("output_dir", 3, "output.dir", "expected a str, got 3"),
+            ("width_m", None, "reflector.width", "must be a number")]:
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig(**{"band": Band.GHZ28, field: value})
+        assert (info.value.key, info.value.message) == (key, message)
     # An int in range is stored as a float, so the config dumps as it parses.
     config = ScenarioConfig(band=Band.GHZ28, width_m=1, tx_range_m=3)
     assert (type(config.width_m), type(config.tx_range_m)) == (float, float)
@@ -512,6 +526,18 @@ def test_readme_lists_every_key_in_table_order():
     assert keys == list(config_module._KEY_TABLE)
 
 
+def test_readme_flag_table_matches_the_parser():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = {tuple(cell.strip().strip("`") for cell in line.split("|")[1:3])
+             for line in readme.splitlines() if line.startswith("| `--")}
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    flags = {(flag, action.dest) for name in ("simulate", "compare")
+             for action in commands[name]._actions if action.dest in config_module._KEY_TABLE
+             for flag in action.option_strings}
+    assert table == flags
+
+
 def test_auto_section_height_follows_the_configured_height():
     convex = ScenarioConfig(band=Band.GHZ39, reflector_kind="convex", height_m=0.32).to_scenario()
     assert convex.reflector.section_height_m == 0.32 / 16
@@ -544,7 +570,7 @@ _VALUES = {
     "geometry.rx_range": (_number(0.2, 6.0), ["0", "-1"]),
     "geometry.incidence_deg": (_number(0.0, 89.9), ["90", "-10", "100"]),
     "geometry.sweep_length": (_number(0.01, 5.0), ["0", "-0.5"]),
-    "geometry.n_positions": (st.integers(2, 12).map(str), ["1", "0", "-1"]),
+    "geometry.n_positions": (st.integers(2, 12).map(str), ["1", "0", "-1", "100001"]),
     "geometry.sweep_offset": (_number(-5.0, 5.0), ["nan", "1e400"]),
 }
 
@@ -635,7 +661,6 @@ _FIELD_VALUES = {
     "n_positions": st.one_of(st.integers(-1, 5000), st.booleans()),
     "sweep_offset_m": _any_float(),
     "output_dir": st.one_of(st.sampled_from(["runs/a b", "", "a#b", "out "]), st.text(max_size=8)),
-    "output_format": st.sampled_from(["csv", "json", "xml"]),
     "label": st.one_of(st.sampled_from(["run=1", "auto", "x\ny", "\x85"]), st.text(max_size=8)),
 }
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.signal import find_peaks
 
-from reflectsim.antenna import Band
 from reflectsim.metrics import (
     DEFAULT_FRINGE_PROMINENCE_DB,
     ComparisonReport,
@@ -25,7 +24,7 @@ def make_profile(power_db, positions=None, label="test"):
     power_db = np.asarray(power_db, dtype=float)
     if positions is None:
         positions = np.linspace(0.0, 1.8, power_db.size)
-    return PowerProfile(positions, power_db, Band.GHZ28, "flat", label)
+    return PowerProfile(positions, power_db, label)
 
 
 def test_constant_profile_has_no_fringes():
@@ -259,14 +258,14 @@ def test_flat_vs_convex_gap_measured_values(flat_peak, convex_peak, gap):
 def test_profile_validation():
     pos = np.linspace(0.0, 1.0, 10)
     with pytest.raises(ValueError, match="increasing"):
-        PowerProfile(pos[::-1], np.zeros(10), Band.GHZ28, "flat")
+        PowerProfile(pos[::-1], np.zeros(10))
     with pytest.raises(ValueError, match="NaN"):
-        PowerProfile(pos, np.full(10, np.nan), Band.GHZ28, "flat")
+        PowerProfile(pos, np.full(10, np.nan))
     with pytest.raises(ValueError, match="NaN"):
-        PowerProfile(pos, np.full(10, np.inf), Band.GHZ28, "flat")
+        PowerProfile(pos, np.full(10, np.inf))
     with pytest.raises(ValueError, match="equal length"):
-        PowerProfile(pos, np.zeros(9), Band.GHZ28, "flat")
+        PowerProfile(pos, np.zeros(9))
     # -inf sentinel is allowed
     power = np.zeros(10)
     power[3] = -np.inf
-    PowerProfile(pos, power, Band.GHZ28, "flat")
+    PowerProfile(pos, power)
