@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -17,7 +18,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .antenna import Band, band_defaults
-from .engine import SumMode, alpha_curved, alpha_flat, rays_per_position
+from .engine import SumMode, alpha_curved, alpha_flat
 from .scene import (
     INCH_M,
     REFLECTOR_SIDE_16IN_M,
@@ -44,12 +45,13 @@ _MAX_LENGTH_M = 1e9
 
 # RX positions per sweep. The default 1.8 m sweep then has an 18 um pitch,
 # under 1/100 of the shortest wavelength; a 28 GHz convex sweep of this many
-# positions took 27 s with a peak RSS of 165 MB on 2 CPUs.
+# positions took 35 s with a peak RSS of 165 MB on 2 CPUs.
 _MAX_POSITIONS = 100_000
 
-# Rays summed per RX position (256^2 flat facets): a flat sweep block of 200
-# positions holds (200, rays) float arrays, about 1.3 GB at this bound.
-_MAX_RAYS_PER_POSITION = 65536
+# Flat facets per side: a flat sweep block of 200 positions holds (200, n^2)
+# float arrays, about 1.3 GB at this bound. A convex plate always sums 16
+# height sections x 32 azimuth targets.
+_MAX_FACETS_PER_SIDE = 256
 
 
 class ConfigError(ValueError):
@@ -91,8 +93,6 @@ class ScenarioConfig:
     # 0.5 m is a demo value: the curvature radius is scenario hardware, not a
     # band property, so parse_config requires it for convex runs.
     radius_of_curvature_m: float = 0.5
-    section_height_m: Optional[float] = None
-    azimuth_ray_spacing_m: Optional[float] = None
     reflection_efficiency: float = 1.0
     tx_range_m: float = 2.5
     rx_range_m: float = 2.5
@@ -143,7 +143,11 @@ class ScenarioConfig:
                        and value.splitlines() in ([], [value]),
                        key, "must be one line without '#' or surrounding whitespace")
                 _check(parsed == value, key, f"expected {parsed!r}, got {value!r}")
+                _check("\0" not in value, key, "must not contain a NUL byte")
         _check(self.output_dir != "", "output.dir", "must not be empty")
+        # The label names the output files inside output.dir.
+        _check(os.path.basename(self.label) == self.label, "output.label",
+               "must be a file name, not a path")
         # A field of the other reflector kind would be ignored by to_scenario()
         # and dropped by dump_config().
         other, foreign = (("convex", _CONVEX_ONLY_KEYS) if self.reflector_kind == "flat"
@@ -152,16 +156,14 @@ class ScenarioConfig:
             name = _KEY_TABLE[key][0]
             _check(getattr(self, name) == _DEFAULTS[name], key,
                    f"only valid for {other} reflectors")
-        _check(self.facets_per_side is None or self.facets_per_side >= 1,
-               "reflector.facets_per_side", "must be >= 1 or 'auto'")
+        _check(self.facets_per_side is None or 1 <= self.facets_per_side <= _MAX_FACETS_PER_SIDE,
+               "reflector.facets_per_side", f"must be in [1, {_MAX_FACETS_PER_SIDE}] or 'auto'")
         _check(0.0 < self.reflection_efficiency <= 1.0,
                "reflector.reflection_efficiency", "must be in (0, 1]")
         if self.reflector_kind == "convex":
             _check(self.radius_of_curvature_m > self.width_m / 2.0,
                    "reflector.radius_of_curvature",
                    f"must exceed half the chord width ({self.width_m / 2.0:.4f} m)")
-            _check(self.section_height_m is None or self.section_height_m <= self.height_m,
-                   "reflector.section_height", "must be in (0, height] or 'auto'")
         _check(0.0 <= self.incidence_deg < 90.0, "geometry.incidence_deg", "must be in [0, 90)")
         _check(2 <= self.n_positions <= _MAX_POSITIONS, "geometry.n_positions",
                f"must be in [2, {_MAX_POSITIONS}]")
@@ -170,12 +172,6 @@ class ScenarioConfig:
         _check(near_x > 0, "geometry.rx_range",
                f"the RX sweep reaches x = {near_x:.4f} m; every RX position must be "
                "in front of the reflector plane (x > 0)")
-        rays = rays_per_position(scenario)
-        key = ("reflector.facets_per_side" if self.reflector_kind == "flat"
-               else "reflector.azimuth_ray_spacing" if self.section_height_m is None
-               else "reflector.section_height")
-        _check(rays <= _MAX_RAYS_PER_POSITION, key,
-               f"gives {rays} rays per RX position; at most {_MAX_RAYS_PER_POSITION}")
 
     def resolved_label(self) -> str:
         return self.label or f"{self.band.value}_{self.reflector_kind}"
@@ -215,15 +211,15 @@ class ScenarioConfig:
                 reflection_efficiency=self.reflection_efficiency,
             )
         else:
+            # 16 height sections x 32 azimuth targets: each division is by a
+            # power of two, so both counts come out exact.
             reflector = ConvexReflectorSpec(
                 chord_width_m=self.width_m,
                 height_m=self.height_m,
                 radius_of_curvature_m=self.radius_of_curvature_m,
-                section_height_m=(self.height_m / 16.0
-                                  if self.section_height_m is None else self.section_height_m),
-                azimuth_ray_spacing_m=(
-                    capture_length_m(link.rx_pattern, geometry.rx_range_m) / 32.0
-                    if self.azimuth_ray_spacing_m is None else self.azimuth_ray_spacing_m),
+                section_height_m=self.height_m / 16.0,
+                azimuth_ray_spacing_m=(capture_length_m(link.rx_pattern, geometry.rx_range_m)
+                                       / 32.0),
                 reflection_efficiency=self.reflection_efficiency,
             )
 
@@ -276,9 +272,6 @@ def _auto(parse):
     return parse_auto
 
 
-_parse_auto_length = _auto(_parse_length)
-
-
 def _choice(*options: str):
     """Parser for one of `options`, case-insensitive."""
     def parse_choice(text: str) -> str:
@@ -298,8 +291,6 @@ _KEY_TABLE = {
     "reflector.height": ("height_m", _parse_length),
     "reflector.facets_per_side": ("facets_per_side", _auto(_parse_int)),
     "reflector.radius_of_curvature": ("radius_of_curvature_m", _parse_length),
-    "reflector.section_height": ("section_height_m", _parse_auto_length),
-    "reflector.azimuth_ray_spacing": ("azimuth_ray_spacing_m", _parse_auto_length),
     "reflector.reflection_efficiency": ("reflection_efficiency", _parse_float),
     "geometry.tx_range": ("tx_range_m", _parse_length),
     "geometry.rx_range": ("rx_range_m", _parse_length),
@@ -315,17 +306,15 @@ _FIELD_KEYS = {field_name: key for key, (field_name, _) in _KEY_TABLE.items()}
 _INT_KEYS = {"reflector.facets_per_side", "geometry.n_positions"}
 _ENUM_KEYS = {"band": Band, "engine.mode": SumMode}
 _NUMBER_KEYS = _INT_KEYS | {key for key, (_, parse) in _KEY_TABLE.items()
-                            if parse in (_parse_float, _parse_length, _parse_auto_length)}
+                            if parse in (_parse_float, _parse_length)}
 # Keys held to the length range. The curvature radius only has to exceed half
 # the chord: at or above the planar-limit flag it enters nothing but R/(R + 2d).
 _LENGTH_KEYS = {key for key, (_, parse) in _KEY_TABLE.items()
-                if parse in (_parse_length, _parse_auto_length)
-                and key != "reflector.radius_of_curvature"}
+                if parse is _parse_length and key != "reflector.radius_of_curvature"}
 _DEFAULTS = {field.name: field.default for field in dataclasses.fields(ScenarioConfig)}
 
 _FLAT_ONLY_KEYS = {"reflector.facets_per_side"}
-_CONVEX_ONLY_KEYS = {"reflector.radius_of_curvature", "reflector.section_height",
-                     "reflector.azimuth_ray_spacing"}
+_CONVEX_ONLY_KEYS = {"reflector.radius_of_curvature"}
 # Keys that place the RX sweep together.
 _SWEEP_KEYS = ("geometry.rx_range", "geometry.incidence_deg",
                "geometry.sweep_length", "geometry.sweep_offset")

@@ -16,7 +16,6 @@ from .scene import (
     ReflectorSpec,
     Scenario,
     ScenarioGeometry,
-    azimuth_target_count,
     convex_captures,
     convex_path_geometry_batch,
     facetize_flat,
@@ -183,17 +182,6 @@ def _planar_limit_scenario(scenario: Scenario) -> Scenario:
         reflection_efficiency=spec.reflection_efficiency,
     )
     return dataclasses.replace(scenario, reflector=flat_equiv)
-
-
-def rays_per_position(scenario: Scenario) -> int:
-    """Rays summed per RX position: facets, or sections x azimuth targets."""
-    spec = scenario.reflector
-    if isinstance(spec, ConvexReflectorSpec) and spec.is_planar_limit:
-        spec = _planar_limit_scenario(scenario).reflector
-    if isinstance(spec, FlatReflectorSpec):
-        return spec.facet_count
-    return spec.n_height_sections * azimuth_target_count(spec, scenario.rx_pattern,
-                                                         scenario.geometry.rx_range_m)
 
 
 def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -> np.ndarray:

@@ -25,14 +25,8 @@ from reflectsim.engine import (
 from reflectsim.metrics import analyze, smoothed_envelope_db
 from reflectsim.profile_io import export_profile, import_measured
 from reflectsim.runner import run_sweep, sweep_profile
-from reflectsim.scene import (
-    REFLECTOR_SIDE_16IN_M,
-    ScenarioGeometry,
-    facetize_flat,
-    specular_point,
-)
+from reflectsim.scene import ScenarioGeometry, facetize_flat, specular_point
 
-SIDE = REFLECTOR_SIDE_16IN_M
 BANDS = (Band.GHZ28, Band.GHZ39, Band.GHZ120)
 
 # Facet grid on which the 28 GHz facet sum resolves the plate over the whole
@@ -278,8 +272,8 @@ def test_c7d_attenuation_ordering():
 
 def test_c7e_planar_limit_matches_flat():
     flat = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", facets_per_side=16).to_scenario()
-    convex = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex", radius_of_curvature_m=1e6,
-                            section_height_m=SIDE / 16).to_scenario()
+    convex = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
+                            radius_of_curvature_m=1e6).to_scenario()
     p_flat = sweep_profile(flat, SumMode.PHYSICAL)
     p_convex = sweep_profile(convex, SumMode.PHYSICAL)
     worst = float(np.max(np.abs(p_flat.power_db - p_convex.power_db)))

@@ -10,19 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from reflectsim import config as config_module, engine
-from reflectsim.antenna import Band, band_defaults
+from reflectsim import config as config_module
+from reflectsim.antenna import Band
 from reflectsim.cli import build_parser, main
 from reflectsim.config import ConfigError, ScenarioConfig, dump_config, parse_config
 from reflectsim.engine import SumMode, alpha_flat
 from reflectsim.runner import run_sweep
-from reflectsim.scene import INCH_M, REFLECTOR_SIDE_16IN_M as SIDE, capture_length_m
+from reflectsim.scene import INCH_M, azimuth_target_count
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # Every key whose value is a float or a length, read off the key table.
-_NUMBER_PARSERS = (config_module._parse_float, config_module._parse_length,
-                   config_module._parse_auto_length)
+_NUMBER_PARSERS = (config_module._parse_float, config_module._parse_length)
 NUMBER_KEYS = sorted(key for key, (_, parser) in config_module._KEY_TABLE.items()
                      if parser in _NUMBER_PARSERS)
 
@@ -97,11 +96,14 @@ def test_unknown_key_reports_line():
 def test_capture_distance_is_not_a_key():
     # None of these keys exists: the convex capture segment is sized at the RX
     # range, the phase reference and the attenuation are derived from the
-    # geometry, the band fixes which horn plane is azimuth, and every profile
-    # is written as CSV.
+    # geometry, the band fixes which horn plane is azimuth, every profile is
+    # written as CSV, and a convex plate always sums 16 height sections x 32
+    # azimuth targets.
     for key, value in [("engine.capture_distance", "2.5"), ("engine.d_ref", "5.0"),
                        ("engine.alpha_flat", "0.2"), ("engine.alpha_curved", "0.07"),
-                       ("antenna.eh_swap", "true"), ("output.format", "csv")]:
+                       ("antenna.eh_swap", "true"), ("output.format", "csv"),
+                       ("reflector.section_height", "auto"),
+                       ("reflector.azimuth_ray_spacing", "0.01")]:
         text = ("band = 28\nreflector.kind = convex\nreflector.radius_of_curvature = 0.5\n"
                 f"{key} = {value}\n")
         with pytest.raises(ConfigError, match="unknown key") as info:
@@ -146,16 +148,12 @@ def test_convex_only_key_rejected_for_flat(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, key", [
     ("radius_of_curvature_m", "reflector.radius_of_curvature"),
-    ("section_height_m", "reflector.section_height"),
-    ("azimuth_ray_spacing_m", "reflector.azimuth_ray_spacing"),
 ])
 def test_convex_field_rejected_on_flat_config(field, key):
-    # A flat scenario ignores these fields and dump_config drops them.
+    # A flat scenario ignores the field and dump_config drops it.
     with pytest.raises(ConfigError, match="only valid for convex reflectors") as info:
         ScenarioConfig(band=Band.GHZ28, **{field: 0.05})
     assert info.value.key == key
-    with pytest.raises(ConfigError, match="reflector.radius_of_curvature"):
-        ScenarioConfig(band=Band.GHZ28, radius_of_curvature_m=0.3, section_height_m=0.05)
 
 
 def test_facet_count_rejected_on_convex_config():
@@ -188,7 +186,8 @@ def test_validation_failures(line, match):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("key", NUMBER_KEYS)
 def test_non_finite_number_rejected_with_key_and_line(key, value, tmp_path, capsys):
-    assert {"reflector.section_height", "reflector.width", "geometry.tx_range"} <= set(NUMBER_KEYS)
+    assert {"reflector.radius_of_curvature", "reflector.width",
+            "geometry.tx_range"} <= set(NUMBER_KEYS)
     lines = ["band = 28"]
     if key in config_module._CONVEX_ONLY_KEYS:
         lines.append("reflector.kind = convex")
@@ -224,7 +223,6 @@ def test_dump_round_trip_convex_custom():
         "engine.mode = literal\n"
         "reflector.kind = convex\n"
         "reflector.radius_of_curvature = 0.5\n"
-        "reflector.section_height = 0.0127\n"
         "reflector.reflection_efficiency = 0.85\n"
         "geometry.sweep_offset = -0.1\n"
         "geometry.n_positions = 333\n"
@@ -246,10 +244,6 @@ def test_dump_is_idempotent():
 def test_auto_values_accepted():
     cfg = parse_config("band = 28\nreflector.facets_per_side = auto\n")
     assert cfg.facets_per_side is None
-    text = ("band = 28\nreflector.kind = convex\nreflector.radius_of_curvature = 0.5\n"
-            "reflector.section_height = auto\nreflector.azimuth_ray_spacing = AUTO\n")
-    cfg = parse_config(text)
-    assert (cfg.section_height_m, cfg.azimuth_ray_spacing_m) == (None, None)
 
 
 def test_resolved_label_defaults_to_band_and_kind():
@@ -265,10 +259,6 @@ OUT_OF_RANGE = [
     ("reflector.facets_per_side", "0"),
     ("reflector.facets_per_side", "-3"),
     ("reflector.radius_of_curvature", "0.1"),
-    ("reflector.section_height", "0"),
-    ("reflector.section_height", "1.0"),
-    ("reflector.azimuth_ray_spacing", "0"),
-    ("reflector.azimuth_ray_spacing", "-0.01"),
     ("reflector.reflection_efficiency", "0"),
     ("reflector.reflection_efficiency", "1.5"),
     ("geometry.tx_range", "-1"),
@@ -288,10 +278,12 @@ OUT_OF_RANGE = [
     ("geometry.n_positions", "1"),
     ("geometry.n_positions", "0"),
     ("geometry.sweep_offset", "-5"),  # sweep reaches the reflector plane
-    # More than 65536 rays per RX position.
+    # More than 256 facets per side.
     ("reflector.facets_per_side", "257"),
-    ("reflector.section_height", "1e-6"),
-    ("reflector.azimuth_ray_spacing", "1e-5"),
+    # A label names files inside output.dir: "../a" wrote outside it, and
+    # "runs/a" failed at run time.
+    ("output.label", "runs/a"),
+    ("output.label", "../a"),
 ]
 
 
@@ -355,6 +347,8 @@ def test_configs_built_in_code_are_checked_too():
                               ("output_dir", "runs # 2", "output.dir"),
                               ("label", "two\nlines", "output.label"),
                               ("label", " padded", "output.label"),
+                              ("label", "a\0b", "output.label"),
+                              ("output_dir", "out\0", "output.dir"),
                               # An int is held to a float field's range: width 0
                               # used to fail only in to_scenario(), and 10**12
                               # to construct and then fail to round-trip.
@@ -397,8 +391,7 @@ def test_configs_built_in_code_are_checked_too():
 def test_length_keys_share_one_range():
     lo, hi = config_module._MIN_LENGTH_M, config_module._MAX_LENGTH_M
     assert config_module._LENGTH_KEYS == {
-        "reflector.width", "reflector.height",
-        "reflector.section_height", "reflector.azimuth_ray_spacing", "geometry.tx_range",
+        "reflector.width", "reflector.height", "geometry.tx_range",
         "geometry.rx_range", "geometry.sweep_length", "geometry.sweep_offset"}
     convex = dict(reflector_kind="convex", radius_of_curvature_m=0.5)
     for key in sorted(config_module._LENGTH_KEYS):
@@ -415,12 +408,11 @@ def test_length_keys_share_one_range():
     ScenarioConfig(band=Band.GHZ28, width_m=lo, height_m=hi, tx_range_m=hi, sweep_offset_m=hi)
     ScenarioConfig(band=Band.GHZ28, width_m=hi, tx_range_m=lo, sweep_length_m=lo,
                    sweep_offset_m=-lo)
-    # Sections and spacings at the ends with their ray counts bounded.
+    # A convex plate at both ends of the range.
     ScenarioConfig(band=Band.GHZ28, reflector_kind="convex", width_m=lo, radius_of_curvature_m=lo,
-                   height_m=lo, section_height_m=lo, azimuth_ray_spacing_m=hi, rx_range_m=hi)
+                   height_m=lo, rx_range_m=hi)
     ScenarioConfig(band=Band.GHZ28, reflector_kind="convex", radius_of_curvature_m=0.5,
-                   height_m=hi, section_height_m=hi, azimuth_ray_spacing_m=lo, rx_range_m=lo,
-                   sweep_length_m=lo)
+                   height_m=hi, rx_range_m=lo, sweep_length_m=lo)
     # The radius only has to exceed half the chord; far past the planar-limit
     # flag it still runs clean.
     with warnings.catch_warnings():
@@ -457,6 +449,10 @@ def test_every_auto_value_is_resolved_to_its_closed_form(band, kind):
     if cfg.reflector_kind == "flat":
         assert scn.alpha == flat
         return
+    # 16 height sections x 32 azimuth targets, exactly: no ray bound is
+    # checked for a convex plate.
+    assert scn.reflector.n_height_sections == 16
+    assert azimuth_target_count(scn.reflector, scn.rx_pattern, g.rx_range_m) == 32
     d = g.rx_range_m
     hpbw = math.radians(scn.rx_pattern.hpbw_az_deg)
     assert_allclose(scn.reflector.azimuth_ray_spacing_m, 2.0 * d * math.tan(hpbw / 2.0) / 32.0,
@@ -465,16 +461,10 @@ def test_every_auto_value_is_resolved_to_its_closed_form(band, kind):
     assert scn.alpha == flat * r / (r + 2.0 * d)
 
 
-@pytest.mark.parametrize("kind", KINDS, ids=["flat", "convex"])
-def test_each_set_value_wins_over_its_default(kind):
-    # The auto keys of each kind: a set value reaches the reflector spec.
-    if kind["reflector_kind"] == "flat":
-        scn = ScenarioConfig(band=Band.GHZ39, facets_per_side=9, **kind).to_scenario()
-        assert scn.reflector.facets_per_side == 9
-        return
-    scn = ScenarioConfig(band=Band.GHZ39, section_height_m=0.05, azimuth_ray_spacing_m=0.03,
-                         **kind).to_scenario()
-    assert (scn.reflector.section_height_m, scn.reflector.azimuth_ray_spacing_m) == (0.05, 0.03)
+def test_each_set_value_wins_over_its_default():
+    # The one auto key: a set value reaches the reflector spec.
+    scn = ScenarioConfig(band=Band.GHZ39, facets_per_side=9).to_scenario()
+    assert scn.reflector.facets_per_side == 9
 
 
 def test_each_set_convex_value_wins_over_its_default():
@@ -484,39 +474,16 @@ def test_each_set_convex_value_wins_over_its_default():
     hpbw = math.radians(scn.rx_pattern.hpbw_az_deg)
     assert_allclose(scn.reflector.azimuth_ray_spacing_m, 2.0 * 4.0 * math.tan(hpbw / 2.0) / 32.0,
                     rtol=1e-12)
-    scn = ScenarioConfig(rx_range_m=4.0, azimuth_ray_spacing_m=0.03, **base).to_scenario()
-    assert scn.reflector.azimuth_ray_spacing_m == 0.03
 
 
 def test_rays_per_position_are_bounded():
-    # A 28 GHz section height of 1e-6 m (406400 sections x 32 targets) did
-    # not finish in 60 s, and a flat 256/side block of 200 RX positions
-    # peaked at 1.3 GB.
-    limit = config_module._MAX_RAYS_PER_POSITION
-    assert limit == 256 ** 2
+    # A flat 256/side block of 200 RX positions peaked at 1.3 GB. A convex
+    # plate always sums 16 x 32 rays (see the closed-form test above).
+    assert config_module._MAX_FACETS_PER_SIDE == 256
     ScenarioConfig(band=Band.GHZ28, facets_per_side=256)
-    with pytest.raises(ConfigError, match=f"gives {257 ** 2} rays per RX position; "
-                                          f"at most {limit}") as info:
+    with pytest.raises(ConfigError, match=r"must be in \[1, 256\] or 'auto'") as info:
         ScenarioConfig(band=Band.GHZ28, facets_per_side=257)
     assert info.value.key == "reflector.facets_per_side"
-    convex = dict(band=Band.GHZ28, reflector_kind="convex", radius_of_curvature_m=0.5)
-    # With both auto: 16 sections x 32 targets.
-    assert engine.rays_per_position(ScenarioConfig(**convex).to_scenario()) == 512
-    # 4096 sections x 16 targets is the bound itself.
-    spacing = capture_length_m(band_defaults(Band.GHZ28).rx_pattern, 2.5) / 16
-    sections = ScenarioConfig(section_height_m=SIDE / 4096, azimuth_ray_spacing_m=spacing,
-                              **convex).to_scenario()
-    assert engine.rays_per_position(sections) == limit
-    for fields, key in [(dict(section_height_m=SIDE / 4097, azimuth_ray_spacing_m=spacing),
-                         "reflector.section_height"),
-                        (dict(azimuth_ray_spacing_m=spacing / 257), "reflector.azimuth_ray_spacing"),
-                        # The planar limit sums a square grid of the sections.
-                        (dict(radius_of_curvature_m=1e6, section_height_m=SIDE / 257),
-                         "reflector.section_height")]:
-        with pytest.raises(ConfigError, match="rays per RX position") as info:
-            ScenarioConfig(**{**convex, **fields})
-        assert info.value.key == key
-    ScenarioConfig(**{**convex, "radius_of_curvature_m": 1e6, "section_height_m": SIDE / 256})
 
 
 def test_readme_lists_every_key_in_table_order():
@@ -553,8 +520,8 @@ def _auto_or(strategy):
 
 
 # key -> (in-range values, out-of-range values). Resolutions stay coarse (at
-# most 12 RX positions, 8 facets/side, sections and azimuth spacing >= 5 cm),
-# so no example sums more than about 1e5 rays. In-range values can still break
+# most 12 RX positions, 8 facets/side, and a convex plate sums 512 rays), so
+# no example sums more than about 1e4 rays. In-range values can still break
 # a rule that joins two keys (radius vs. width, sweep vs. reflector plane).
 _VALUES = {
     "engine.mode": (st.sampled_from(["physical", "literal"]), ["fast"]),
@@ -563,8 +530,6 @@ _VALUES = {
     "reflector.facets_per_side": (_auto_or(st.integers(1, 8).map(str)), ["0", "-1", "2.5"]),
     "reflector.radius_of_curvature": (st.one_of(_number(0.3, 5.0), st.just("1e6")),
                                       ["0.05", "-1", "0"]),
-    "reflector.section_height": (_auto_or(_number(0.05, 0.5)), ["0", "-0.01", "2"]),
-    "reflector.azimuth_ray_spacing": (_auto_or(_number(0.05, 0.5)), ["0", "-0.01"]),
     "reflector.reflection_efficiency": (_number(0.01, 1.0), ["0", "1.2", "-0.1"]),
     "geometry.tx_range": (_number(0.2, 6.0), ["0", "-1"]),
     "geometry.rx_range": (_number(0.2, 6.0), ["0", "-1"]),
@@ -576,19 +541,10 @@ _VALUES = {
 
 
 # Length keys whose magnitudes are also drawn log-uniformly over
-# 1e-300..1e300, far past both ends of the length range, mapped to the ray
-# spacing that divides them. A length over an explicit spacing is a ray count,
-# which stays coarse: such a length is spread only while its spacing is auto.
-# The spacings themselves are never spread.
-_SPREAD = {
-    "reflector.width": None,
-    "reflector.height": "reflector.section_height",
-    "reflector.radius_of_curvature": None,
-    "geometry.tx_range": None,
-    "geometry.rx_range": "reflector.azimuth_ray_spacing",
-    "geometry.sweep_length": None,
-    "geometry.sweep_offset": None,
-}
+# 1e-300..1e300, far past both ends of the length range.
+_SPREAD = ("reflector.width", "reflector.height", "reflector.radius_of_curvature",
+           "geometry.tx_range", "geometry.rx_range", "geometry.sweep_length",
+           "geometry.sweep_offset")
 
 
 def _magnitude(signed):
@@ -608,8 +564,7 @@ def _documents(draw):
              if key not in keys and key not in foreign]
     values = {key: draw(_VALUES[key][0]) for key in keys}
     for key in keys:
-        if (key in _SPREAD and values.get(_SPREAD[key], "auto") == "auto"
-                and draw(st.booleans())):
+        if key in _SPREAD and draw(st.booleans()):
             values[key] = draw(_magnitude(signed=key == "geometry.sweep_offset"))
     broken = draw(st.one_of(st.none(), st.sampled_from(keys)))
     if broken is not None:
@@ -651,8 +606,6 @@ _FIELD_VALUES = {
     "height_m": _any_float(),
     "facets_per_side": st.one_of(st.none(), st.integers(-1, 64), st.booleans()),
     "radius_of_curvature_m": _any_float(),
-    "section_height_m": st.one_of(st.none(), _any_float()),
-    "azimuth_ray_spacing_m": st.one_of(st.none(), _any_float()),
     "reflection_efficiency": _any_float(),
     "tx_range_m": _any_float(),
     "rx_range_m": _any_float(),

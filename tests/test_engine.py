@@ -253,9 +253,9 @@ def test_flat_requires_flat_spec():
 def test_convex_single_ray_friis():
     # One height section, one azimuth target centered on the RX: the captured
     # ray is the exact specular path through the arc apex.
-    scn = dataclasses.replace(
-        ScenarioConfig(band=Band.GHZ28, reflector_kind="convex", section_height_m=SIDE,
-                       azimuth_ray_spacing_m=10.0).to_scenario(), alpha=1.0)
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
+    spec = dataclasses.replace(scn.reflector, section_height_m=SIDE, azimuth_ray_spacing_m=10.0)
+    scn = dataclasses.replace(scn, reflector=spec, alpha=1.0)
     rx = specular_point(scn.geometry)[None, :]
     (got,) = convex_sweep_power(scn, rx, SumMode.PHYSICAL)
     want = friis_dbm(scn.tx_power_dbm, 17.0, scn.wavelength_m, 5.0)
@@ -310,7 +310,7 @@ def test_planar_limit_flag_matches_flat_sweep():
     flat = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", facets_per_side=16,
                           n_positions=121).to_scenario()
     convex = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex", radius_of_curvature_m=1e6,
-                            section_height_m=SIDE / 16, n_positions=121).to_scenario()
+                            n_positions=121).to_scenario()
     p_flat = sweep_profile(flat, SumMode.PHYSICAL)
     p_convex = sweep_profile(convex, SumMode.PHYSICAL)
     assert np.max(np.abs(p_flat.power_db - p_convex.power_db)) < 1e-3

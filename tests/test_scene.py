@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -136,8 +137,9 @@ def _capture_and_paths(scn, rx):
 
 
 def test_section_convex_single_section():
-    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
-                         section_height_m=SIDE).to_scenario()
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
+    scn = dataclasses.replace(scn, reflector=dataclasses.replace(scn.reflector,
+                                                                 section_height_m=SIDE))
     _, angles, paths = _capture_and_paths(scn, specular_point(scn.geometry))
     assert scn.reflector.n_height_sections == 1
     assert all(p.size == angles.size for p in paths)
