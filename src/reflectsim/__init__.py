@@ -6,7 +6,7 @@ contributions, and provides the metrics and I/O needed to compare those
 sweeps against channel-sounder measurements.
 """
 
-from .antenna import AntennaPattern, Band, BandDefaults, band_defaults
+from .antenna import AntennaPattern, Band
 from .config import ConfigError, ScenarioConfig, dump_config, parse_config
 from .engine import SumMode, alpha_curved, alpha_flat
 from .metrics import (
@@ -34,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AntennaPattern",
     "Band",
-    "BandDefaults",
     "ComparisonReport",
     "ConfigError",
     "ConvexReflectorSpec",
@@ -49,7 +48,6 @@ __all__ = [
     "alpha_curved",
     "alpha_flat",
     "analyze",
-    "band_defaults",
     "compare",
     "dump_config",
     "export_profile",

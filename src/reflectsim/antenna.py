@@ -5,7 +5,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -13,7 +12,7 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 
 class Band(enum.Enum):
-    """Carrier bands with bundled channel-sounder-style defaults."""
+    """Carrier bands with the channel-sounder horn and TX power of each."""
 
     GHZ28 = "28ghz"
     GHZ39 = "39ghz"
@@ -21,11 +20,21 @@ class Band(enum.Enum):
 
     @property
     def frequency_hz(self) -> float:
-        return _BAND_FREQUENCY_HZ[self]
+        return _BAND_TABLE[self][0]
 
     @property
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT_M_S / self.frequency_hz
+
+    @property
+    def horn(self) -> AntennaPattern:
+        """The horn used at both link ends. The horizontal sweep geometry maps
+        its H-plane to azimuth and its E-plane to elevation."""
+        return _BAND_TABLE[self][1]
+
+    @property
+    def tx_power_dbm(self) -> float:
+        return _BAND_TABLE[self][2]
 
     @classmethod
     def parse(cls, text: str) -> "Band":
@@ -40,11 +49,8 @@ class Band(enum.Enum):
         return self.value
 
 
-_BAND_FREQUENCY_HZ = {
-    Band.GHZ28: 28e9,
-    Band.GHZ39: 39e9,
-    Band.GHZ120: 120e9,
-}
+# Roll-off at which the main lobe meets the flat sidelobe floor (dB below boresight).
+_SIDELOBE_FLOOR_DB = 30.0
 
 
 @dataclass(frozen=True)
@@ -52,9 +58,9 @@ class AntennaPattern:
     """Separable azimuth/elevation main-lobe pattern.
 
     The roll-off is quadratic in dB with a 3 dB loss at half the HPBW in each
-    plane, clamped at a flat sidelobe floor relative to boresight:
+    plane, clamped at a flat sidelobe floor 30 dB below boresight:
 
-        gain_dB(az, el) = G0 - min(12*(az/hpbw_az)^2 + 12*(el/hpbw_el)^2, |floor|)
+        gain_dB(az, el) = G0 - min(12*(az/hpbw_az)^2 + 12*(el/hpbw_el)^2, 30)
 
     Angles are offsets from boresight in degrees.
     """
@@ -62,17 +68,12 @@ class AntennaPattern:
     boresight_gain_dbi: float
     hpbw_az_deg: float
     hpbw_el_deg: float
-    sidelobe_floor_db: float = -30.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.hpbw_az_deg <= 180.0):
             raise ValueError(f"hpbw_az_deg must be in (0, 180], got {self.hpbw_az_deg}")
         if not (0.0 < self.hpbw_el_deg <= 180.0):
             raise ValueError(f"hpbw_el_deg must be in (0, 180], got {self.hpbw_el_deg}")
-        if not self.sidelobe_floor_db <= -20.0:
-            raise ValueError(
-                f"sidelobe_floor_db must be <= -20 dB, got {self.sidelobe_floor_db}"
-            )
         if not math.isfinite(self.boresight_gain_dbi):
             raise ValueError("boresight_gain_dbi must be finite")
 
@@ -81,7 +82,7 @@ class AntennaPattern:
         az = np.asarray(az_deg, dtype=float)
         el = np.asarray(el_deg, dtype=float)
         rolloff = 12.0 * (az / self.hpbw_az_deg) ** 2 + 12.0 * (el / self.hpbw_el_deg) ** 2
-        out = self.boresight_gain_dbi - np.minimum(rolloff, -self.sidelobe_floor_db)
+        out = self.boresight_gain_dbi - np.minimum(rolloff, _SIDELOBE_FLOOR_DB)
         return out if out.ndim else float(out)
 
     def gain(self, az_deg, el_deg):
@@ -89,27 +90,9 @@ class AntennaPattern:
         return 10.0 ** (np.asarray(self.gain_db(az_deg, el_deg)) / 10.0)
 
 
-class BandDefaults(NamedTuple):
-    tx_pattern: AntennaPattern
-    rx_pattern: AntennaPattern
-    tx_power_dbm: float
-    wavelength_m: float
-
-
-# (gain dBi, H-plane HPBW deg, E-plane HPBW deg, TX power dBm) per band.
-# Identical horns are used at both link ends.
+# (frequency Hz, horn (gain dBi, H-plane HPBW deg, E-plane HPBW deg), TX power dBm)
 _BAND_TABLE = {
-    Band.GHZ28: (17.0, 24.0, 26.0, -10.0),
-    Band.GHZ39: (20.0, 16.0, 15.0, -10.0),
-    Band.GHZ120: (21.0, 13.0, 13.0, 10.0),
+    Band.GHZ28: (28e9, AntennaPattern(17.0, hpbw_az_deg=24.0, hpbw_el_deg=26.0), -10.0),
+    Band.GHZ39: (39e9, AntennaPattern(20.0, hpbw_az_deg=16.0, hpbw_el_deg=15.0), -10.0),
+    Band.GHZ120: (120e9, AntennaPattern(21.0, hpbw_az_deg=13.0, hpbw_el_deg=13.0), 10.0),
 }
-
-
-def band_defaults(band: Band) -> BandDefaults:
-    """Default link parameters for a band. The horizontal sweep geometry maps
-    the H-plane to azimuth and the E-plane to elevation."""
-    if band not in _BAND_TABLE:
-        raise ValueError(f"unknown band {band!r}")
-    gain_dbi, hpbw_h, hpbw_e, tx_power_dbm = _BAND_TABLE[band]
-    pattern = AntennaPattern(gain_dbi, hpbw_az_deg=hpbw_h, hpbw_el_deg=hpbw_e)
-    return BandDefaults(pattern, pattern, tx_power_dbm, band.wavelength_m)

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import metrics
-from .antenna import Band, band_defaults
+from .antenna import Band
 from .config import ConfigError, ScenarioConfig, dump_config, parse_config
 from .profile_io import export_profile, import_measured
 from .runner import run_sweep
@@ -54,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
-    text = "" if args.config is None else args.config.read_text(encoding="utf-8")
+    # utf-8-sig: editors such as Notepad start a UTF-8 file with a byte-order mark.
+    text = "" if args.config is None else args.config.read_text(encoding="utf-8-sig")
     overrides = {key: str(getattr(args, key)) for key in _FLAG_KEYS
                  if getattr(args, key, None) is not None}
     return parse_config(text, overrides)
@@ -121,12 +122,11 @@ def _cmd_bands(_args: argparse.Namespace) -> int:
     print(f"{'band':>8} {'freq_ghz':>9} {'tx_dbm':>7} {'gain_dbi':>9} "
           f"{'hpbw_az':>8} {'hpbw_el':>8} {'lambda_m':>10} {'facets':>7}")
     for band in Band:
-        d = band_defaults(band)
-        p = d.tx_pattern
+        p = band.horn
         n_facets = ScenarioConfig(band=band).to_scenario().reflector.facet_count
-        print(f"{band.value:>8} {band.frequency_hz / 1e9:>9.0f} {d.tx_power_dbm:>7.0f} "
+        print(f"{band.value:>8} {band.frequency_hz / 1e9:>9.0f} {band.tx_power_dbm:>7.0f} "
               f"{p.boresight_gain_dbi:>9.0f} {p.hpbw_az_deg:>8.0f} {p.hpbw_el_deg:>8.0f} "
-              f"{d.wavelength_m:>10.6f} {n_facets:>7d}")
+              f"{band.wavelength_m:>10.6f} {n_facets:>7d}")
     return EXIT_OK
 
 

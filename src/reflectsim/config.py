@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .antenna import Band, band_defaults
+from .antenna import Band
 from .engine import SumMode, alpha_curved, alpha_flat
 from .scene import (
     INCH_M,
@@ -27,7 +27,6 @@ from .scene import (
     ReflectorSpec,
     Scenario,
     ScenarioGeometry,
-    capture_length_m,
 )
 
 # Flat-plate grid used when `reflector.facets_per_side = auto`.
@@ -49,8 +48,8 @@ _MAX_LENGTH_M = 1e9
 _MAX_POSITIONS = 100_000
 
 # Flat facets per side: a flat sweep block of 200 positions holds (200, n^2)
-# float arrays, about 1.3 GB at this bound. A convex plate always sums 16
-# height sections x 32 azimuth targets.
+# float arrays, about 1.3 GB at this bound. A convex plate has no grid key: it
+# always sums scene's 16 height sections x 32 azimuth targets.
 _MAX_FACETS_PER_SIDE = 256
 
 
@@ -200,7 +199,7 @@ class ScenarioConfig:
             sweep_end=sweep_end,
             n_rx_positions=self.n_positions,
         )
-        link = band_defaults(self.band)
+        horn = self.band.horn
         reflector: ReflectorSpec
         if self.reflector_kind == "flat":
             reflector = FlatReflectorSpec(
@@ -211,19 +210,14 @@ class ScenarioConfig:
                 reflection_efficiency=self.reflection_efficiency,
             )
         else:
-            # 16 height sections x 32 azimuth targets: each division is by a
-            # power of two, so both counts come out exact.
             reflector = ConvexReflectorSpec(
                 chord_width_m=self.width_m,
                 height_m=self.height_m,
                 radius_of_curvature_m=self.radius_of_curvature_m,
-                section_height_m=self.height_m / 16.0,
-                azimuth_ray_spacing_m=(capture_length_m(link.rx_pattern, geometry.rx_range_m)
-                                       / 32.0),
                 reflection_efficiency=self.reflection_efficiency,
             )
 
-        alpha = alpha_flat(geometry, link.tx_pattern, reflector)
+        alpha = alpha_flat(geometry, horn, reflector)
         if self.reflector_kind == "convex":
             alpha = alpha_curved(alpha, reflector, geometry)
         # Phase reference: TX -> reflector center -> sweep midpoint.
@@ -233,10 +227,9 @@ class ScenarioConfig:
             band=self.band,
             geometry=geometry,
             reflector=reflector,
-            tx_pattern=link.tx_pattern,
-            rx_pattern=link.rx_pattern,
-            tx_power_dbm=link.tx_power_dbm,
-            wavelength_m=link.wavelength_m,
+            tx_pattern=horn,
+            rx_pattern=horn,
+            tx_power_dbm=self.band.tx_power_dbm,
             d_ref_m=d_ref_m,
             alpha=alpha,
             label=self.resolved_label(),

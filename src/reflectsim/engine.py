@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from . import scene
 from .antenna import AntennaPattern
 from .scene import (
     ConvexReflectorSpec,
@@ -170,15 +171,15 @@ def flat_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -
 def _planar_limit_scenario(scenario: Scenario) -> Scenario:
     """Flat-reflector equivalent used above the planar-limit radius flag.
 
-    The azimuth discretization follows the height-section count (square
-    grid), and the scenario's curved attenuation factor carries over (it
-    converges to the flat factor in this limit).
+    The azimuth discretization follows the convex height-section count
+    (square grid), and the scenario's curved attenuation factor carries over
+    (it converges to the flat factor in this limit).
     """
     spec = scenario.reflector
     flat_equiv = FlatReflectorSpec(
         width_m=spec.chord_width_m,
         height_m=spec.height_m,
-        facets_per_side=spec.n_height_sections,
+        facets_per_side=scene._HEIGHT_SECTIONS,
         reflection_efficiency=spec.reflection_efficiency,
     )
     return dataclasses.replace(scenario, reflector=flat_equiv)
@@ -210,7 +211,7 @@ def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode)
     geom = scenario.geometry
     tx_boresight, rx_boresight = scenario.tx_boresight, scenario.rx_boresight
     angles, intercepts = convex_captures(spec, geom, rx, scenario.rx_pattern)
-    n_el, n_az = spec.n_height_sections, angles.shape[1]
+    n_el, n_az = scene._HEIGHT_SECTIONS, angles.shape[1]
 
     captured = ~np.isnan(angles)
     counts = captured.sum(1)

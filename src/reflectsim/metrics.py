@@ -31,6 +31,8 @@ class PowerProfile:
             raise ValueError("positions and powers must have equal length")
         if pos.size == 0:
             raise ValueError("profile must contain at least one sample")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("positions must be finite")
         if not np.all(np.diff(pos) > 0.0):
             raise ValueError("positions must be strictly increasing")
         if np.any(np.isnan(pwr)) or np.any(pwr == np.inf):

@@ -42,7 +42,8 @@ def import_measured(path: Union[str, Path]) -> PowerProfile:
     Extra columns are ignored; the profile label is taken from the filename.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    # utf-8-sig: spreadsheet "CSV UTF-8" exports start with a byte-order mark.
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
     if not lines:
         raise ProfileFormatError(f"{path}: empty file")
     header = [c.strip() for c in lines[0].split(",")]

@@ -19,6 +19,11 @@ _UP = np.array([0.0, 0.0, 1.0])
 # as the planar limit of the convex model.
 PLANAR_LIMIT_RADIUS_M = 1e6
 
+# Every convex plate is summed as 16 height sections x 32 azimuth targets:
+# 512 rays per RX position.
+_HEIGHT_SECTIONS = 16
+_AZIMUTH_TARGETS = 32
+
 _CAPTURE_GRID_POINTS = 4097
 # RX positions whose capture lines are solved together: the (block, 4097)
 # temporaries stay in cache; 32 or more positions per block run slower.
@@ -135,15 +140,14 @@ class ConvexReflectorSpec:
     The surface is a vertical-axis cylinder section of radius
     `radius_of_curvature_m` bulging toward the illuminated side; reflected
     rays appear to diverge from a virtual focus at half the radius behind
-    the surface. Launch rays are spaced so their reflected intercepts land
-    `azimuth_ray_spacing_m` apart on the RX capture segment.
+    the surface. The plate is summed as `_HEIGHT_SECTIONS` height sections
+    times `_AZIMUTH_TARGETS` intercepts spread evenly across the RX capture
+    segment.
     """
 
     chord_width_m: float
     height_m: float
     radius_of_curvature_m: float
-    section_height_m: float
-    azimuth_ray_spacing_m: float
     reflection_efficiency: float
 
     def __post_init__(self) -> None:
@@ -154,16 +158,8 @@ class ConvexReflectorSpec:
                 "radius_of_curvature_m must exceed chord_width_m / 2 "
                 f"({self.chord_width_m / 2.0:.4f} m) for a realizable arc"
             )
-        if not (0.0 < self.section_height_m <= self.height_m):
-            raise ValueError("section_height_m must be in (0, height_m]")
-        if self.azimuth_ray_spacing_m <= 0.0:
-            raise ValueError("azimuth_ray_spacing_m must be positive")
         if not (0.0 < self.reflection_efficiency <= 1.0):
             raise ValueError("reflection_efficiency must be in (0, 1]")
-
-    @property
-    def n_height_sections(self) -> int:
-        return math.ceil(self.height_m / self.section_height_m - 1e-12)
 
     @property
     def is_planar_limit(self) -> bool:
@@ -184,10 +180,13 @@ class Scenario:
     tx_pattern: AntennaPattern
     rx_pattern: AntennaPattern
     tx_power_dbm: float
-    wavelength_m: float
     d_ref_m: float             # phase-reference path length
     alpha: float               # attenuation factor applied to every ray
     label: str
+
+    @property
+    def wavelength_m(self) -> float:
+        return self.band.wavelength_m
 
     @property
     def is_convex(self) -> bool:
@@ -233,12 +232,6 @@ def capture_length_m(pattern: AntennaPattern, distance_m: float) -> float:
     return 2.0 * distance_m * math.tan(math.radians(pattern.hpbw_az_deg) / 2.0)
 
 
-def azimuth_target_count(spec: ConvexReflectorSpec, pattern: AntennaPattern,
-                         rx_range_m: float) -> int:
-    """Target intercepts, `azimuth_ray_spacing_m` apart, across a capture segment."""
-    return math.ceil(capture_length_m(pattern, rx_range_m) / spec.azimuth_ray_spacing_m - 1e-12)
-
-
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """(M, 1) norms of the rows of an (M, 2) array, each with the bits of a
     1-D np.linalg.norm (a BLAS dot); norm(axis=1) differs in the last bit."""
@@ -256,8 +249,8 @@ def convex_captures(
     The capture segment of an RX point is horizontal, perpendicular to its
     sight line toward the reflector center, centered on it, and
     2*d*tan(HPBW_az/2) long at the sweep's range d = `geom.rx_range_m`.
-    `n_az` target intercepts are spaced `azimuth_ray_spacing_m` apart across
-    it. All RX points are checked first.
+    `_AZIMUTH_TARGETS` target intercepts are spaced evenly across it, one
+    segment length / `_AZIMUTH_TARGETS` apart. All RX points are checked first.
     The specular rays off the arc are traced once, in the horizontal plane
     (the cylinder axis is vertical, so every height section shares the
     azimuth solution); only their crossings with each capture line depend on
@@ -299,8 +292,8 @@ def convex_captures(
     d_in /= np.linalg.norm(d_in, axis=1, keepdims=True)
     d_out = d_in - 2.0 * np.sum(d_in * normals, axis=1, keepdims=True) * normals
 
-    gamma = spec.azimuth_ray_spacing_m
-    n_az = azimuth_target_count(spec, pattern, geom.rx_range_m)
+    n_az = _AZIMUTH_TARGETS
+    gamma = capture_length_m(pattern, geom.rx_range_m) / n_az
     targets = (np.arange(n_az) - (n_az - 1) / 2.0) * gamma
     px, py = points.T.copy()
     dx, dy = d_out.T.copy()
@@ -362,7 +355,7 @@ def convex_path_geometry_batch(
     normals = (cos_b * n + sin_b * e_h)[:, None]                    # (G, 1, K, 3)
     arc_xy = geom.reflector_center + r * (cos_b - 1.0) * n + r * sin_b * e_h  # (G, K, 3)
 
-    n_el = spec.n_height_sections
+    n_el = _HEIGHT_SECTIONS
     z_offsets = ((np.arange(n_el) + 0.5) / n_el - 0.5) * spec.height_m
     launch = arc_xy[:, None] + z_offsets[:, None, None] * e_v       # (G, S, K, 3)
 

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from reflectsim import config as config_module
+from reflectsim import config as config_module, scene
 from reflectsim.antenna import Band
 from reflectsim.cli import build_parser, main
 from reflectsim.config import ConfigError, ScenarioConfig, dump_config, parse_config
 from reflectsim.engine import SumMode, alpha_flat
 from reflectsim.runner import run_sweep
-from reflectsim.scene import INCH_M, azimuth_target_count
+from reflectsim.scene import INCH_M, convex_captures, specular_point
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -430,6 +430,13 @@ KINDS = [dict(reflector_kind="flat"),
          dict(reflector_kind="convex", radius_of_curvature_m=0.5)]
 
 
+def _target_spacings(scn):
+    """Distances between adjacent azimuth targets on the specular RX's capture segment."""
+    rx = specular_point(scn.geometry)[None, :]
+    _, (intercepts,) = convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern)
+    return np.linalg.norm(np.diff(intercepts, axis=0), axis=1)
+
+
 def _none_fields(obj):
     return [f.name for f in dataclasses.fields(obj) if getattr(obj, f.name) is None]
 
@@ -451,12 +458,12 @@ def test_every_auto_value_is_resolved_to_its_closed_form(band, kind):
         return
     # 16 height sections x 32 azimuth targets, exactly: no ray bound is
     # checked for a convex plate.
-    assert scn.reflector.n_height_sections == 16
-    assert azimuth_target_count(scn.reflector, scn.rx_pattern, g.rx_range_m) == 32
+    assert scene._HEIGHT_SECTIONS == 16
+    spacings = _target_spacings(scn)
+    assert spacings.size == 32 - 1
     d = g.rx_range_m
     hpbw = math.radians(scn.rx_pattern.hpbw_az_deg)
-    assert_allclose(scn.reflector.azimuth_ray_spacing_m, 2.0 * d * math.tan(hpbw / 2.0) / 32.0,
-                    rtol=1e-12)
+    assert_allclose(spacings, 2.0 * d * math.tan(hpbw / 2.0) / 32.0, rtol=1e-12)
     r = scn.reflector.radius_of_curvature_m
     assert scn.alpha == flat * r / (r + 2.0 * d)
 
@@ -470,10 +477,9 @@ def test_each_set_value_wins_over_its_default():
 def test_each_set_convex_value_wins_over_its_default():
     base = dict(band=Band.GHZ39, reflector_kind="convex", radius_of_curvature_m=0.5)
     scn = ScenarioConfig(rx_range_m=4.0, **base).to_scenario()
-    # The auto spacing follows the RX range.
+    # The target spacing follows the RX range.
     hpbw = math.radians(scn.rx_pattern.hpbw_az_deg)
-    assert_allclose(scn.reflector.azimuth_ray_spacing_m, 2.0 * 4.0 * math.tan(hpbw / 2.0) / 32.0,
-                    rtol=1e-12)
+    assert_allclose(_target_spacings(scn), 2.0 * 4.0 * math.tan(hpbw / 2.0) / 32.0, rtol=1e-12)
 
 
 def test_rays_per_position_are_bounded():
@@ -503,12 +509,6 @@ def test_readme_flag_table_matches_the_parser():
              for action in commands[name]._actions if action.dest in config_module._KEY_TABLE
              for flag in action.option_strings}
     assert table == flags
-
-
-def test_auto_section_height_follows_the_configured_height():
-    convex = ScenarioConfig(band=Band.GHZ39, reflector_kind="convex", height_m=0.32).to_scenario()
-    assert convex.reflector.section_height_m == 0.32 / 16
-    assert convex.reflector.n_height_sections == 16
 
 
 def _number(low, high):

@@ -101,10 +101,10 @@ def test_alpha_ordering_strict_for_finite_radius(radius):
 # ---------------------------------------------------------------- amplitudes
 
 # 28 GHz horns on both ends (17 dBi, 24/26 deg HPBW), 0 dBm, no attenuation,
-# a 1 cm wavelength and the phase referenced to 5 m.
+# the 28 GHz wavelength and the phase referenced to 5 m.
 BORESIGHT_SCENARIO = dataclasses.replace(
     ScenarioConfig(band=Band.GHZ28).to_scenario(),
-    wavelength_m=0.01, d_ref_m=5.0, tx_power_dbm=0.0, alpha=1.0,
+    d_ref_m=5.0, tx_power_dbm=0.0, alpha=1.0,
 )
 LAM = BORESIGHT_SCENARIO.wavelength_m
 
@@ -250,12 +250,13 @@ def test_flat_requires_flat_spec():
 
 # ---------------------------------------------------------------- convex path
 
-def test_convex_single_ray_friis():
+def test_convex_single_ray_friis(monkeypatch):
     # One height section, one azimuth target centered on the RX: the captured
     # ray is the exact specular path through the arc apex.
+    monkeypatch.setattr(scene, "_HEIGHT_SECTIONS", 1)
+    monkeypatch.setattr(scene, "_AZIMUTH_TARGETS", 1)
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
-    spec = dataclasses.replace(scn.reflector, section_height_m=SIDE, azimuth_ray_spacing_m=10.0)
-    scn = dataclasses.replace(scn, reflector=spec, alpha=1.0)
+    scn = dataclasses.replace(scn, alpha=1.0)
     rx = specular_point(scn.geometry)[None, :]
     (got,) = convex_sweep_power(scn, rx, SumMode.PHYSICAL)
     want = friis_dbm(scn.tx_power_dbm, 17.0, scn.wavelength_m, 5.0)
@@ -285,7 +286,7 @@ def test_convex_sweep_does_not_depend_on_blocking(mode, monkeypatch):
     rx = scn.geometry.rx_positions()[::9]
     angles, _ = convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern)
     counts = np.count_nonzero(~np.isnan(angles), axis=1)
-    n_el = scn.reflector.n_height_sections
+    n_el = scene._HEIGHT_SECTIONS
     groups = {int(k): np.count_nonzero(counts == k) for k in np.unique(counts[counts > 0])}
     assert 0 in counts and len(groups) > 1
     assert any(size > engine._RAY_BLOCK // (n_el * k) for k, size in groups.items())

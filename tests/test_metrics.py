@@ -265,6 +265,10 @@ def test_profile_validation():
         PowerProfile(pos, np.full(10, np.inf))
     with pytest.raises(ValueError, match="equal length"):
         PowerProfile(pos, np.zeros(9))
+    # An infinite end passes the strictly-increasing check on its own.
+    for bad in ([-np.inf, 0.0, 1.0], [0.0, 1.0, np.inf], [np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            PowerProfile(bad, np.zeros(len(bad)))
     # -inf sentinel is allowed
     power = np.zeros(10)
     power[3] = -np.inf

@@ -105,6 +105,15 @@ def test_import_requires_schema_columns(tmp_path):
         import_measured(path)
 
 
+def test_import_reads_a_byte_order_mark(tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start with U+FEFF.
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeffposition_m,power_db\n0.0,-54.5\n0.001,-60.0\n", encoding="utf-8")
+    measured = import_measured(path)
+    assert measured.positions_m.tolist() == [0.0, 0.001]
+    assert measured.power_db.tolist() == [-54.5, -60.0]
+
+
 def test_import_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from reflectsim.antenna import Band, band_defaults
+from reflectsim import scene
+from reflectsim.antenna import Band
 from reflectsim.config import ConfigError, ScenarioConfig, parse_config
 from reflectsim.scene import (
     ConvexReflectorSpec,
@@ -136,12 +136,10 @@ def _capture_and_paths(scn, rx):
     return n_az, angles, [p[0] for p in paths]
 
 
-def test_section_convex_single_section():
+def test_section_convex_single_section(monkeypatch):
+    monkeypatch.setattr(scene, "_HEIGHT_SECTIONS", 1)
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
-    scn = dataclasses.replace(scn, reflector=dataclasses.replace(scn.reflector,
-                                                                 section_height_m=SIDE))
     _, angles, paths = _capture_and_paths(scn, specular_point(scn.geometry))
-    assert scn.reflector.n_height_sections == 1
     assert all(p.size == angles.size for p in paths)
 
 
@@ -149,13 +147,13 @@ def test_section_convex_default_counts():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
     rx = specular_point(scn.geometry)
     n_az, angles, paths = _capture_and_paths(scn, rx)
-    assert scn.reflector.n_height_sections == 16  # height / (height/16)
+    assert scene._HEIGHT_SECTIONS == 16
     # R = 0.5 m diverges rays strongly, so all 32 intercept targets are reachable
     assert n_az == 32
     assert angles.size == 32
     _, (intercepts,) = convex_captures(scn.reflector, scn.geometry, rx[None, :],
                                        scn.rx_pattern)
-    gamma = scn.reflector.azimuth_ray_spacing_m
+    gamma = capture_length_m(scn.rx_pattern, scn.geometry.rx_range_m) / 32
     offsets = np.linalg.norm(intercepts - rx[:2], axis=1)
     assert_allclose(offsets, np.abs(np.arange(32) - 15.5) * gamma, rtol=1e-12)
     assert all(p.size == 16 * 32 for p in paths)
@@ -173,7 +171,7 @@ def test_section_convex_rays_lie_on_arc():
     axis_center = g.reflector_center - r * g.reflector_normal
     b = angles[:, None]
     radial = np.cos(b) * g.reflector_normal + np.sin(b) * e_h
-    z = -0.5 * spec.height_m + 0.5 * spec.section_height_m  # bottom section
+    z = -0.5 * spec.height_m + 0.5 * spec.height_m / scene._HEIGHT_SECTIONS  # bottom section
     launch = axis_center + r * radial + z * e_v
     assert_allclose(np.linalg.norm(radial, axis=1), 1.0, atol=1e-12)
     d_in = launch - g.tx_position
@@ -227,24 +225,23 @@ def test_section_convex_rejects_rx_behind_reflector():
 
 
 def _captures_at(radius_m, tx, rx, *more_rx):
-    """`convex_captures` at one RX, followed by `more_rx`, for a 16-section,
-    16-inch plate facing +x at the origin, with 3.31 cm ray spacing, the
-    28 GHz RX pattern and a sweep midpoint 2.5 m out, which sizes the capture
-    segments. Returns the targets, the
+    """`convex_captures` at one RX, followed by `more_rx`, for a 16-inch
+    plate facing +x at the origin, the 28 GHz RX pattern and a sweep midpoint
+    2.5 m out, which sizes the capture segments and so the spacing of their
+    32 targets. Returns the targets, the
     capture-line origin and direction, and the captured arc angles and their
     intercepts at the first RX."""
     spec = ConvexReflectorSpec(chord_width_m=SIDE, height_m=SIDE, radius_of_curvature_m=radius_m,
-                               section_height_m=SIDE / 16, azimuth_ray_spacing_m=0.0331,
                                reflection_efficiency=1.0)
     rx = np.asarray(rx)
     geom = ScenarioGeometry(tx_position=tx, reflector_center=np.zeros(3),
                             reflector_normal=[1.0, 0.0, 0.0], incidence_angle_deg=30.0,
                             sweep_start=[2.5, -0.5, 0.0], sweep_end=[2.5, 0.5, 0.0],
                             n_rx_positions=2)
-    (angles, *_), (intercepts, *_) = convex_captures(
-        spec, geom, np.array([rx, *more_rx]), band_defaults(Band.GHZ28).rx_pattern)
+    pattern = Band.GHZ28.horn
+    (angles, *_), (intercepts, *_) = convex_captures(spec, geom, np.array([rx, *more_rx]), pattern)
     n_az = angles.size
-    targets = (np.arange(n_az) - (n_az - 1) / 2.0) * spec.azimuth_ray_spacing_m
+    targets = (np.arange(n_az) - (n_az - 1) / 2.0) * (capture_length_m(pattern, 2.5) / n_az)
     line = np.array([rx[1], -rx[0]]) / np.linalg.norm(rx[:2])
     captured = ~np.isnan(angles)
     return targets, rx[:2], line, angles[captured], intercepts[captured]
@@ -427,7 +424,6 @@ def test_geometry_validation():
 def test_reflector_spec_validation():
     flat = dict(width_m=SIDE, height_m=SIDE, facets_per_side=6, reflection_efficiency=1.0)
     convex = dict(chord_width_m=SIDE, height_m=SIDE, radius_of_curvature_m=0.5,
-                  section_height_m=SIDE / 16, azimuth_ray_spacing_m=0.01,
                   reflection_efficiency=1.0)
     with pytest.raises(ValueError):
         FlatReflectorSpec(**{**flat, "facets_per_side": 0})
@@ -435,10 +431,6 @@ def test_reflector_spec_validation():
         FlatReflectorSpec(**{**flat, "reflection_efficiency": 1.5})
     with pytest.raises(ValueError, match="exceed"):
         ConvexReflectorSpec(**{**convex, "radius_of_curvature_m": 0.2})  # below chord/2
-    with pytest.raises(ValueError):
-        ConvexReflectorSpec(**{**convex, "section_height_m": 1.0})  # above height
-    with pytest.raises(ValueError, match="spacing"):
-        ConvexReflectorSpec(**{**convex, "azimuth_ray_spacing_m": 0.0})
 
 
 def test_vec3_rejects_non_finite():
