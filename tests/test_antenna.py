@@ -82,6 +82,7 @@ def test_band_parse_unknown_raises():
     [
         dict(boresight_gain_dbi=17.0, hpbw_az_deg=0.0, hpbw_el_deg=26.0),
         dict(boresight_gain_dbi=17.0, hpbw_az_deg=24.0, hpbw_el_deg=181.0),
+        dict(boresight_gain_dbi=float("inf"), hpbw_az_deg=24.0, hpbw_el_deg=26.0),
         dict(boresight_gain_dbi=float("nan"), hpbw_az_deg=24.0, hpbw_el_deg=26.0),
     ],
 )
