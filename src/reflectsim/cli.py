@@ -54,8 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
-    # utf-8-sig: editors such as Notepad start a UTF-8 file with a byte-order mark.
-    text = "" if args.config is None else args.config.read_text(encoding="utf-8-sig")
+    data = b"" if args.config is None else args.config.read_bytes()
+    try:
+        # utf-8-sig: editors such as Notepad start a UTF-8 file with a byte-order mark.
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
+                          line=data.count(b"\n", 0, exc.start) + 1) from None
     overrides = {key: str(getattr(args, key)) for key in _FLAG_KEYS
                  if getattr(args, key, None) is not None}
     return parse_config(text, overrides)

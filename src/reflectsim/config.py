@@ -44,12 +44,12 @@ _MAX_LENGTH_M = 1e9
 
 # RX positions per sweep. The default 1.8 m sweep then has an 18 um pitch,
 # under 1/100 of the shortest wavelength; a 28 GHz convex sweep of this many
-# positions took 35 s with a peak RSS of 165 MB on 2 CPUs.
+# positions took 18 s with a peak RSS of 146 MB on 2 CPUs.
 _MAX_POSITIONS = 100_000
 
-# Flat facets per side: a flat sweep block of 200 positions holds (200, n^2)
-# float arrays, about 1.3 GB at this bound. A convex plate has no grid key: it
-# always sums scene's 16 height sections x 32 azimuth targets.
+# Flat facets per side: the engine's ray budget bounds a block's memory at any
+# n, so this bounds the time, n^2 rays per RX position. A convex plate has no
+# grid key: it always sums scene's 16 height sections x 32 azimuth targets.
 _MAX_FACETS_PER_SIDE = 256
 
 

@@ -28,11 +28,9 @@ FOUR_PI = 4.0 * math.pi
 # Sentinel for "no capturable field at this RX position".
 NO_POWER_DB = float("-inf")
 
-# RX positions per flat-sweep block: bounds the (positions x facets) arrays.
-_RX_BLOCK = 200
-
-# Rays per convex-sweep block: bounds the (positions x sections x rays) arrays.
-_RAY_BLOCK = 8192
+# Rays per sweep block, for both shapes: bounds the (positions x rays) arrays
+# of a flat block and the (positions x sections x rays) arrays of a convex one.
+_RAY_BLOCK = 16384
 
 
 class SumMode(enum.Enum):
@@ -146,8 +144,8 @@ def flat_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -
     PHYSICAL mode sums field amplitudes over the facet grid with 1/N
     averaging (dBm); LITERAL mode additionally includes the center reference
     ray and the sqrt(N) prefactor. Facet order is row-major and fixed, and
-    RX points are evaluated in blocks of _RX_BLOCK, so memory stays bounded
-    and results are bit-reproducible.
+    RX points are evaluated in blocks of at most _RAY_BLOCK rays (at least
+    one position), so memory stays bounded and results are bit-reproducible.
     """
     spec = scenario.reflector
     if not isinstance(spec, FlatReflectorSpec):
@@ -160,8 +158,9 @@ def flat_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -
 
     rx = np.asarray(rx_points, dtype=float)
     total = np.empty(len(rx), dtype=complex)
-    for start in range(0, len(rx), _RX_BLOCK):
-        block = slice(start, start + _RX_BLOCK)
+    step = max(1, _RAY_BLOCK // len(launches))
+    for start in range(0, len(rx), step):
+        block = slice(start, start + step)
         paths = path_geometry_batch(geom.tx_position, launches, rx[block],
                                     tx_boresight, rx_boresight)
         total[block] = _ray_sums(scenario, paths, mode, spec.facet_count)

@@ -13,6 +13,11 @@ DEFAULT_FRINGE_PROMINENCE_DB = 1.0
 
 MIN_ANALYZE_SAMPLES = 101
 
+# Largest power magnitude a profile may hold (dB). The smoothed envelope sums
+# 10**(p/10) over 51 samples, which overflows from about 3065 dB on; a far
+# more negative power overflows the squared compare residuals instead.
+MAX_ABS_POWER_DB = 3000.0
+
 
 @dataclass(frozen=True, eq=False)
 class PowerProfile:
@@ -35,8 +40,12 @@ class PowerProfile:
             raise ValueError("positions must be finite")
         if not np.all(np.diff(pos) > 0.0):
             raise ValueError("positions must be strictly increasing")
-        if np.any(np.isnan(pwr)) or np.any(pwr == np.inf):
-            raise ValueError("powers must not contain NaN or +inf (-inf sentinel allowed)")
+        # -inf is the no-capture sentinel; NaN fails the bound.
+        if not np.all((np.abs(pwr) <= MAX_ABS_POWER_DB) | np.isneginf(pwr)):
+            raise ValueError(
+                f"powers must be -inf or in [-{MAX_ABS_POWER_DB:g}, {MAX_ABS_POWER_DB:g}] dB"
+                " (no NaN or +inf)"
+            )
 
     def __len__(self) -> int:
         return int(self.positions_m.size)

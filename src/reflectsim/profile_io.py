@@ -8,14 +8,9 @@ from typing import Union
 
 import numpy as np
 
-from .metrics import PowerProfile
+from .metrics import MAX_ABS_POWER_DB, PowerProfile
 
 _CSV_HEADER = "position_m,power_db"
-
-# Largest measured power magnitude accepted (dB). The smoothed envelope sums
-# 10**(p/10) over 51 samples, which overflows from about 3065 dB on; a far
-# more negative power overflows the squared compare residuals instead.
-_MAX_ABS_POWER_DB = 3000.0
 
 
 class ProfileFormatError(ValueError):
@@ -42,8 +37,15 @@ def import_measured(path: Union[str, Path]) -> PowerProfile:
     Extra columns are ignored; the profile label is taken from the filename.
     """
     path = Path(path)
-    # utf-8-sig: spreadsheet "CSV UTF-8" exports start with a byte-order mark.
-    lines = path.read_text(encoding="utf-8-sig").splitlines()
+    data = path.read_bytes()
+    try:
+        # utf-8-sig: spreadsheet "CSV UTF-8" exports start with a byte-order mark.
+        lines = data.decode("utf-8-sig").splitlines()
+    except UnicodeDecodeError as exc:
+        row_no = data.count(b"\n", 0, exc.start) + 1
+        raise ProfileFormatError(
+            f"{path}: row {row_no}: not UTF-8 text (byte 0x{data[exc.start]:02x})"
+        ) from None
     if not lines:
         raise ProfileFormatError(f"{path}: empty file")
     header = [c.strip() for c in lines[0].split(",")]
@@ -71,10 +73,10 @@ def import_measured(path: Union[str, Path]) -> PowerProfile:
         if not math.isfinite(pos):
             raise ProfileFormatError(f"{path}: row {row_no}: position must be finite")
         # -inf is the no-capture sentinel that export_profile writes.
-        if not (abs(pwr) <= _MAX_ABS_POWER_DB or pwr == -math.inf):
+        if not (abs(pwr) <= MAX_ABS_POWER_DB or pwr == -math.inf):
             raise ProfileFormatError(
                 f"{path}: row {row_no}: power must be -inf or in "
-                f"[-{_MAX_ABS_POWER_DB:g}, {_MAX_ABS_POWER_DB:g}] dB, got {pwr!r}"
+                f"[-{MAX_ABS_POWER_DB:g}, {MAX_ABS_POWER_DB:g}] dB, got {pwr!r}"
             )
         if positions and pos <= positions[-1]:
             raise ProfileFormatError(

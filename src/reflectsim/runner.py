@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .config import ScenarioConfig
@@ -9,18 +11,29 @@ from .engine import SumMode, convex_sweep_power, flat_sweep_power
 from .metrics import PowerProfile
 from .scene import Scenario
 
+# Threads per sweep. Every position is computed on its own and numpy's array
+# kernels release the GIL, so contiguous chunks of the sweep run side by side
+# and give the same bits as one call over the whole sweep.
+_SWEEP_WORKERS = min(2, os.cpu_count() or 1)
+
 
 def sweep_profile(scenario: Scenario, mode: SumMode) -> PowerProfile:
     """Evaluate the engine at every sweep position of a scenario.
 
+    The sweep is split into up to `_SWEEP_WORKERS` contiguous chunks, each
+    evaluated on its own thread; an error in any chunk is raised here.
     LITERAL-mode profiles are reported relative to their own sweep maximum
     (their absolute level is not calibrated); PHYSICAL-mode profiles are dBm.
     """
+    # Imported here: commands that run no sweep (`bands`, `--dump-config`, a
+    # rejected config) then start without the thread-pool modules.
+    from concurrent.futures import ThreadPoolExecutor
+
     rx_points = scenario.geometry.rx_positions()
-    if scenario.is_convex:
-        power = convex_sweep_power(scenario, rx_points, mode)
-    else:
-        power = flat_sweep_power(scenario, rx_points, mode)
+    sweep_power = convex_sweep_power if scenario.is_convex else flat_sweep_power
+    chunks = np.array_split(rx_points, min(_SWEEP_WORKERS, len(rx_points)))
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        power = np.concatenate(list(pool.map(lambda rx: sweep_power(scenario, rx, mode), chunks)))
     if mode is SumMode.LITERAL:
         top = np.max(power)
         if np.isfinite(top):

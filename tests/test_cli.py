@@ -225,6 +225,14 @@ def test_config_with_a_byte_order_mark_is_read(tmp_path, capsys):
     assert parse_config(capsys.readouterr().out) == parse_config(FAST_CONFIG)
 
 
+def test_config_that_is_not_utf8_is_validation_error(tmp_path, capsys):
+    # A Latin-1 editor writes "é" as the single byte 0xe9.
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes((FAST_CONFIG + "output.label = café\n").encode("latin-1"))
+    assert main(["simulate", "--config", str(cfg), "--dump-config"]) == 1
+    assert capsys.readouterr().err == "error: line 3: not UTF-8 text (byte 0xe9)\n"
+
+
 def test_usage_error_exit_code():
     assert main(["simulate", "--band", "60"]) == 1
 

@@ -242,6 +242,27 @@ def test_flat_sweep_bit_determinism():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("mode", list(SumMode))
+@pytest.mark.parametrize("ray_block", [1, 1000])
+def test_flat_sweep_does_not_depend_on_blocking(mode, ray_block, monkeypatch):
+    # A one-ray budget puts every position in a block of its own; 1000 rays is
+    # no multiple of the 36 launches (37 in LITERAL mode), and its 27-position
+    # blocks do not divide the 200-position sweep.
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
+    rx = scn.geometry.rx_positions()[::9]
+    n_launch = scn.reflector.facet_count + (mode is SumMode.LITERAL)
+    assert rx.shape[0] * n_launch <= engine._RAY_BLOCK
+    whole = flat_sweep_power(scn, rx, mode)
+
+    monkeypatch.setattr(engine, "_RAY_BLOCK", ray_block)
+    assert ray_block % n_launch != 0
+    step = max(1, ray_block // n_launch)
+    assert step == 1 or rx.shape[0] % step != 0
+    assert np.array_equal(flat_sweep_power(scn, rx, mode), whole)
+    alone = [flat_sweep_power(scn, point[None, :], mode)[0] for point in rx]
+    assert np.array_equal(whole, alone)
+
+
 def test_flat_requires_flat_spec():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
     with pytest.raises(ValueError):

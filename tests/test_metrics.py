@@ -273,3 +273,15 @@ def test_profile_validation():
     power = np.zeros(10)
     power[3] = -np.inf
     PowerProfile(pos, power)
+
+
+def test_profile_bounds_the_power_so_analyze_stays_finite():
+    # 4000 dB overflowed 10**(p/10) in the smoothed envelope; the bound now
+    # holds for every profile, not only for an imported CSV.
+    pos = np.linspace(0.0, 1.0, 200)
+    for power in (4000.0, -4000.0, 3000.0000001, -1e300):
+        with pytest.raises(ValueError, match=r"\[-3000, 3000\] dB"):
+            PowerProfile(pos, np.full(200, power))
+    # Warnings are errors here: the loudest allowed profile analyzes cleanly.
+    stats = analyze(PowerProfile(pos, np.full(200, 3000.0)))
+    assert np.isfinite(stats.envelope_dynamic_range_db)

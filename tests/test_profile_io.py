@@ -114,6 +114,15 @@ def test_import_reads_a_byte_order_mark(tmp_path):
     assert measured.power_db.tolist() == [-54.5, -60.0]
 
 
+def test_import_names_the_row_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("position_m,power_db,note\n0.0,-54.0,ok\n0.001,-55.0,café\n"
+                     .encode("latin-1"))
+    with pytest.raises(ProfileFormatError,
+                       match=re.escape(f"{path}: row 3: not UTF-8 text (byte 0xe9)")):
+        import_measured(path)
+
+
 def test_import_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

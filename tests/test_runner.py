@@ -1,10 +1,14 @@
+import threading
+
 import numpy as np
 import pytest
 
+from reflectsim import runner
 from reflectsim.antenna import Band
 from reflectsim.config import ScenarioConfig, parse_config
-from reflectsim.engine import SumMode
+from reflectsim.engine import SumMode, flat_sweep_power
 from reflectsim.runner import run_sweep, sweep_profile
+from reflectsim.scene import GeometryError
 
 
 def test_two_point_sweep():
@@ -46,3 +50,45 @@ def test_sweep_profile_labels():
     profile = sweep_profile(scn_small, SumMode.PHYSICAL)
     assert profile.label == "120ghz_convex"
     assert scn.label == "120ghz_convex"
+
+
+@pytest.mark.parametrize("n_positions", [2, 3, 101])
+@pytest.mark.parametrize("mode", list(SumMode))
+@pytest.mark.parametrize("kind", ["flat", "convex"])
+def test_threaded_sweep_equals_one_engine_call(kind, mode, n_positions, monkeypatch):
+    monkeypatch.setattr(runner, "_SWEEP_WORKERS", 2)
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind=kind,
+                         n_positions=n_positions).to_scenario()
+    name = f"{kind}_sweep_power"
+    engine_call = getattr(runner, name)
+    want = engine_call(scn, scn.geometry.rx_positions(), mode)
+    if mode is SumMode.LITERAL:
+        want = want - np.max(want)
+
+    chunk_sizes = []
+
+    def counted(scenario, rx, sum_mode):
+        chunk_sizes.append(len(rx))
+        return engine_call(scenario, rx, sum_mode)
+
+    monkeypatch.setattr(runner, name, counted)
+    threads = threading.active_count()
+    got = sweep_profile(scn, mode).power_db
+    assert threading.active_count() == threads  # no worker outlives the sweep
+    assert sorted(chunk_sizes) == [n_positions // 2, n_positions - n_positions // 2]
+    assert np.array_equal(got, want)
+
+
+def test_error_in_second_chunk_surfaces(monkeypatch):
+    monkeypatch.setattr(runner, "_SWEEP_WORKERS", 2)
+    scn = ScenarioConfig(band=Band.GHZ28, n_positions=5).to_scenario()
+    second = scn.geometry.rx_positions()[3:]
+
+    def fail_on_second(scenario, rx, mode):
+        if np.array_equal(rx, second):
+            raise GeometryError("ray launch point coincides with the RX")
+        return flat_sweep_power(scenario, rx, mode)
+
+    monkeypatch.setattr(runner, "flat_sweep_power", fail_on_second)
+    with pytest.raises(GeometryError, match="coincides with the RX"):
+        sweep_profile(scn, SumMode.PHYSICAL)
