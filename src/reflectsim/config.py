@@ -178,9 +178,10 @@ class ScenarioConfig:
     def to_scenario(self) -> Scenario:
         """Measurement-style scenario with every `auto` default resolved.
 
-        The reflector sits at the origin facing +x, the TX at `tx_range_m`
-        along a direction `incidence_deg` off the normal, and the RX sweep is
-        centered on the specular point at `rx_range_m` (shifted by
+        Positions are in the reflector frame of `scene` (center at the
+        origin, normal +x, +z up). The TX sits at `tx_range_m` along a
+        horizontal direction `incidence_deg` off the normal, and the RX sweep
+        is centered on the specular point at `rx_range_m` (shifted by
         `sweep_offset_m`), perpendicular to the specular direction in the
         horizontal plane.
         """
@@ -192,8 +193,6 @@ class ScenarioConfig:
         sweep_end = sweep_center + 0.5 * self.sweep_length_m * sweep_axis
         geometry = ScenarioGeometry(
             tx_position=self.tx_range_m * np.array([math.cos(inc), math.sin(inc), 0.0]),
-            reflector_center=np.zeros(3),
-            reflector_normal=np.array([1.0, 0.0, 0.0]),
             incidence_angle_deg=self.incidence_deg,
             sweep_start=sweep_start,
             sweep_end=sweep_end,
@@ -221,8 +220,7 @@ class ScenarioConfig:
         if self.reflector_kind == "convex":
             alpha = alpha_curved(alpha, reflector, geometry)
         # Phase reference: TX -> reflector center -> sweep midpoint.
-        d_ref_m = (float(np.linalg.norm(geometry.tx_position - geometry.reflector_center))
-                   + geometry.rx_range_m)
+        d_ref_m = float(np.linalg.norm(geometry.tx_position)) + geometry.rx_range_m
         return Scenario(
             band=self.band,
             geometry=geometry,

@@ -70,7 +70,7 @@ def alpha_flat(geometry: ScenarioGeometry, tx_pattern: AntennaPattern,
     """
     convex = isinstance(reflector, ConvexReflectorSpec)
     width = reflector.chord_width_m if convex else reflector.width_m
-    d_tx = float(np.linalg.norm(geometry.tx_position - geometry.reflector_center))
+    d_tx = float(np.linalg.norm(geometry.tx_position))
     cos_inc = math.cos(math.radians(geometry.incidence_angle_deg))
     semi_az = d_tx * math.tan(math.radians(tx_pattern.hpbw_az_deg) / 2.0)
     semi_el = d_tx * math.tan(math.radians(tx_pattern.hpbw_el_deg) / 2.0) / cos_inc
@@ -151,9 +151,9 @@ def flat_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -
     if not isinstance(spec, FlatReflectorSpec):
         raise ValueError("flat_sweep_power requires a flat reflector spec")
     geom = scenario.geometry
-    launches = facetize_flat(spec, geom)
+    launches = facetize_flat(spec)
     if mode is SumMode.LITERAL:
-        launches = np.vstack([geom.reflector_center, launches])
+        launches = np.vstack([np.zeros(3), launches])
     tx_boresight, rx_boresight = scenario.tx_boresight, scenario.rx_boresight
 
     rx = np.asarray(rx_points, dtype=float)

@@ -1,4 +1,8 @@
-"""Measurement geometry: TX pose, reflector surface decomposition, RX sweep."""
+"""Measurement geometry: TX position, reflector surface decomposition, RX sweep.
+
+The reflector is the frame: its center is the origin, its normal is +x
+(toward the TX), and its surface axes are +y (horizontal) and +z (up).
+"""
 
 from __future__ import annotations
 
@@ -49,40 +53,25 @@ def unit(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=float) / n
 
 
-def surface_axes(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """In-plane horizontal and vertical unit axes of a (near-vertical) surface."""
-    if abs(float(np.dot(normal, _UP))) > 0.999:
-        raise GeometryError("horizontal reflector surfaces are not supported")
-    e_h = unit(np.cross(_UP, normal))
-    e_v = np.cross(normal, e_h)
-    return e_h, e_v
-
-
 @dataclass(frozen=True, eq=False)
 class ScenarioGeometry:
-    """TX pose, reflector pose, and the linear RX sweep segment."""
+    """TX position and the linear RX sweep segment, in the reflector frame."""
 
     tx_position: np.ndarray
-    reflector_center: np.ndarray
-    reflector_normal: np.ndarray
     incidence_angle_deg: float
     sweep_start: np.ndarray
     sweep_end: np.ndarray
     n_rx_positions: int
 
     def __post_init__(self) -> None:
-        for name in ("tx_position", "reflector_center", "reflector_normal",
-                     "sweep_start", "sweep_end"):
+        for name in ("tx_position", "sweep_start", "sweep_end"):
             object.__setattr__(self, name, vec3(getattr(self, name)))
-        if abs(float(np.linalg.norm(self.reflector_normal)) - 1.0) > 1e-12:
-            raise GeometryError("reflector_normal must be a unit vector (|n| = 1 ± 1e-12)")
         if self.sweep_length_m <= 0.0:
             raise GeometryError("sweep must have positive length")
         if self.n_rx_positions < 2:
             raise GeometryError("n_rx_positions must be >= 2")
-        side = float(np.dot(self.tx_position - self.reflector_center, self.reflector_normal))
-        if side <= 0.0:
-            raise GeometryError("TX must be on the illuminated side of the reflector plane")
+        if self.tx_position[0] <= 0.0:
+            raise GeometryError("TX must be on the illuminated side of the reflector plane (x > 0)")
 
     @property
     def sweep_length_m(self) -> float:
@@ -99,7 +88,7 @@ class ScenarioGeometry:
     @property
     def rx_range_m(self) -> float:
         """Nominal reflector-to-RX range (taken at the sweep midpoint)."""
-        return float(np.linalg.norm(self.sweep_midpoint - self.reflector_center))
+        return float(np.linalg.norm(self.sweep_midpoint))
 
     def rx_offsets_m(self) -> np.ndarray:
         """Sweep coordinates (meters from sweep_start) of the RX positions."""
@@ -172,7 +161,7 @@ ReflectorSpec = Union[FlatReflectorSpec, ConvexReflectorSpec]
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Full experiment description: band, link hardware, reflector, poses."""
+    """Full experiment description: band, link hardware, reflector, geometry."""
 
     band: Band
     geometry: ScenarioGeometry
@@ -195,7 +184,7 @@ class Scenario:
     @property
     def tx_boresight(self) -> np.ndarray:
         """TX horn aimed at the reflector center."""
-        return unit(self.geometry.reflector_center - self.geometry.tx_position)
+        return unit(-self.geometry.tx_position)
 
     @property
     def rx_boresight(self) -> np.ndarray:
@@ -207,22 +196,19 @@ class Scenario:
         positioner translates the RX without rotating it, so the same
         reference applies at every sweep position.
         """
-        return unit(self.geometry.sweep_midpoint - self.geometry.reflector_center)
+        return unit(self.geometry.sweep_midpoint)
 
 
-def facetize_flat(spec: FlatReflectorSpec, geom: ScenarioGeometry) -> np.ndarray:
+def facetize_flat(spec: FlatReflectorSpec) -> np.ndarray:
     """Uniform facet-center grid over the plate as an (n^2, 3) array of launch points.
 
-    Facets are ordered row-major: rows climb the surface vertical axis,
-    columns run along the surface horizontal axis.
+    Facets are ordered row-major: rows climb the surface vertical axis (+z),
+    columns run along the surface horizontal axis (+y).
     """
-    e_h, e_v = surface_axes(geom.reflector_normal)
     n = spec.facets_per_side
     frac = (np.arange(n) + 0.5) / n - 0.5
-    h_offsets = (frac * spec.width_m)[None, :, None]
-    v_offsets = (frac * spec.height_m)[:, None, None]
-    grid = geom.reflector_center + h_offsets * e_h + v_offsets * e_v
-    return grid.reshape(n * n, 3)
+    y, z = np.meshgrid(frac * spec.width_m, frac * spec.height_m)
+    return np.stack([np.zeros(n * n), y.ravel(), z.ravel()], axis=1)
 
 
 def capture_length_m(pattern: AntennaPattern, distance_m: float) -> float:
@@ -265,10 +251,10 @@ def convex_captures(
     rx = np.asarray(rx_points, dtype=float)
     if not np.all(np.isfinite(rx)):
         raise GeometryError("RX positions must be finite")
-    if np.any((rx - geom.reflector_center) @ geom.reflector_normal <= 0.0):
+    if np.any(rx[:, 0] <= 0.0):
         raise GeometryError("RX must be in front of the reflector")
-    sight = geom.reflector_center - rx
-    seg = np.stack([-sight[:, 1], sight[:, 0]], axis=1)
+    # Horizontal and perpendicular to the sight line -rx toward the center.
+    seg = np.stack([rx[:, 1], -rx[:, 0]], axis=1)
     norm_seg = _row_norms(seg)
     if np.any(norm_seg < 1e-12):
         raise GeometryError("RX sight line is vertical; capture segment undefined")
@@ -277,17 +263,13 @@ def convex_captures(
     # normalizing once moves the last bits of the convex profiles.
     line = seg / _row_norms(seg)
 
-    e_h, _ = surface_axes(geom.reflector_normal)
-    n2 = geom.reflector_normal[:2]
-    eh2 = e_h[:2]
-    c2 = geom.reflector_center[:2]
     r = spec.radius_of_curvature_m
     beta_max = math.asin(min(1.0, spec.chord_width_m / (2.0 * r)))
     beta = np.linspace(-beta_max, beta_max, _CAPTURE_GRID_POINTS)
     cos_b = np.cos(beta)[:, None]
     sin_b = np.sin(beta)[:, None]
-    normals = cos_b * n2[None, :] + sin_b * eh2[None, :]
-    points = c2[None, :] + r * (cos_b - 1.0) * n2[None, :] + r * sin_b * eh2[None, :]
+    normals = np.hstack([cos_b, sin_b])
+    points = np.hstack([r * (cos_b - 1.0), r * sin_b])
     d_in = points - geom.tx_position[None, :2]
     d_in /= np.linalg.norm(d_in, axis=1, keepdims=True)
     d_out = d_in - 2.0 * np.sum(d_in * normals, axis=1, keepdims=True) * normals
@@ -347,17 +329,18 @@ def convex_path_geometry_batch(
     (distance, tx_az, tx_el, rx_az, rx_el), each of shape (G, S*K) ordered
     section-major, all angles in degrees.
     """
-    n = geom.reflector_normal
-    e_h, e_v = surface_axes(n)
     r = spec.radius_of_curvature_m
-    cos_b = np.cos(arc_angles)[..., None]
-    sin_b = np.sin(arc_angles)[..., None]
-    normals = (cos_b * n + sin_b * e_h)[:, None]                    # (G, 1, K, 3)
-    arc_xy = geom.reflector_center + r * (cos_b - 1.0) * n + r * sin_b * e_h  # (G, K, 3)
+    cos_b = np.cos(arc_angles)
+    sin_b = np.sin(arc_angles)
+    normals = np.stack([cos_b, sin_b, np.zeros_like(cos_b)], axis=-1)[:, None]  # (G, 1, K, 3)
+    arc_xy = np.stack([r * (cos_b - 1.0), r * sin_b], axis=-1)      # (G, K, 2)
 
     n_el = _HEIGHT_SECTIONS
     z_offsets = ((np.arange(n_el) + 0.5) / n_el - 0.5) * spec.height_m
-    launch = arc_xy[:, None] + z_offsets[:, None, None] * e_v       # (G, S, K, 3)
+    g, k = arc_angles.shape
+    launch = np.empty((g, n_el, k, 3))                               # (G, S, K, 3)
+    launch[..., :2] = arc_xy[:, None]
+    launch[..., 2] = z_offsets[:, None]
 
     to_launch = launch - geom.tx_position
     d1 = np.linalg.norm(to_launch, axis=-1)                         # (G, S, K)
@@ -365,7 +348,7 @@ def convex_path_geometry_batch(
     reflected = d_in - 2.0 * np.sum(d_in * normals, axis=-1, keepdims=True) * normals
 
     # Horizontal intercept on the capture segment; every section shares it.
-    tau_h = np.linalg.norm(intercepts - arc_xy[..., :2], axis=-1)   # (G, K)
+    tau_h = np.linalg.norm(intercepts - arc_xy, axis=-1)            # (G, K)
     horiz = np.linalg.norm(reflected[..., :2], axis=-1)             # (G, S, K)
     if np.any(horiz < 1e-9):
         raise GeometryError("reflected ray is vertical; capture intercept undefined")
@@ -373,7 +356,6 @@ def convex_path_geometry_batch(
 
     # Angles are projected on (G, S*K, 3) stacks: the BLAS product in
     # offset_angles_deg then gives each row the bits of a single-position call.
-    g = len(arc_angles)
     tx_az, tx_el = offset_angles_deg(d_in.reshape(g, -1, 3), tx_boresight)
     rx_az, rx_el = offset_angles_deg(reflected.reshape(g, -1, 3), rx_boresight)
     return distance.reshape(g, -1), tx_az, tx_el, rx_az, rx_el
@@ -382,13 +364,11 @@ def convex_path_geometry_batch(
 def specular_point(geom: ScenarioGeometry) -> np.ndarray:
     """Point on the sweep line hit by the mirror ray through the reflector center.
 
-    Image-source construction: reflect the TX across the reflector plane and
-    intersect the line from the image through the center with the sweep line.
+    Image-source construction: reflect the TX across the reflector plane x = 0
+    and intersect the line from the image through the center with the sweep line.
     """
-    n = geom.reflector_normal
-    tx_rel = geom.tx_position - geom.reflector_center
-    tx_image = geom.tx_position - 2.0 * float(np.dot(tx_rel, n)) * n
-    sight_dir = unit(geom.reflector_center - tx_image)
+    tx_image = geom.tx_position * np.array([-1.0, 1.0, 1.0])
+    sight_dir = unit(-tx_image)
     sweep_dir = geom.sweep_axis
 
     dot = float(np.dot(sight_dir, sweep_dir))
@@ -435,8 +415,9 @@ def path_geometry_batch(
     Angles follow the ray's travel direction: departure (tx -> launch)
     against the TX boresight, arrival (launch -> rx) against the RX
     boresight. launch_points has shape (N, 3) and rx has shape (M, 3).
-    Returns (distance, tx_az, tx_el, rx_az, rx_el), each of shape (M, N),
-    all angles in degrees.
+    Returns (distance, tx_az, tx_el, rx_az, rx_el), all angles in degrees:
+    the TX-leg angles do not depend on the RX and have shape (N,), the
+    others have shape (M, N).
     """
     tx = vec3(tx)
     launch = np.asarray(launch_points, dtype=float)
@@ -454,7 +435,4 @@ def path_geometry_batch(
         raise GeometryError("ray launch point coincides with the RX")
     rx_az, rx_el = offset_angles_deg(arrival / d2[:, :, None], rx_boresight)
 
-    dist = d1[None, :] + d2
-    tx_az = np.broadcast_to(tx_az[None, :], dist.shape)
-    tx_el = np.broadcast_to(tx_el[None, :], dist.shape)
-    return dist, tx_az, tx_el, rx_az, rx_el
+    return d1[None, :] + d2, tx_az, tx_el, rx_az, rx_el

@@ -55,10 +55,9 @@ def friis_dbm(tx_power_dbm, gain_dbi, wavelength_m, distance_m):
 def image_source_specular_oracle(geom: ScenarioGeometry) -> np.ndarray:
     """Independent specular-point construction: mirror the TX across the
     reflector plane and solve the collinearity equation on the sweep line."""
-    n = geom.reflector_normal
-    tx_image = geom.tx_position - 2.0 * float(np.dot(geom.tx_position - geom.reflector_center, n)) * n
-    sight = geom.reflector_center - tx_image
-    sight = sight / np.linalg.norm(sight)
+    n = np.array([1.0, 0.0, 0.0])  # the plate normal; its center is the origin
+    tx_image = geom.tx_position - 2.0 * float(np.dot(geom.tx_position, n)) * n
+    sight = -tx_image / np.linalg.norm(tx_image)
     sweep_dir = geom.sweep_end - geom.sweep_start
     # S(t) = start + t*dir must be collinear with the image sight line:
     # cross(S(t) - tx_image, sight) = 0, linear in t.
@@ -76,7 +75,7 @@ def max_facet_step_wavelengths(scn) -> float:
     """Largest TX->facet->RX path difference between adjacent facet centres
     of a flat scenario over its whole sweep, in wavelengths."""
     n = scn.reflector.facets_per_side
-    launch = facetize_flat(scn.reflector, scn.geometry).reshape(n, n, 3)
+    launch = facetize_flat(scn.reflector).reshape(n, n, 3)
     d_tx = np.linalg.norm(launch - scn.geometry.tx_position, axis=-1)
     rx = scn.geometry.rx_positions()
     worst = 0.0
@@ -202,8 +201,6 @@ def _swapped_link(scn, rx_point):
     g = scn.geometry
     swapped_geom = ScenarioGeometry(
         tx_position=rx_point,
-        reflector_center=g.reflector_center,
-        reflector_normal=g.reflector_normal,
         incidence_angle_deg=g.incidence_angle_deg,
         sweep_start=g.tx_position - 0.9 * g.sweep_axis,
         sweep_end=g.tx_position + 0.9 * g.sweep_axis,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,11 +23,14 @@ from reflectsim.scene import (
     offset_angles_deg,
     path_geometry_batch,
     specular_point,
-    surface_axes,
     vec3,
 )
 
 SIDE = REFLECTOR_SIDE_16IN_M
+# The reflector frame: center at the origin, normal +x, surface axes +y and +z.
+NORMAL = np.array([1.0, 0.0, 0.0])
+E_H = np.array([0.0, 1.0, 0.0])
+E_V = np.array([0.0, 0.0, 1.0])
 
 
 def test_sixteen_inches_in_meters():
@@ -43,7 +47,7 @@ def test_default_scenario_28_flat():
     assert g.n_rx_positions == 1800
     assert_allclose(g.sweep_length_m, 1.8, atol=1e-12)
     assert_allclose(np.linalg.norm(g.tx_position), 2.5, atol=1e-12)
-    cos_inc = float(np.dot(g.tx_position, g.reflector_normal)) / 2.5
+    cos_inc = float(np.dot(g.tx_position, NORMAL)) / 2.5
     assert_allclose(cos_inc, math.cos(math.radians(30.0)), atol=1e-12)
 
 
@@ -62,15 +66,15 @@ def test_default_39_convex_sweep_centered_on_specular():
 
 def test_facetize_single_facet_degenerates_to_center():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", facets_per_side=1).to_scenario()
-    facets = facetize_flat(scn.reflector, scn.geometry)
+    facets = facetize_flat(scn.reflector)
     assert facets.shape == (1, 3)
-    assert_allclose(facets[0], scn.geometry.reflector_center, atol=1e-15)
+    assert_allclose(facets[0], np.zeros(3), atol=1e-15)
 
 
 def test_facetize_6x6_grid_offsets():
     # Uniform 6-per-side grid across 0.4064 m: centers at +/-{1,3,5} * side/12
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
-    facets = facetize_flat(scn.reflector, scn.geometry)
+    facets = facetize_flat(scn.reflector)
     assert facets.shape == (36, 3)
     expected = sorted(k * SIDE / 12.0 for k in (-5, -3, -1, 1, 3, 5))
     for axis in (1, 2):  # surface horizontal (y) and vertical (z)
@@ -84,15 +88,13 @@ def test_facetize_6x6_grid_offsets():
 
 def test_facets_lie_on_reflector_plane():
     scn = ScenarioConfig(band=Band.GHZ120, reflector_kind="flat").to_scenario()
-    facets = facetize_flat(scn.reflector, scn.geometry)
-    n = scn.geometry.reflector_normal
-    c = scn.geometry.reflector_center
-    assert np.max(np.abs((facets - c) @ n)) <= 1e-12
+    facets = facetize_flat(scn.reflector)
+    assert np.max(np.abs(facets @ NORMAL)) <= 1e-12
 
 
 def test_facet_grid_mirror_symmetry():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
-    facets = facetize_flat(scn.reflector, scn.geometry)
+    facets = facetize_flat(scn.reflector)
     pts = {(round(float(y), 12), round(float(z), 12)) for y, z in facets[:, 1:]}
     assert {(-y, z) for y, z in pts} == pts
     assert {(y, -z) for y, z in pts} == pts
@@ -167,12 +169,11 @@ def test_section_convex_rays_lie_on_arc():
     _, angles, (_, tx_az_deg, tx_el_deg, _, _) = _capture_and_paths(scn, specular_point(g))
     r = spec.radius_of_curvature_m
     assert np.max(np.abs(angles)) <= math.asin(spec.chord_width_m / (2.0 * r))
-    e_h, e_v = surface_axes(g.reflector_normal)
-    axis_center = g.reflector_center - r * g.reflector_normal
+    axis_center = -r * NORMAL
     b = angles[:, None]
-    radial = np.cos(b) * g.reflector_normal + np.sin(b) * e_h
+    radial = np.cos(b) * NORMAL + np.sin(b) * E_H
     z = -0.5 * spec.height_m + 0.5 * spec.height_m / scene._HEIGHT_SECTIONS  # bottom section
-    launch = axis_center + r * radial + z * e_v
+    launch = axis_center + r * radial + z * E_V
     assert_allclose(np.linalg.norm(radial, axis=1), 1.0, atol=1e-12)
     d_in = launch - g.tx_position
     tx_az, tx_el = offset_angles_deg(d_in / np.linalg.norm(d_in, axis=1, keepdims=True),
@@ -191,13 +192,10 @@ def test_section_convex_planar_limit_matches_flat_directions():
     _, angles, _ = _capture_and_paths(scn, specular_point(g))
     assert angles.size > 0
     assert np.max(np.abs(angles)) < 1e-4
-    e_h, _ = surface_axes(g.reflector_normal)
-    n_flat = g.reflector_normal
-    d_in = g.reflector_center - g.tx_position
-    d_in /= np.linalg.norm(d_in)
-    refl_flat = d_in - 2 * float(np.dot(d_in, n_flat)) * n_flat
+    d_in = -g.tx_position / np.linalg.norm(g.tx_position)
+    refl_flat = d_in - 2 * float(np.dot(d_in, NORMAL)) * NORMAL
     for b in angles:
-        normal = math.cos(b) * n_flat + math.sin(b) * e_h
+        normal = math.cos(b) * NORMAL + math.sin(b) * E_H
         refl_arc = d_in - 2 * float(np.dot(d_in, normal)) * normal
         assert float(np.linalg.norm(refl_arc - refl_flat)) < 1e-4
 
@@ -215,7 +213,7 @@ def test_section_convex_empty_when_nothing_reachable():
 
 def test_section_convex_rejects_rx_behind_reflector():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
-    behind = -1.0 * scn.geometry.reflector_normal
+    behind = -NORMAL
     with pytest.raises(GeometryError):
         convex_captures(scn.reflector, scn.geometry, behind[None, :], scn.rx_pattern)
     # One bad position in a sweep rejects the whole sweep.
@@ -234,8 +232,7 @@ def _captures_at(radius_m, tx, rx, *more_rx):
     spec = ConvexReflectorSpec(chord_width_m=SIDE, height_m=SIDE, radius_of_curvature_m=radius_m,
                                reflection_efficiency=1.0)
     rx = np.asarray(rx)
-    geom = ScenarioGeometry(tx_position=tx, reflector_center=np.zeros(3),
-                            reflector_normal=[1.0, 0.0, 0.0], incidence_angle_deg=30.0,
+    geom = ScenarioGeometry(tx_position=tx, incidence_angle_deg=30.0,
                             sweep_start=[2.5, -0.5, 0.0], sweep_end=[2.5, 0.5, 0.0],
                             n_rx_positions=2)
     pattern = Band.GHZ28.horn
@@ -304,7 +301,7 @@ def test_specular_point_normal_incidence_on_normal_line():
     g = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat",
                        incidence_deg=0.0).to_scenario().geometry
     s = specular_point(g)
-    off_axis = s - float(np.dot(s, g.reflector_normal)) * g.reflector_normal
+    off_axis = s - float(np.dot(s, NORMAL)) * NORMAL
     assert float(np.linalg.norm(off_axis)) < 1e-12
 
 
@@ -323,11 +320,9 @@ def test_specular_point_parallel_sweep_raises():
     g = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario().geometry
     tx_image = g.tx_position.copy()
     tx_image[0] = -tx_image[0]
-    sight = (g.reflector_center - tx_image) / np.linalg.norm(g.reflector_center - tx_image)
+    sight = -tx_image / np.linalg.norm(tx_image)
     shifted = ScenarioGeometry(
         tx_position=g.tx_position,
-        reflector_center=g.reflector_center,
-        reflector_normal=g.reflector_normal,
         incidence_angle_deg=g.incidence_angle_deg,
         sweep_start=g.sweep_midpoint + np.array([0.0, 0.3, 0.0]),
         sweep_end=g.sweep_midpoint + np.array([0.0, 0.3, 0.0]) + 1.8 * sight,
@@ -347,7 +342,7 @@ def test_specular_point_ignores_reflector_size():
 
 def _single_path(tx, launch, rx, tx_boresight, rx_boresight):
     """The one (distance, tx_az, tx_el, rx_az, rx_el) ray of a 1 x 1 batch."""
-    return tuple(float(a[0, 0]) for a in path_geometry_batch(
+    return tuple(float(a.flat[0]) for a in path_geometry_batch(
         tx, np.asarray(launch)[None, :], np.asarray(rx)[None, :], tx_boresight, rx_boresight))
 
 
@@ -362,11 +357,17 @@ def test_path_geometry_collinear():
 
 def test_path_geometry_swap_symmetry():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
-    launch = facetize_flat(scn.reflector, scn.geometry)[7]
+    launch = facetize_flat(scn.reflector)[7]
     tx = scn.geometry.tx_position
     rx = scn.geometry.sweep_start
     bt, br = scn.tx_boresight, scn.rx_boresight
     fwd_d, fwd_tx_az, fwd_tx_el, fwd_rx_az, fwd_rx_el = _single_path(tx, launch, rx, bt, br)
+    # A batch solves the TX leg once per launch point: its angles are (N,),
+    # the RX-dependent arrays (M, N).
+    batch = path_geometry_batch(tx, facetize_flat(scn.reflector), scn.geometry.rx_positions()[:3],
+                                bt, br)
+    assert [a.shape for a in batch] == [(3, 36), (36,), (36,), (3, 36), (3, 36)]
+    assert_allclose([batch[1][7], batch[2][7]], [fwd_tx_az, fwd_tx_el], atol=1e-12)
     # Swapping the link ends keeps each horn's physical axis; the reference
     # vectors negate because departure and arrival conventions point opposite
     # ways along that axis.
@@ -407,18 +408,18 @@ def test_path_distance_triangle_inequality(px, py, pz, rx_t):
 
 def test_geometry_validation():
     g = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario().geometry
-    with pytest.raises(GeometryError, match="unit"):
-        ScenarioGeometry(g.tx_position, g.reflector_center, g.reflector_normal * 1.1,
-                         30.0, g.sweep_start, g.sweep_end, 1800)
     with pytest.raises(GeometryError, match="illuminated"):
-        ScenarioGeometry(-g.tx_position, g.reflector_center, g.reflector_normal,
-                         30.0, g.sweep_start, g.sweep_end, 1800)
+        ScenarioGeometry(-g.tx_position, 30.0, g.sweep_start, g.sweep_end, 1800)
     with pytest.raises(GeometryError, match="length"):
-        ScenarioGeometry(g.tx_position, g.reflector_center, g.reflector_normal,
-                         30.0, g.sweep_start, g.sweep_start, 1800)
+        ScenarioGeometry(g.tx_position, 30.0, g.sweep_start, g.sweep_start, 1800)
     with pytest.raises(GeometryError, match=">= 2"):
-        ScenarioGeometry(g.tx_position, g.reflector_center, g.reflector_normal,
-                         30.0, g.sweep_start, g.sweep_end, 1)
+        ScenarioGeometry(g.tx_position, 30.0, g.sweep_start, g.sweep_end, 1)
+
+
+def test_geometry_is_the_tx_and_the_sweep_in_the_reflector_frame():
+    # The reflector pose is fixed by the frame, so no field carries it.
+    assert [f.name for f in dataclasses.fields(ScenarioGeometry)] == [
+        "tx_position", "incidence_angle_deg", "sweep_start", "sweep_end", "n_rx_positions"]
 
 
 def test_reflector_spec_validation():
