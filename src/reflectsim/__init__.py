@@ -26,7 +26,6 @@ from .scene import (
     Scenario,
     ScenarioGeometry,
     facetize_flat,
-    specular_point,
 )
 
 __version__ = "0.1.0"
@@ -56,7 +55,6 @@ __all__ = [
     "parse_config",
     "run_sweep",
     "smoothed_envelope_db",
-    "specular_point",
     "sweep_profile",
     "__version__",
 ]

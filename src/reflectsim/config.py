@@ -17,6 +17,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from . import scene
 from .antenna import Band
 from .engine import SumMode, alpha_curved, alpha_flat
 from .scene import (
@@ -31,6 +32,11 @@ from .scene import (
 
 # Flat-plate grid used when `reflector.facets_per_side = auto`.
 _DEFAULT_FACETS_PER_SIDE = {Band.GHZ28: 6, Band.GHZ39: 6, Band.GHZ120: 16}
+
+# A convex plate of at least this radius is the flat plate: to_scenario() gives
+# it a flat spec with scene's height-section count per side, and keeps the
+# curved attenuation factor.
+PLANAR_LIMIT_RADIUS_M = 1e6
 
 # Range of every length key but the curvature radius; the sweep offset, which
 # may be 0 or negative, is bounded in magnitude only. Above the range, path
@@ -183,7 +189,10 @@ class ScenarioConfig:
         horizontal direction `incidence_deg` off the normal, and the RX sweep
         is centered on the specular point at `rx_range_m` (shifted by
         `sweep_offset_m`), perpendicular to the specular direction in the
-        horizontal plane.
+        horizontal plane. A convex config whose radius is at least
+        `PLANAR_LIMIT_RADIUS_M` keeps its curved `alpha` but gets a flat spec
+        of `scene._HEIGHT_SECTIONS` facets per side: the engine sums the plate
+        it is given and decides nothing.
         """
         inc = math.radians(self.incidence_deg)
         mirror_dir = np.array([math.cos(inc), -math.sin(inc), 0.0])
@@ -208,17 +217,19 @@ class ScenarioConfig:
                                  if self.facets_per_side is None else self.facets_per_side),
                 reflection_efficiency=self.reflection_efficiency,
             )
+            alpha = alpha_flat(geometry, horn, reflector)
         else:
-            reflector = ConvexReflectorSpec(
+            convex = ConvexReflectorSpec(
                 chord_width_m=self.width_m,
                 height_m=self.height_m,
                 radius_of_curvature_m=self.radius_of_curvature_m,
                 reflection_efficiency=self.reflection_efficiency,
             )
-
-        alpha = alpha_flat(geometry, horn, reflector)
-        if self.reflector_kind == "convex":
-            alpha = alpha_curved(alpha, reflector, geometry)
+            alpha = alpha_curved(alpha_flat(geometry, horn, convex), convex, geometry)
+            reflector = convex
+            if self.radius_of_curvature_m >= PLANAR_LIMIT_RADIUS_M:
+                reflector = FlatReflectorSpec(self.width_m, self.height_m,
+                                              scene._HEIGHT_SECTIONS, self.reflection_efficiency)
         # Phase reference: TX -> reflector center -> sweep midpoint.
         d_ref_m = float(np.linalg.norm(geometry.tx_position)) + geometry.rx_range_m
         return Scenario(
@@ -299,7 +310,7 @@ _ENUM_KEYS = {"band": Band, "engine.mode": SumMode}
 _NUMBER_KEYS = _INT_KEYS | {key for key, (_, parse) in _KEY_TABLE.items()
                             if parse in (_parse_float, _parse_length)}
 # Keys held to the length range. The curvature radius only has to exceed half
-# the chord: at or above the planar-limit flag it enters nothing but R/(R + 2d).
+# the chord: from PLANAR_LIMIT_RADIUS_M on it enters nothing but R/(R + 2d).
 _LENGTH_KEYS = {key for key, (_, parse) in _KEY_TABLE.items()
                 if parse is _parse_length and key != "reflector.radius_of_curvature"}
 _DEFAULTS = {field.name: field.default for field in dataclasses.fields(ScenarioConfig)}

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 
@@ -167,23 +166,6 @@ def flat_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -
     return _power_db_from_sum(total, mode)
 
 
-def _planar_limit_scenario(scenario: Scenario) -> Scenario:
-    """Flat-reflector equivalent used above the planar-limit radius flag.
-
-    The azimuth discretization follows the convex height-section count
-    (square grid), and the scenario's curved attenuation factor carries over
-    (it converges to the flat factor in this limit).
-    """
-    spec = scenario.reflector
-    flat_equiv = FlatReflectorSpec(
-        width_m=spec.chord_width_m,
-        height_m=spec.height_m,
-        facets_per_side=scene._HEIGHT_SECTIONS,
-        reflection_efficiency=spec.reflection_efficiency,
-    )
-    return dataclasses.replace(scenario, reflector=flat_equiv)
-
-
 def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -> np.ndarray:
     """Received power (dB) at each of the (M, 3) RX points for a convex-reflector scenario.
 
@@ -194,8 +176,9 @@ def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode)
     actually collects), so the divergence of the curved surface dephases the
     bundle physically. PHYSICAL mode averages over the captured-ray count;
     LITERAL applies the sqrt(N_el * N_az) prefactor. A position where no ray
-    is capturable gets -inf. Radii at the planar-limit flag are evaluated as
-    the equivalent flat plate.
+    is capturable gets -inf. Every radius is summed this way; a config at
+    its planar-limit radius reaches `flat_sweep_power` instead, because
+    `ScenarioConfig.to_scenario()` gives it a flat spec.
 
     Positions are grouped by captured-ray count K and evaluated in blocks of
     at most _RAY_BLOCK rays, so every row of a block sums the same number of
@@ -205,8 +188,6 @@ def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode)
     if not isinstance(spec, ConvexReflectorSpec):
         raise ValueError("convex_sweep_power requires a convex reflector spec")
     rx = np.asarray(rx_points, dtype=float)
-    if spec.is_planar_limit:
-        return flat_sweep_power(_planar_limit_scenario(scenario), rx, mode)
     geom = scenario.geometry
     tx_boresight, rx_boresight = scenario.tx_boresight, scenario.rx_boresight
     angles, intercepts = convex_captures(spec, geom, rx, scenario.rx_pattern)

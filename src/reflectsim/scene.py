@@ -19,10 +19,6 @@ REFLECTOR_SIDE_16IN_M = 16 * INCH_M  # 0.4064 m
 
 _UP = np.array([0.0, 0.0, 1.0])
 
-# Flat reflectors essentially indistinguishable from this radius are treated
-# as the planar limit of the convex model.
-PLANAR_LIMIT_RADIUS_M = 1e6
-
 # Every convex plate is summed as 16 height sections x 32 azimuth targets:
 # 512 rays per RX position.
 _HEIGHT_SECTIONS = 16
@@ -131,7 +127,7 @@ class ConvexReflectorSpec:
     rays appear to diverge from a virtual focus at half the radius behind
     the surface. The plate is summed as `_HEIGHT_SECTIONS` height sections
     times `_AZIMUTH_TARGETS` intercepts spread evenly across the RX capture
-    segment.
+    segment, whatever the radius: this model has no flat limit of its own.
     """
 
     chord_width_m: float
@@ -149,11 +145,6 @@ class ConvexReflectorSpec:
             )
         if not (0.0 < self.reflection_efficiency <= 1.0):
             raise ValueError("reflection_efficiency must be in (0, 1]")
-
-    @property
-    def is_planar_limit(self) -> bool:
-        """Radii at or above PLANAR_LIMIT_RADIUS_M flag the surface as flat."""
-        return self.radius_of_curvature_m >= PLANAR_LIMIT_RADIUS_M
 
 
 ReflectorSpec = Union[FlatReflectorSpec, ConvexReflectorSpec]
@@ -359,26 +350,6 @@ def convex_path_geometry_batch(
     tx_az, tx_el = offset_angles_deg(d_in.reshape(g, -1, 3), tx_boresight)
     rx_az, rx_el = offset_angles_deg(reflected.reshape(g, -1, 3), rx_boresight)
     return distance.reshape(g, -1), tx_az, tx_el, rx_az, rx_el
-
-
-def specular_point(geom: ScenarioGeometry) -> np.ndarray:
-    """Point on the sweep line hit by the mirror ray through the reflector center.
-
-    Image-source construction: reflect the TX across the reflector plane x = 0
-    and intersect the line from the image through the center with the sweep line.
-    """
-    tx_image = geom.tx_position * np.array([-1.0, 1.0, 1.0])
-    sight_dir = unit(-tx_image)
-    sweep_dir = geom.sweep_axis
-
-    dot = float(np.dot(sight_dir, sweep_dir))
-    det = dot * dot - 1.0
-    if abs(det) < 1e-12:
-        raise GeometryError("sweep line is parallel to the specular sight line")
-    e = tx_image - geom.sweep_start
-    # Least-squares closest point between the two lines, taken on the sweep line.
-    b = (-float(np.dot(e, sweep_dir)) + dot * float(np.dot(e, sight_dir))) / det
-    return geom.sweep_start + b * sweep_dir
 
 
 def _antenna_frame(boresight: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ from reflectsim.engine import (
 from reflectsim.metrics import analyze, smoothed_envelope_db
 from reflectsim.profile_io import export_profile, import_measured
 from reflectsim.runner import run_sweep, sweep_profile
-from reflectsim.scene import ScenarioGeometry, facetize_flat, specular_point
+from reflectsim.scene import ScenarioGeometry, facetize_flat
 
 BANDS = (Band.GHZ28, Band.GHZ39, Band.GHZ120)
 
@@ -50,21 +50,6 @@ def friis_dbm(tx_power_dbm, gain_dbi, wavelength_m, distance_m):
     return tx_power_dbm + 2 * gain_dbi + 20.0 * math.log10(
         wavelength_m / (4.0 * math.pi * distance_m)
     )
-
-
-def image_source_specular_oracle(geom: ScenarioGeometry) -> np.ndarray:
-    """Independent specular-point construction: mirror the TX across the
-    reflector plane and solve the collinearity equation on the sweep line."""
-    n = np.array([1.0, 0.0, 0.0])  # the plate normal; its center is the origin
-    tx_image = geom.tx_position - 2.0 * float(np.dot(geom.tx_position, n)) * n
-    sight = -tx_image / np.linalg.norm(tx_image)
-    sweep_dir = geom.sweep_end - geom.sweep_start
-    # S(t) = start + t*dir must be collinear with the image sight line:
-    # cross(S(t) - tx_image, sight) = 0, linear in t.
-    a = np.cross(sweep_dir, sight)
-    b = -np.cross(geom.sweep_start - tx_image, sight)
-    t = float(np.dot(a, b) / np.dot(a, a))
-    return geom.sweep_start + t * sweep_dir
 
 
 def sweep_coordinate(geom: ScenarioGeometry, point: np.ndarray) -> float:
@@ -100,7 +85,7 @@ def test_c1_friis_identity_all_bands():
     for band in BANDS:
         scn = dataclasses.replace(ScenarioConfig(band=band, reflector_kind="flat",
                                                  facets_per_side=1).to_scenario(), alpha=1.0)
-        rx = specular_point(scn.geometry)[None, :]
+        rx = scn.geometry.sweep_midpoint[None, :]
         (got,) = flat_sweep_power(scn, rx, SumMode.PHYSICAL)
         want = friis_dbm(scn.tx_power_dbm, scn.tx_pattern.boresight_gain_dbi,
                          scn.wavelength_m, 5.0)
@@ -129,7 +114,7 @@ def test_c2_specular_peak_location():
     for offset, scn in scenarios.items():
         power = flat_sweep_power(scn, scn.geometry.rx_positions(), SumMode.PHYSICAL)
         centre = lobe_centre_m(scn.geometry.rx_offsets_m(), power)
-        oracle = sweep_coordinate(scn.geometry, image_source_specular_oracle(scn.geometry))
+        oracle = sweep_coordinate(scn.geometry, conftest.image_source_specular_oracle(scn.geometry))
         errors[offset] = centre - oracle
     elapsed = time.perf_counter() - t0
     ok = (all(abs(e) <= 0.05 for e in errors.values()) and elapsed < 10.0
@@ -223,7 +208,7 @@ def test_c7a_reciprocity():
 
     convex = dataclasses.replace(
         ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario(), alpha=0.05)
-    rx_c = specular_point(convex.geometry)
+    rx_c = convex.geometry.sweep_midpoint
     (d_convex,) = np.abs(
         convex_sweep_power(convex, rx_c[None, :], SumMode.PHYSICAL)
         - convex_sweep_power(_swapped_link(convex, rx_c),

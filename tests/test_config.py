@@ -14,9 +14,9 @@ from reflectsim import config as config_module, scene
 from reflectsim.antenna import Band
 from reflectsim.cli import build_parser, main
 from reflectsim.config import ConfigError, ScenarioConfig, dump_config, parse_config
-from reflectsim.engine import SumMode, alpha_flat
+from reflectsim.engine import SumMode, alpha_curved, alpha_flat
 from reflectsim.runner import run_sweep
-from reflectsim.scene import INCH_M, convex_captures, specular_point
+from reflectsim.scene import INCH_M, convex_captures
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -432,7 +432,7 @@ KINDS = [dict(reflector_kind="flat"),
 
 def _target_spacings(scn):
     """Distances between adjacent azimuth targets on the specular RX's capture segment."""
-    rx = specular_point(scn.geometry)[None, :]
+    rx = scn.geometry.sweep_midpoint[None, :]
     _, (intercepts,) = convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern)
     return np.linalg.norm(np.diff(intercepts, axis=0), axis=1)
 
@@ -480,6 +480,22 @@ def test_each_set_convex_value_wins_over_its_default():
     # The target spacing follows the RX range.
     hpbw = math.radians(scn.rx_pattern.hpbw_az_deg)
     assert_allclose(_target_spacings(scn), 2.0 * 4.0 * math.tan(hpbw / 2.0) / 32.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("radius", [1e6, 1e300])
+def test_planar_limit_config_gets_the_flat_spec(radius, monkeypatch):
+    # The planar limit is decided here and nowhere else: the flat grid follows
+    # scene's height-section count, and alpha keeps the curved factor.
+    monkeypatch.setattr(scene, "_HEIGHT_SECTIONS", 7)
+    sizes = dict(band=Band.GHZ39, reflector_kind="convex", width_m=0.3, height_m=0.35,
+                 reflection_efficiency=0.6)
+    scn = ScenarioConfig(radius_of_curvature_m=radius, **sizes).to_scenario()
+    assert scn.reflector == scene.FlatReflectorSpec(0.3, 0.35, 7, 0.6)
+    convex = scene.ConvexReflectorSpec(0.3, 0.35, radius, 0.6)
+    assert scn.alpha == alpha_curved(alpha_flat(scn.geometry, scn.tx_pattern, convex), convex,
+                                     scn.geometry)
+    below = ScenarioConfig(radius_of_curvature_m=999_999.0, **sizes).to_scenario()
+    assert below.reflector == scene.ConvexReflectorSpec(0.3, 0.35, 999_999.0, 0.6)
 
 
 def test_rays_per_position_are_bounded():

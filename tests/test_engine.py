@@ -23,7 +23,6 @@ from reflectsim.scene import (
     REFLECTOR_SIDE_16IN_M,
     ScenarioGeometry,
     convex_captures,
-    specular_point,
 )
 
 SIDE = REFLECTOR_SIDE_16IN_M
@@ -142,7 +141,7 @@ def test_half_wave_pair_cancels():
 def test_friis_identity_single_facet():
     scn = dataclasses.replace(ScenarioConfig(band=Band.GHZ28, reflector_kind="flat",
                                              facets_per_side=1).to_scenario(), alpha=1.0)
-    rx = specular_point(scn.geometry)[None, :]
+    rx = scn.geometry.sweep_midpoint[None, :]
     (got,) = flat_sweep_power(scn, rx, SumMode.PHYSICAL)
     want = friis_dbm(scn.tx_power_dbm, 17.0, scn.wavelength_m, 5.0)
     assert abs(got - want) < 1e-9
@@ -153,7 +152,7 @@ def test_literal_mode_single_facet_formula():
     # sqrt(1) prefactor, magnitude reported as 10*log10|sum|.
     scn = dataclasses.replace(ScenarioConfig(band=Band.GHZ28, reflector_kind="flat",
                                              facets_per_side=1).to_scenario(), alpha=1.0)
-    rx = specular_point(scn.geometry)[None, :]
+    rx = scn.geometry.sweep_midpoint[None, :]
     (got,) = flat_sweep_power(scn, rx, SumMode.LITERAL)
     p_mw = 10.0 ** (scn.tx_power_dbm / 10.0)
     term = p_mw / (4 * math.pi * 5.0) ** 2 * 10.0**1.7 * scn.wavelength_m**2
@@ -215,7 +214,7 @@ def test_reciprocity_flat():
 def test_reciprocity_convex():
     scn = dataclasses.replace(
         ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario(), alpha=0.05)
-    rx = specular_point(scn.geometry)
+    rx = scn.geometry.sweep_midpoint
     fwd = convex_sweep_power(scn, rx[None, :], SumMode.PHYSICAL)
     rev = convex_sweep_power(_swapped_link(scn, rx), scn.geometry.tx_position[None, :],
                              SumMode.PHYSICAL)
@@ -264,7 +263,7 @@ def test_flat_sweep_does_not_depend_on_blocking(mode, ray_block, monkeypatch):
 def test_flat_requires_flat_spec():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
     with pytest.raises(ValueError):
-        flat_sweep_power(scn, specular_point(scn.geometry)[None, :], SumMode.PHYSICAL)
+        flat_sweep_power(scn, scn.geometry.sweep_midpoint[None, :], SumMode.PHYSICAL)
 
 
 # ---------------------------------------------------------------- convex path
@@ -276,7 +275,7 @@ def test_convex_single_ray_friis(monkeypatch):
     monkeypatch.setattr(scene, "_AZIMUTH_TARGETS", 1)
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
     scn = dataclasses.replace(scn, alpha=1.0)
-    rx = specular_point(scn.geometry)[None, :]
+    rx = scn.geometry.sweep_midpoint[None, :]
     (got,) = convex_sweep_power(scn, rx, SumMode.PHYSICAL)
     want = friis_dbm(scn.tx_power_dbm, 17.0, scn.wavelength_m, 5.0)
     assert abs(got - want) < 1e-9
@@ -336,10 +335,23 @@ def test_planar_limit_flag_matches_flat_sweep():
     assert np.max(np.abs(p_flat.power_db - p_convex.power_db)) < 1e-3
 
 
+@pytest.mark.parametrize("mode", list(SumMode))
+def test_planar_limit_sweep_is_the_flat_sweep_with_the_curved_alpha(mode):
+    # A planar-limit convex config runs the flat 16/side plate, bit for bit;
+    # only its attenuation factor is the curved one.
+    flat = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", facets_per_side=16,
+                          n_positions=121).to_scenario()
+    convex = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex", radius_of_curvature_m=1e6,
+                            n_positions=121).to_scenario()
+    assert convex.alpha != flat.alpha
+    p_flat = sweep_profile(dataclasses.replace(flat, alpha=convex.alpha), mode)
+    assert np.array_equal(sweep_profile(convex, mode).power_db, p_flat.power_db)
+
+
 def test_convex_requires_convex_spec():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
     with pytest.raises(ValueError):
-        convex_sweep_power(scn, specular_point(scn.geometry)[None, :], SumMode.PHYSICAL)
+        convex_sweep_power(scn, scn.geometry.sweep_midpoint[None, :], SumMode.PHYSICAL)
 
 
 @given(t=st.floats(0.0, 1.0))

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import image_source_specular_oracle
+
 from reflectsim import scene
 from reflectsim.antenna import Band
 from reflectsim.config import ConfigError, ScenarioConfig, parse_config
@@ -22,7 +24,6 @@ from reflectsim.scene import (
     facetize_flat,
     offset_angles_deg,
     path_geometry_batch,
-    specular_point,
     vec3,
 )
 
@@ -61,7 +62,7 @@ def test_default_39_convex_sweep_centered_on_specular():
     scn = ScenarioConfig(band=Band.GHZ39, reflector_kind="convex").to_scenario()
     g = scn.geometry
     assert_allclose(g.sweep_length_m, 1.8, atol=1e-12)
-    assert_allclose(specular_point(g), g.sweep_midpoint, atol=1e-12)
+    assert_allclose(image_source_specular_oracle(g), g.sweep_midpoint, atol=1e-12)
 
 
 def test_facetize_single_facet_degenerates_to_center():
@@ -141,13 +142,13 @@ def _capture_and_paths(scn, rx):
 def test_section_convex_single_section(monkeypatch):
     monkeypatch.setattr(scene, "_HEIGHT_SECTIONS", 1)
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
-    _, angles, paths = _capture_and_paths(scn, specular_point(scn.geometry))
+    _, angles, paths = _capture_and_paths(scn, scn.geometry.sweep_midpoint)
     assert all(p.size == angles.size for p in paths)
 
 
 def test_section_convex_default_counts():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
-    rx = specular_point(scn.geometry)
+    rx = scn.geometry.sweep_midpoint
     n_az, angles, paths = _capture_and_paths(scn, rx)
     assert scene._HEIGHT_SECTIONS == 16
     # R = 0.5 m diverges rays strongly, so all 32 intercept targets are reachable
@@ -166,7 +167,7 @@ def test_section_convex_rays_lie_on_arc():
     # about the vertical axis behind the plate, within the plate's chord.
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
     spec, g = scn.reflector, scn.geometry
-    _, angles, (_, tx_az_deg, tx_el_deg, _, _) = _capture_and_paths(scn, specular_point(g))
+    _, angles, (_, tx_az_deg, tx_el_deg, _, _) = _capture_and_paths(scn, g.sweep_midpoint)
     r = spec.radius_of_curvature_m
     assert np.max(np.abs(angles)) <= math.asin(spec.chord_width_m / (2.0 * r))
     axis_center = -r * NORMAL
@@ -186,10 +187,12 @@ def test_section_convex_rays_lie_on_arc():
 def test_section_convex_planar_limit_matches_flat_directions():
     # At the planar-limit radius the arc normals collapse onto the plate normal,
     # so mirror reflections agree with the flat law to well under 1e-4 rad.
-    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
-                         radius_of_curvature_m=1e6).to_scenario()
+    # A config of this radius gets a flat spec, so the arc is built in code.
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
+    scn = dataclasses.replace(scn, reflector=dataclasses.replace(
+        scn.reflector, radius_of_curvature_m=1e6))
     g = scn.geometry
-    _, angles, _ = _capture_and_paths(scn, specular_point(g))
+    _, angles, _ = _capture_and_paths(scn, g.sweep_midpoint)
     assert angles.size > 0
     assert np.max(np.abs(angles)) < 1e-4
     d_in = -g.tx_position / np.linalg.norm(g.tx_position)
@@ -217,7 +220,7 @@ def test_section_convex_rejects_rx_behind_reflector():
     with pytest.raises(GeometryError):
         convex_captures(scn.reflector, scn.geometry, behind[None, :], scn.rx_pattern)
     # One bad position in a sweep rejects the whole sweep.
-    rx = np.vstack([specular_point(scn.geometry), behind])
+    rx = np.vstack([scn.geometry.sweep_midpoint, behind])
     with pytest.raises(GeometryError):
         convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern)
 
@@ -268,7 +271,7 @@ def test_capture_map_increasing_along_the_arc():
 
     # The default 28 GHz sweep's map runs the other way.
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
-    _, default_angles, _ = _capture_and_paths(scn, specular_point(scn.geometry))
+    _, default_angles, _ = _capture_and_paths(scn, scn.geometry.sweep_midpoint)
     assert np.all(np.diff(default_angles) < 0.0)
 
 
@@ -294,13 +297,13 @@ def test_every_rx_is_checked_before_any_capture_line():
 
 def test_specular_point_is_sweep_midpoint_by_construction():
     g = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario().geometry
-    assert_allclose(specular_point(g), g.sweep_midpoint, atol=1e-12)
+    assert_allclose(image_source_specular_oracle(g), g.sweep_midpoint, atol=1e-12)
 
 
 def test_specular_point_normal_incidence_on_normal_line():
     g = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat",
                        incidence_deg=0.0).to_scenario().geometry
-    s = specular_point(g)
+    s = g.sweep_midpoint
     off_axis = s - float(np.dot(s, NORMAL)) * NORMAL
     assert float(np.linalg.norm(off_axis)) < 1e-12
 
@@ -308,36 +311,12 @@ def test_specular_point_normal_incidence_on_normal_line():
 def test_specular_path_length_image_source_oracle():
     # 30 degree incidence, 2.5 m both legs: the image-source distance is 5 m.
     g = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario().geometry
-    s = specular_point(g)
+    s = g.sweep_midpoint
     d = float(np.linalg.norm(g.tx_position) + np.linalg.norm(s))
     assert_allclose(d, 5.0, atol=1e-12)
     tx_image = g.tx_position.copy()
     tx_image[0] = -tx_image[0]
     assert_allclose(np.linalg.norm(s - tx_image), 5.0, atol=1e-12)
-
-
-def test_specular_point_parallel_sweep_raises():
-    g = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario().geometry
-    tx_image = g.tx_position.copy()
-    tx_image[0] = -tx_image[0]
-    sight = -tx_image / np.linalg.norm(tx_image)
-    shifted = ScenarioGeometry(
-        tx_position=g.tx_position,
-        incidence_angle_deg=g.incidence_angle_deg,
-        sweep_start=g.sweep_midpoint + np.array([0.0, 0.3, 0.0]),
-        sweep_end=g.sweep_midpoint + np.array([0.0, 0.3, 0.0]) + 1.8 * sight,
-        n_rx_positions=g.n_rx_positions,
-    )
-    with pytest.raises(GeometryError, match="parallel"):
-        specular_point(shifted)
-
-
-def test_specular_point_ignores_reflector_size():
-    small = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", width_m=0.1,
-                           height_m=0.1).to_scenario()
-    large = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", width_m=4.0,
-                           height_m=4.0).to_scenario()
-    assert_allclose(specular_point(small.geometry), specular_point(large.geometry), atol=1e-15)
 
 
 def _single_path(tx, launch, rx, tx_boresight, rx_boresight):
