@@ -8,7 +8,7 @@ sweeps against channel-sounder measurements.
 
 from .antenna import AntennaPattern, Band
 from .config import ConfigError, ScenarioConfig, dump_config, parse_config
-from .engine import SumMode, alpha_curved, alpha_flat
+from .engine import SumMode
 from .metrics import (
     ComparisonReport,
     PowerProfile,
@@ -44,8 +44,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioGeometry",
     "SumMode",
-    "alpha_curved",
-    "alpha_flat",
     "analyze",
     "compare",
     "dump_config",

@@ -19,12 +19,13 @@ import numpy as np
 
 from . import scene
 from .antenna import Band
-from .engine import SumMode, alpha_curved, alpha_flat
+from .engine import SumMode
 from .scene import (
     INCH_M,
     REFLECTOR_SIDE_16IN_M,
     ConvexReflectorSpec,
     FlatReflectorSpec,
+    GeometryError,
     ReflectorSpec,
     Scenario,
     ScenarioGeometry,
@@ -172,11 +173,10 @@ class ScenarioConfig:
         _check(0.0 <= self.incidence_deg < 90.0, "geometry.incidence_deg", "must be in [0, 90)")
         _check(2 <= self.n_positions <= _MAX_POSITIONS, "geometry.n_positions",
                f"must be in [2, {_MAX_POSITIONS}]")
-        scenario = self.to_scenario()
-        near_x = min(scenario.geometry.sweep_start[0], scenario.geometry.sweep_end[0])
-        _check(near_x > 0, "geometry.rx_range",
-               f"the RX sweep reaches x = {near_x:.4f} m; every RX position must be "
-               "in front of the reflector plane (x > 0)")
+        try:
+            self.to_scenario()
+        except GeometryError as exc:
+            raise ConfigError(str(exc), key="geometry.rx_range") from None
 
     def resolved_label(self) -> str:
         return self.label or f"{self.band.value}_{self.reflector_kind}"
@@ -202,12 +202,19 @@ class ScenarioConfig:
         sweep_end = sweep_center + 0.5 * self.sweep_length_m * sweep_axis
         geometry = ScenarioGeometry(
             tx_position=self.tx_range_m * np.array([math.cos(inc), math.sin(inc), 0.0]),
-            incidence_angle_deg=self.incidence_deg,
             sweep_start=sweep_start,
             sweep_end=sweep_end,
             n_rx_positions=self.n_positions,
         )
         horn = self.band.horn
+        # Attenuation: the plate's share of the TX main-lobe footprint, the
+        # ellipse the HPBW cone cuts on the reflector plane, with the plate
+        # area foreshortened by the incidence angle; at most 1.
+        d_tx = float(np.linalg.norm(geometry.tx_position))
+        cos_inc = math.cos(inc)
+        semi_az = d_tx * math.tan(math.radians(horn.hpbw_az_deg) / 2.0)
+        semi_el = d_tx * math.tan(math.radians(horn.hpbw_el_deg) / 2.0) / cos_inc
+        alpha = min(1.0, self.width_m * self.height_m * cos_inc / (math.pi * semi_az * semi_el))
         reflector: ReflectorSpec
         if self.reflector_kind == "flat":
             reflector = FlatReflectorSpec(
@@ -217,21 +224,23 @@ class ScenarioConfig:
                                  if self.facets_per_side is None else self.facets_per_side),
                 reflection_efficiency=self.reflection_efficiency,
             )
-            alpha = alpha_flat(geometry, horn, reflector)
         else:
-            convex = ConvexReflectorSpec(
-                chord_width_m=self.width_m,
-                height_m=self.height_m,
-                radius_of_curvature_m=self.radius_of_curvature_m,
-                reflection_efficiency=self.reflection_efficiency,
-            )
-            alpha = alpha_curved(alpha_flat(geometry, horn, convex), convex, geometry)
-            reflector = convex
-            if self.radius_of_curvature_m >= PLANAR_LIMIT_RADIUS_M:
+            # A convex mirror spreads the reflected bundle from a virtual
+            # focus R/2 behind it: R/(R + 2d) over the leg to the sweep midpoint.
+            r = self.radius_of_curvature_m
+            alpha = alpha * r / (r + 2.0 * geometry.rx_range_m)
+            if r >= PLANAR_LIMIT_RADIUS_M:
                 reflector = FlatReflectorSpec(self.width_m, self.height_m,
                                               scene._HEIGHT_SECTIONS, self.reflection_efficiency)
+            else:
+                reflector = ConvexReflectorSpec(
+                    chord_width_m=self.width_m,
+                    height_m=self.height_m,
+                    radius_of_curvature_m=r,
+                    reflection_efficiency=self.reflection_efficiency,
+                )
         # Phase reference: TX -> reflector center -> sweep midpoint.
-        d_ref_m = float(np.linalg.norm(geometry.tx_position)) + geometry.rx_range_m
+        d_ref_m = d_tx + geometry.rx_range_m
         return Scenario(
             band=self.band,
             geometry=geometry,

@@ -8,14 +8,10 @@ import math
 import numpy as np
 
 from . import scene
-from .antenna import AntennaPattern
 from .scene import (
     ConvexReflectorSpec,
     FlatReflectorSpec,
-    GeometryError,
-    ReflectorSpec,
     Scenario,
-    ScenarioGeometry,
     convex_captures,
     convex_path_geometry_batch,
     facetize_flat,
@@ -57,39 +53,6 @@ class SumMode(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-def alpha_flat(geometry: ScenarioGeometry, tx_pattern: AntennaPattern,
-               reflector: ReflectorSpec) -> float:
-    """Fraction of the TX main-lobe footprint intercepted by the plate.
-
-    The footprint is the ellipse cut by the TX HPBW cone on the reflector
-    plane at the reflector range; the plate area is foreshortened by the
-    incidence angle. Clamped at 1 when the plate out-sizes the footprint.
-    """
-    convex = isinstance(reflector, ConvexReflectorSpec)
-    width = reflector.chord_width_m if convex else reflector.width_m
-    d_tx = float(np.linalg.norm(geometry.tx_position))
-    cos_inc = math.cos(math.radians(geometry.incidence_angle_deg))
-    semi_az = d_tx * math.tan(math.radians(tx_pattern.hpbw_az_deg) / 2.0)
-    semi_el = d_tx * math.tan(math.radians(tx_pattern.hpbw_el_deg) / 2.0) / cos_inc
-    footprint = math.pi * semi_az * semi_el
-    if footprint <= 0.0:
-        raise GeometryError("beam footprint on the reflector plane is degenerate")
-    return min(1.0, width * reflector.height_m * cos_inc / footprint)
-
-
-def alpha_curved(flat_alpha: float, reflector: ConvexReflectorSpec,
-                 geometry: ScenarioGeometry) -> float:
-    """Convex-mirror divergence factor applied on top of the flat attenuation.
-
-    A convex mirror of radius R spreads the reflected bundle as if it came
-    from a virtual focus at R/2 behind the surface, scaling captured power by
-    R / (R + 2*d) over the reflector-to-RX leg. Strictly below `flat_alpha`
-    for every finite radius.
-    """
-    r = reflector.radius_of_curvature_m
-    return flat_alpha * r / (r + 2.0 * geometry.rx_range_m)
 
 
 def _power_db_from_sum(total: np.ndarray, mode: SumMode) -> np.ndarray:

@@ -54,7 +54,6 @@ class ScenarioGeometry:
     """TX position and the linear RX sweep segment, in the reflector frame."""
 
     tx_position: np.ndarray
-    incidence_angle_deg: float
     sweep_start: np.ndarray
     sweep_end: np.ndarray
     n_rx_positions: int
@@ -68,6 +67,10 @@ class ScenarioGeometry:
             raise GeometryError("n_rx_positions must be >= 2")
         if self.tx_position[0] <= 0.0:
             raise GeometryError("TX must be on the illuminated side of the reflector plane (x > 0)")
+        near_x = min(self.sweep_start[0], self.sweep_end[0])
+        if near_x <= 0.0:
+            raise GeometryError(f"the RX sweep reaches x = {near_x:.4f} m; every RX position "
+                                "must be in front of the reflector plane (x > 0)")
 
     @property
     def sweep_length_m(self) -> float:

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import reflectsim
 from reflectsim import config as config_module, scene
 from reflectsim.antenna import Band
 from reflectsim.cli import build_parser, main
 from reflectsim.config import ConfigError, ScenarioConfig, dump_config, parse_config
-from reflectsim.engine import SumMode, alpha_curved, alpha_flat
+from reflectsim.engine import SumMode
 from reflectsim.runner import run_sweep
 from reflectsim.scene import INCH_M, convex_captures
 
@@ -452,9 +453,16 @@ def test_every_auto_value_is_resolved_to_its_closed_form(band, kind):
     assert isinstance(scn.d_ref_m, float)
     assert abs(scn.d_ref_m - 5.0) < 1e-12  # 2.5 m out to the plate and 2.5 m back
     assert abs(g.rx_range_m - 2.5) < 1e-12
-    flat = alpha_flat(g, scn.tx_pattern, scn.reflector)
+    # The plate's share of the TX main-lobe footprint: an ellipse with semi-axes
+    # 2.5*tan(HPBW/2), the elevation one stretched by 1/cos(30deg), and the
+    # plate area foreshortened by cos(30deg).
+    horn = scn.tx_pattern
+    cos_inc = math.cos(math.radians(30.0))
+    semi_az = 2.5 * math.tan(math.radians(horn.hpbw_az_deg) / 2.0)
+    semi_el = 2.5 * math.tan(math.radians(horn.hpbw_el_deg) / 2.0) / cos_inc
+    flat = cfg.width_m * cfg.height_m * cos_inc / (math.pi * semi_az * semi_el)
     if cfg.reflector_kind == "flat":
-        assert scn.alpha == flat
+        assert_allclose(scn.alpha, flat, rtol=1e-12)
         return
     # 16 height sections x 32 azimuth targets, exactly: no ray bound is
     # checked for a convex plate.
@@ -465,7 +473,9 @@ def test_every_auto_value_is_resolved_to_its_closed_form(band, kind):
     hpbw = math.radians(scn.rx_pattern.hpbw_az_deg)
     assert_allclose(spacings, 2.0 * d * math.tan(hpbw / 2.0) / 32.0, rtol=1e-12)
     r = scn.reflector.radius_of_curvature_m
-    assert scn.alpha == flat * r / (r + 2.0 * d)
+    assert_allclose(scn.alpha, flat * r / (r + 2.0 * d), rtol=1e-12)
+    flat_scn = ScenarioConfig(band=band, reflector_kind="flat").to_scenario()
+    assert scn.alpha == flat_scn.alpha * r / (r + 2.0 * d)
 
 
 def test_each_set_value_wins_over_its_default():
@@ -491,9 +501,9 @@ def test_planar_limit_config_gets_the_flat_spec(radius, monkeypatch):
                  reflection_efficiency=0.6)
     scn = ScenarioConfig(radius_of_curvature_m=radius, **sizes).to_scenario()
     assert scn.reflector == scene.FlatReflectorSpec(0.3, 0.35, 7, 0.6)
-    convex = scene.ConvexReflectorSpec(0.3, 0.35, radius, 0.6)
-    assert scn.alpha == alpha_curved(alpha_flat(scn.geometry, scn.tx_pattern, convex), convex,
-                                     scn.geometry)
+    flat = ScenarioConfig(band=Band.GHZ39, width_m=0.3, height_m=0.35,
+                          reflection_efficiency=0.6).to_scenario()
+    assert scn.alpha == flat.alpha * radius / (radius + 2.0 * scn.geometry.rx_range_m)
     below = ScenarioConfig(radius_of_curvature_m=999_999.0, **sizes).to_scenario()
     assert below.reflector == scene.ConvexReflectorSpec(0.3, 0.35, 999_999.0, 0.6)
 
@@ -525,6 +535,14 @@ def test_readme_flag_table_matches_the_parser():
              for action in commands[name]._actions if action.dest in config_module._KEY_TABLE
              for flag in action.option_strings}
     assert table == flags
+
+
+def test_readme_api_table_matches_all():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    names = [line.split("|")[1].strip().strip("`")
+             for line in section.splitlines() if line.startswith("| `")]
+    assert names == list(reflectsim.__all__)
 
 
 def _number(low, high):

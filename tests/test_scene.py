@@ -235,9 +235,8 @@ def _captures_at(radius_m, tx, rx, *more_rx):
     spec = ConvexReflectorSpec(chord_width_m=SIDE, height_m=SIDE, radius_of_curvature_m=radius_m,
                                reflection_efficiency=1.0)
     rx = np.asarray(rx)
-    geom = ScenarioGeometry(tx_position=tx, incidence_angle_deg=30.0,
-                            sweep_start=[2.5, -0.5, 0.0], sweep_end=[2.5, 0.5, 0.0],
-                            n_rx_positions=2)
+    geom = ScenarioGeometry(tx_position=tx, sweep_start=[2.5, -0.5, 0.0],
+                            sweep_end=[2.5, 0.5, 0.0], n_rx_positions=2)
     pattern = Band.GHZ28.horn
     (angles, *_), (intercepts, *_) = convex_captures(spec, geom, np.array([rx, *more_rx]), pattern)
     n_az = angles.size
@@ -388,17 +387,32 @@ def test_path_distance_triangle_inequality(px, py, pz, rx_t):
 def test_geometry_validation():
     g = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario().geometry
     with pytest.raises(GeometryError, match="illuminated"):
-        ScenarioGeometry(-g.tx_position, 30.0, g.sweep_start, g.sweep_end, 1800)
+        ScenarioGeometry(-g.tx_position, g.sweep_start, g.sweep_end, 1800)
     with pytest.raises(GeometryError, match="length"):
-        ScenarioGeometry(g.tx_position, 30.0, g.sweep_start, g.sweep_start, 1800)
+        ScenarioGeometry(g.tx_position, g.sweep_start, g.sweep_start, 1800)
     with pytest.raises(GeometryError, match=">= 2"):
-        ScenarioGeometry(g.tx_position, 30.0, g.sweep_start, g.sweep_end, 1)
+        ScenarioGeometry(g.tx_position, g.sweep_start, g.sweep_end, 1)
+
+
+@pytest.mark.parametrize("kind", ["flat", "convex"])
+def test_sweep_behind_the_plate_is_rejected(kind):
+    # Mirrored to x < 0, the default 28 GHz sweep summed through a flat plate
+    # to finite powers (-83.06 dBm at its first position), while the convex
+    # capture solve rejected it.
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind=kind).to_scenario()
+    g = scn.geometry
+    mirror = np.array([-1.0, 1.0, 1.0])
+    with pytest.raises(GeometryError, match="in front of the reflector"):
+        ScenarioGeometry(g.tx_position, mirror * g.sweep_start, mirror * g.sweep_end, 1800)
+    on_plane = g.sweep_start * np.array([0.0, 1.0, 1.0])
+    with pytest.raises(GeometryError, match=r"x = 0\.0000 m"):
+        ScenarioGeometry(g.tx_position, on_plane, g.sweep_end, 1800)
 
 
 def test_geometry_is_the_tx_and_the_sweep_in_the_reflector_frame():
     # The reflector pose is fixed by the frame, so no field carries it.
     assert [f.name for f in dataclasses.fields(ScenarioGeometry)] == [
-        "tx_position", "incidence_angle_deg", "sweep_start", "sweep_end", "n_rx_positions"]
+        "tx_position", "sweep_start", "sweep_end", "n_rx_positions"]
 
 
 def test_reflector_spec_validation():
