@@ -12,10 +12,12 @@ from .scene import (
     ConvexReflectorSpec,
     FlatReflectorSpec,
     Scenario,
+    antenna_frame,
     convex_captures,
     convex_path_geometry_batch,
     facetize_flat,
     path_geometry_batch,
+    tx_leg,
 )
 
 FOUR_PI = 4.0 * math.pi
@@ -67,17 +69,17 @@ def _power_db_from_sum(total: np.ndarray, mode: SumMode) -> np.ndarray:
     return out
 
 
-def _ray_sums(scenario: Scenario, paths, mode: SumMode, n_nominal: int) -> np.ndarray:
-    """Coherent sum of each row of a (G, N) ray block from a path solve.
+def _ray_sums(scenario: Scenario, d: np.ndarray, gain_tx: np.ndarray, rx_az: np.ndarray,
+              rx_el: np.ndarray, mode: SumMode, n_nominal: int) -> np.ndarray:
+    """Coherent sum of each row of a (G, N) ray block of path lengths `d`.
 
-    Each ray's phase is referenced to `scenario.d_ref_m`. PHYSICAL mode
-    averages over the N rays of a row; LITERAL mode applies the
-    sqrt(n_nominal) prefactor instead.
+    `gain_tx` holds the rays' linear TX gains and `rx_az`, `rx_el` their
+    arrival angles, each broadcast against `d`. Each ray's phase is
+    referenced to `scenario.d_ref_m`. PHYSICAL mode averages over the N rays
+    of a row; LITERAL mode applies the sqrt(n_nominal) prefactor instead.
     """
-    d, tx_az, tx_el, rx_az, rx_el = paths
     lam = scenario.wavelength_m
     tx_power_mw = 10.0 ** (scenario.tx_power_dbm / 10.0)
-    gain_tx = scenario.tx_pattern.gain(tx_az, tx_el)
     gain_rx = scenario.rx_pattern.gain(rx_az, rx_el)
     phasor = np.exp(1j * (-2.0 * math.pi * (d - scenario.d_ref_m) / lam))
     if mode is SumMode.PHYSICAL:
@@ -116,16 +118,18 @@ def flat_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -
     launches = facetize_flat(spec)
     if mode is SumMode.LITERAL:
         launches = np.vstack([np.zeros(3), launches])
-    tx_boresight, rx_boresight = scenario.tx_boresight, scenario.rx_boresight
+    # The TX leg and its gain do not depend on the RX: solved once per call.
+    d1, tx_az, tx_el = tx_leg(geom.tx_position, launches, antenna_frame(scenario.tx_boresight))
+    gain_tx = scenario.tx_pattern.gain(tx_az, tx_el)
+    rx_frame = antenna_frame(scenario.rx_boresight)
 
     rx = np.asarray(rx_points, dtype=float)
     total = np.empty(len(rx), dtype=complex)
     step = max(1, _RAY_BLOCK // len(launches))
     for start in range(0, len(rx), step):
         block = slice(start, start + step)
-        paths = path_geometry_batch(geom.tx_position, launches, rx[block],
-                                    tx_boresight, rx_boresight)
-        total[block] = _ray_sums(scenario, paths, mode, spec.facet_count)
+        d, rx_az, rx_el = path_geometry_batch(launches, d1, rx[block], rx_frame)
+        total[block] = _ray_sums(scenario, d, gain_tx, rx_az, rx_el, mode, spec.facet_count)
     return _power_db_from_sum(total, mode)
 
 
@@ -152,8 +156,9 @@ def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode)
         raise ValueError("convex_sweep_power requires a convex reflector spec")
     rx = np.asarray(rx_points, dtype=float)
     geom = scenario.geometry
-    tx_boresight, rx_boresight = scenario.tx_boresight, scenario.rx_boresight
     angles, intercepts = convex_captures(spec, geom, rx, scenario.rx_pattern)
+    tx_frame = antenna_frame(scenario.tx_boresight)
+    rx_frame = antenna_frame(scenario.rx_boresight)
     n_el, n_az = scene._HEIGHT_SECTIONS, angles.shape[1]
 
     captured = ~np.isnan(angles)
@@ -165,13 +170,14 @@ def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode)
         for start in range(0, rows.size, step):
             block = rows[start:start + step]
             kept = captured[block]
-            paths = convex_path_geometry_batch(
+            d, tx_az, tx_el, rx_az, rx_el = convex_path_geometry_batch(
                 spec,
                 geom,
                 angles[block][kept].reshape(-1, k),
                 intercepts[block][kept].reshape(-1, k, 2),
-                tx_boresight,
-                rx_boresight,
+                tx_frame,
+                rx_frame,
             )
-            total[block] = _ray_sums(scenario, paths, mode, n_el * n_az)
+            gain_tx = scenario.tx_pattern.gain(tx_az, tx_el)
+            total[block] = _ray_sums(scenario, d, gain_tx, rx_az, rx_el, mode, n_el * n_az)
     return _power_db_from_sum(total, mode)

@@ -26,8 +26,12 @@ _AZIMUTH_TARGETS = 32
 
 _CAPTURE_GRID_POINTS = 4097
 # RX positions whose capture lines are solved together: the (block, 4097)
-# temporaries stay in cache; 32 or more positions per block run slower.
+# temporaries stay in cache. On a 2-CPU host, one thread, the 1800-position
+# 28 GHz sweep's solve took 0.134 s at 16 positions per block, 0.135-0.137 s
+# at 8 and 24, 0.149 s at 32 and 0.206 s at 64 (medians of 15 runs).
 _CAPTURE_BLOCK = 16
+
+_NOT_MONOTONE = "arc reflection map is not monotone for this geometry"
 
 
 class GeometryError(ValueError):
@@ -152,6 +156,9 @@ class ConvexReflectorSpec:
 
 ReflectorSpec = Union[FlatReflectorSpec, ConvexReflectorSpec]
 
+# An antenna's unit boresight and its azimuth and elevation axes.
+Frame = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
@@ -218,6 +225,34 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over a short last axis, summed component by component
+    from the left. On the 2- and 3-component axes of the path solves this has
+    the bits of np.sum(a * b, axis=-1) at about a quarter of its cost;
+    summing in another order changes the last bit."""
+    total = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        total += a[..., i] * b[..., i]
+    return total
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Norms over the last axis, with the bits of np.linalg.norm(v, axis=-1)."""
+    return np.sqrt(_dot(v, v))
+
+
+def _oriented_map(s_v: np.ndarray, beta_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The valid intercepts `s_v` of one capture line and their arc angles,
+    ordered by increasing intercept; a GeometryError if they are not strictly
+    monotone along the arc."""
+    ds = np.diff(s_v)
+    if np.all(ds < 0.0):
+        return s_v[::-1], beta_v[::-1]
+    if not np.all(ds > 0.0):
+        raise GeometryError(_NOT_MONOTONE)
+    return s_v, beta_v
+
+
 def convex_captures(
     spec: ConvexReflectorSpec,
     geom: ScenarioGeometry,
@@ -236,7 +271,10 @@ def convex_captures(
     azimuth solution); only their crossings with each capture line depend on
     the RX point, and those are solved for `_CAPTURE_BLOCK` RX points at a
     time. The intercepts of the rays that reach a capture line must be
-    strictly ordered along the arc, or a GeometryError is raised.
+    strictly ordered along the arc, or a GeometryError is raised: a line that
+    every arc ray reaches is checked with the whole block, a line that only
+    part of the arc reaches is checked on that part, and only the
+    interpolation of the targets runs once per RX point.
 
     Returns the captured arc angle of each target (M, n_az), NaN where the
     arc cannot reach it, and the target intercepts (M, n_az, 2) on the
@@ -273,6 +311,7 @@ def convex_captures(
     targets = (np.arange(n_az) - (n_az - 1) / 2.0) * gamma
     px, py = points.T.copy()
     dx, dy = d_out.T.copy()
+    beta_rev = beta[::-1]
     angles = np.full((len(rx), n_az), np.nan)
     for start in range(0, len(rx), _CAPTURE_BLOCK):
         block = slice(start, start + _CAPTURE_BLOCK)
@@ -288,18 +327,22 @@ def convex_captures(
         valid &= tau > 1e-9
         s = (px + tau * dx - qx) * l0 + (py + tau * dy - qy) * l1
 
-        for i, (s_row, valid_row) in enumerate(zip(s, valid), start):
-            # np.interp needs increasing intercepts: flip a decreasing map.
-            beta_v = beta[valid_row]
-            s_v = s_row[valid_row]
-            if beta_v.size < 2:
-                continue
-            ds = np.diff(s_v)
-            if np.all(ds < 0.0):
-                s_v, beta_v = s_v[::-1], beta_v[::-1]
-            elif not np.all(ds > 0.0):
-                raise GeometryError("arc reflection map is not monotone for this geometry")
-            angles[i] = np.interp(targets, s_v, beta_v, left=np.nan, right=np.nan)
+        # A line that every arc ray reaches is checked with the whole block;
+        # np.interp needs increasing intercepts, so a decreasing map is read
+        # reversed.
+        n_valid = np.count_nonzero(valid, axis=1)
+        full = n_valid == _CAPTURE_GRID_POINTS
+        falling = full & np.all(s[:, 1:] < s[:, :-1], axis=1)
+        rising = full & np.all(s[:, 1:] > s[:, :-1], axis=1)
+        if np.any(full & ~(falling | rising)):
+            raise GeometryError(_NOT_MONOTONE)
+        for i in np.flatnonzero(full):
+            s_i, beta_i = (s[i, ::-1], beta_rev) if falling[i] else (s[i], beta)
+            angles[start + i] = np.interp(targets, s_i, beta_i, left=np.nan, right=np.nan)
+        # A line that only part of the arc reaches is checked on that part.
+        for i in np.flatnonzero(~full & (n_valid >= 2)):
+            s_v, beta_v = _oriented_map(s[i, valid[i]], beta[valid[i]])
+            angles[start + i] = np.interp(targets, s_v, beta_v, left=np.nan, right=np.nan)
     intercepts = rx[:, None, :2] + targets[None, :, None] * seg[:, None, :]
     return angles, intercepts
 
@@ -309,8 +352,8 @@ def convex_path_geometry_batch(
     geom: ScenarioGeometry,
     arc_angles: np.ndarray,
     intercepts: np.ndarray,
-    tx_boresight: np.ndarray,
-    rx_boresight: np.ndarray,
+    tx_frame: Frame,
+    rx_frame: Frame,
 ):
     """Vectorized ray path solve for G RX positions that each capture K rays.
 
@@ -319,7 +362,7 @@ def convex_path_geometry_batch(
     one of the S height sections -> its intercept on the capture segment (the
     specular path the antenna actually collects), so the path length is d1 +
     the reflected leg to the intercept, and the arrival angles are those of
-    the reflected ray direction against the RX boresight. Returns
+    the reflected ray direction in the RX antenna frame. Returns
     (distance, tx_az, tx_el, rx_az, rx_el), each of shape (G, S*K) ordered
     section-major, all angles in degrees.
     """
@@ -337,25 +380,27 @@ def convex_path_geometry_batch(
     launch[..., 2] = z_offsets[:, None]
 
     to_launch = launch - geom.tx_position
-    d1 = np.linalg.norm(to_launch, axis=-1)                         # (G, S, K)
+    d1 = _norm(to_launch)                                            # (G, S, K)
     d_in = to_launch / d1[..., None]
-    reflected = d_in - 2.0 * np.sum(d_in * normals, axis=-1, keepdims=True) * normals
+    reflected = d_in - 2.0 * _dot(d_in, normals)[..., None] * normals
 
     # Horizontal intercept on the capture segment; every section shares it.
-    tau_h = np.linalg.norm(intercepts - arc_xy, axis=-1)            # (G, K)
-    horiz = np.linalg.norm(reflected[..., :2], axis=-1)             # (G, S, K)
+    tau_h = _norm(intercepts - arc_xy)                               # (G, K)
+    horiz = _norm(reflected[..., :2])                                # (G, S, K)
     if np.any(horiz < 1e-9):
         raise GeometryError("reflected ray is vertical; capture intercept undefined")
     distance = d1 + tau_h[:, None, :] / horiz
 
     # Angles are projected on (G, S*K, 3) stacks: the BLAS product in
     # offset_angles_deg then gives each row the bits of a single-position call.
-    tx_az, tx_el = offset_angles_deg(d_in.reshape(g, -1, 3), tx_boresight)
-    rx_az, rx_el = offset_angles_deg(reflected.reshape(g, -1, 3), rx_boresight)
+    tx_az, tx_el = offset_angles_deg(d_in.reshape(g, -1, 3), tx_frame)
+    rx_az, rx_el = offset_angles_deg(reflected.reshape(g, -1, 3), rx_frame)
     return distance.reshape(g, -1), tx_az, tx_el, rx_az, rx_el
 
 
-def _antenna_frame(boresight: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def antenna_frame(boresight: np.ndarray) -> Frame:
+    """The unit boresight and the azimuth and elevation axes of an antenna,
+    split by the global vertical. A sweep builds each frame once."""
     b = unit(boresight)
     if abs(float(np.dot(b, _UP))) > 0.999:
         raise GeometryError("vertical antenna boresights are not supported")
@@ -364,10 +409,10 @@ def _antenna_frame(boresight: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return b, e_az, e_el
 
 
-def offset_angles_deg(directions: np.ndarray, boresight: np.ndarray):
+def offset_angles_deg(directions: np.ndarray, frame: Frame):
     """Azimuth/elevation offsets (degrees, in [-180, 180]) of unit directions
-    from a boresight, using the global vertical to split the two planes."""
-    b, e_az, e_el = _antenna_frame(boresight)
+    from the boresight of an `antenna_frame`."""
+    b, e_az, e_el = frame
     d = np.asarray(directions, dtype=float)
     x = d @ b
     y = d @ e_az
@@ -377,36 +422,33 @@ def offset_angles_deg(directions: np.ndarray, boresight: np.ndarray):
     return az, el
 
 
-def path_geometry_batch(
-    tx: np.ndarray,
-    launch_points: np.ndarray,
-    rx: np.ndarray,
-    tx_boresight: np.ndarray,
-    rx_boresight: np.ndarray,
-):
-    """Vectorized ray path solve for many launch points and RX positions.
-
-    Angles follow the ray's travel direction: departure (tx -> launch)
-    against the TX boresight, arrival (launch -> rx) against the RX
-    boresight. launch_points has shape (N, 3) and rx has shape (M, 3).
-    Returns (distance, tx_az, tx_el, rx_az, rx_el), all angles in degrees:
-    the TX-leg angles do not depend on the RX and have shape (N,), the
-    others have shape (M, N).
+def tx_leg(tx: np.ndarray, launch_points: np.ndarray, tx_frame: Frame):
+    """TX leg of a flat ray set: it does not depend on the RX, so a sweep
+    solves it once. launch_points has shape (N, 3). Returns the TX-to-launch
+    distances d1 and the departure angles (tx -> launch, degrees, in the TX
+    antenna frame), each of shape (N,).
     """
-    tx = vec3(tx)
-    launch = np.asarray(launch_points, dtype=float)
-    rx = np.asarray(rx, dtype=float)
-
-    to_launch = launch - tx[None, :]
-    d1 = np.linalg.norm(to_launch, axis=1)
+    to_launch = np.asarray(launch_points, dtype=float) - vec3(tx)[None, :]
+    d1 = _norm(to_launch)
     if np.any(d1 == 0.0):
         raise GeometryError("ray launch point coincides with the TX")
-    tx_az, tx_el = offset_angles_deg(to_launch / d1[:, None], tx_boresight)
+    tx_az, tx_el = offset_angles_deg(to_launch / d1[:, None], tx_frame)
+    return d1, tx_az, tx_el
 
-    arrival = rx[:, None, :] - launch[None, :, :]
-    d2 = np.linalg.norm(arrival, axis=2)
+
+def path_geometry_batch(launch_points: np.ndarray, d1: np.ndarray, rx: np.ndarray,
+                        rx_frame: Frame):
+    """Vectorized RX-leg solve for many launch points and RX positions.
+
+    launch_points has shape (N, 3), `d1` (N,) is their `tx_leg` distance
+    and rx has shape (M, 3). Returns the total path lengths d1 + d2 and the
+    arrival angles (launch -> rx, degrees, in the RX antenna frame), each of
+    shape (M, N).
+    """
+    launch = np.asarray(launch_points, dtype=float)
+    arrival = np.asarray(rx, dtype=float)[:, None, :] - launch[None, :, :]
+    d2 = _norm(arrival)
     if np.any(d2 == 0.0):
         raise GeometryError("ray launch point coincides with the RX")
-    rx_az, rx_el = offset_angles_deg(arrival / d2[:, :, None], rx_boresight)
-
-    return d1[None, :] + d2, tx_az, tx_el, rx_az, rx_el
+    rx_az, rx_el = offset_angles_deg(arrival / d2[:, :, None], rx_frame)
+    return d1[None, :] + d2, rx_az, rx_el

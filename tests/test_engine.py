@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from reflectsim import engine, scene
-from reflectsim.antenna import AntennaPattern, Band
+from reflectsim.antenna import Band
 from reflectsim.engine import (
     SumMode,
     _ray_sums,
@@ -16,7 +16,7 @@ from reflectsim.engine import (
 )
 from reflectsim.config import ScenarioConfig
 from reflectsim.runner import sweep_profile
-from reflectsim.scene import REFLECTOR_SIDE_16IN_M, ScenarioGeometry, convex_captures
+from reflectsim.scene import REFLECTOR_SIDE_16IN_M, convex_captures
 
 SIDE = REFLECTOR_SIDE_16IN_M
 
@@ -70,14 +70,6 @@ def test_alpha_curved_planar_limit_converges():
     assert_allclose(scn.alpha / flat.alpha, 1.0, rtol=1e-9)
 
 
-@pytest.mark.parametrize("radius", [0.25, 0.5, 1.0, 10.0, 1e5])
-def test_alpha_ordering_strict_for_finite_radius(radius):
-    flat = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
-    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
-                         radius_of_curvature_m=radius).to_scenario()
-    assert scn.alpha < flat.alpha
-
-
 # ---------------------------------------------------------------- amplitudes
 
 # 28 GHz horns on both ends (17 dBi, 24/26 deg HPBW), 0 dBm, no attenuation,
@@ -93,7 +85,8 @@ def boresight_amplitudes(distance_m):
     """PHYSICAL-mode terms of on-boresight rays at the given path lengths, one ray per row."""
     d = np.asarray(distance_m, dtype=float)[:, None]
     zero = np.zeros_like(d)
-    return _ray_sums(BORESIGHT_SCENARIO, (d, zero, zero, zero, zero), SumMode.PHYSICAL, 1)
+    gain_tx = BORESIGHT_SCENARIO.tx_pattern.gain(zero, zero)
+    return _ray_sums(BORESIGHT_SCENARIO, d, gain_tx, zero, zero, SumMode.PHYSICAL, 1)
 
 
 def test_contribution_at_reference_distance_is_real_positive():
@@ -148,45 +141,6 @@ def test_reference_path_shift_leaves_power_unchanged():
         delta = flat_sweep_power(base, rx[None, :], mode) - flat_sweep_power(
             shifted, rx[None, :], mode)
         assert abs(delta[0]) < 1e-9
-
-
-def _swapped_link(scn, rx_point):
-    """Swap TX and RX ends: TX moves to rx_point, the sweep midpoint (which
-    carries the RX boresight) moves to the old TX position."""
-    g = scn.geometry
-    swapped_geom = ScenarioGeometry(
-        tx_position=rx_point,
-        sweep_start=g.tx_position - 0.9 * g.sweep_axis,
-        sweep_end=g.tx_position + 0.9 * g.sweep_axis,
-        n_rx_positions=g.n_rx_positions,
-    )
-    return dataclasses.replace(scn, geometry=swapped_geom,
-                               tx_pattern=scn.rx_pattern, rx_pattern=scn.tx_pattern)
-
-
-def test_reciprocity_flat():
-    # Distinct patterns at the two ends; attenuation pinned so the swap is
-    # exact. Evaluation at the sweep midpoint, where the fixed-boresight
-    # convention makes the swapped link well defined.
-    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat",
-                         sweep_offset_m=0.25).to_scenario()
-    scn = dataclasses.replace(scn, alpha=0.3, tx_pattern=AntennaPattern(17.0, 24.0, 26.0),
-                              rx_pattern=AntennaPattern(20.0, 16.0, 15.0))
-    rx = scn.geometry.sweep_midpoint
-    fwd = flat_sweep_power(scn, rx[None, :], SumMode.PHYSICAL)
-    rev = flat_sweep_power(_swapped_link(scn, rx), scn.geometry.tx_position[None, :],
-                           SumMode.PHYSICAL)
-    assert abs(fwd[0] - rev[0]) < 1e-9
-
-
-def test_reciprocity_convex():
-    scn = dataclasses.replace(
-        ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario(), alpha=0.05)
-    rx = scn.geometry.sweep_midpoint
-    fwd = convex_sweep_power(scn, rx[None, :], SumMode.PHYSICAL)
-    rev = convex_sweep_power(_swapped_link(scn, rx), scn.geometry.tx_position[None, :],
-                             SumMode.PHYSICAL)
-    assert abs(fwd[0] - rev[0]) < 1e-9
 
 
 def test_peak_power_bounded_by_shortest_path_friis():

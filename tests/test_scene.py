@@ -18,12 +18,14 @@ from reflectsim.scene import (
     REFLECTOR_SIDE_16IN_M,
     ScenarioGeometry,
     _CAPTURE_BLOCK,
+    antenna_frame,
     capture_length_m,
     convex_captures,
     convex_path_geometry_batch,
     facetize_flat,
     offset_angles_deg,
     path_geometry_batch,
+    tx_leg,
     vec3,
 )
 
@@ -134,8 +136,9 @@ def _capture_and_paths(scn, rx):
     angles, intercepts = angles[captured], intercepts[captured]
     if angles.size == 0:
         return n_az, angles, None
-    paths = convex_path_geometry_batch(scn.reflector, scn.geometry, angles[None],
-                                       intercepts[None], scn.tx_boresight, scn.rx_boresight)
+    paths = convex_path_geometry_batch(scn.reflector, scn.geometry, angles[None], intercepts[None],
+                                       antenna_frame(scn.tx_boresight),
+                                       antenna_frame(scn.rx_boresight))
     return n_az, angles, [p[0] for p in paths]
 
 
@@ -178,7 +181,7 @@ def test_section_convex_rays_lie_on_arc():
     assert_allclose(np.linalg.norm(radial, axis=1), 1.0, atol=1e-12)
     d_in = launch - g.tx_position
     tx_az, tx_el = offset_angles_deg(d_in / np.linalg.norm(d_in, axis=1, keepdims=True),
-                                     scn.tx_boresight)
+                                     antenna_frame(scn.tx_boresight))
     n_az = angles.size
     assert_allclose(tx_az_deg[:n_az], tx_az, atol=1e-9)
     assert_allclose(tx_el_deg[:n_az], tx_el, atol=1e-9)
@@ -294,6 +297,76 @@ def test_every_rx_is_checked_before_any_capture_line():
                      rx, *[rx] * _CAPTURE_BLOCK, [np.nan, 0.5, 0.0])
 
 
+def _arc_rays_reaching_capture_line(radius, tx, rx):
+    """How many of the capture solve's arc points send their specular ray
+    forward across the RX's capture line: an independent re-trace."""
+    beta_max = math.asin(SIDE / (2.0 * radius))
+    beta = np.linspace(-beta_max, beta_max, scene._CAPTURE_GRID_POINTS)
+    normal = np.stack([np.cos(beta), np.sin(beta)], axis=1)
+    launch = radius * (normal - [1.0, 0.0])
+    d_in = launch - np.asarray(tx)[:2]
+    d_in /= np.linalg.norm(d_in, axis=1, keepdims=True)
+    d_out = d_in - 2.0 * np.sum(d_in * normal, axis=1, keepdims=True) * normal
+    q = np.asarray(rx)[:2]
+    line = np.array([q[1], -q[0]]) / np.linalg.norm(q)
+    # launch + tau * d_out = q + s * line, solved for tau by Cramer's rule.
+    cross = d_out[:, 0] * line[1] - d_out[:, 1] * line[0]
+    tau = ((q[0] - launch[:, 0]) * line[1] - (q[1] - launch[:, 1]) * line[0]) / cross
+    return int(np.count_nonzero(tau > 1e-9))
+
+
+# Found by random search: a gently curved arc lit at grazing incidence from
+# far to the side, with the RX close to the plate, reaches the capture line
+# with every arc ray but folds the map; a tight arc lit from the side reaches
+# it with part of its fan and folds that part.
+NOT_MONOTONE = {
+    "block": (1.7402556874548352, [0.02409094640275095, 9.482446983240362, -0.22831519187007676],
+              [0.10969409751167192, -0.14700042527432444, -0.3608426189750602]),
+    "row": (0.23885786817028432, [1.9805731762628922, 8.900492966092528, 0.0],
+            [1.6675687612955161, 7.041046649255506, 0.0]),
+}
+
+
+def _spy_on_row_check(monkeypatch):
+    """Record the valid-point count of each capture line that reaches the
+    per-row check of a partly reached line."""
+    calls = []
+    check = scene._oriented_map
+
+    def spy(s_v, beta_v):
+        calls.append(s_v.size)
+        return check(s_v, beta_v)
+
+    monkeypatch.setattr(scene, "_oriented_map", spy)
+    return calls
+
+
+@pytest.mark.parametrize("branch", sorted(NOT_MONOTONE))
+def test_capture_map_that_is_not_monotone_is_rejected_by_either_check(branch, monkeypatch):
+    radius, tx, rx = NOT_MONOTONE[branch]
+    reached = _arc_rays_reaching_capture_line(radius, tx, rx)
+    calls = _spy_on_row_check(monkeypatch)
+    with pytest.raises(GeometryError, match="not monotone"):
+        _captures_at(radius, tx, rx)
+    if branch == "block":
+        # Every arc ray reaches the line: the block check rejects it.
+        assert reached == scene._CAPTURE_GRID_POINTS and calls == []
+    else:
+        assert 2 <= reached < scene._CAPTURE_GRID_POINTS and calls == [reached]
+
+
+def test_capture_line_reached_by_one_arc_ray_captures_nothing(monkeypatch):
+    # One point cannot be interpolated, so the line gets NaN angles, with no
+    # RuntimeWarning (which the suite's settings turn into an error).
+    radius = 0.43663268570585767
+    tx = [2.5892847611599414, 4.399769426784072, 0.0]
+    rx = [0.26895424279909375, 6.507981537100132, 0.0]
+    assert _arc_rays_reaching_capture_line(radius, tx, rx) == 1
+    calls = _spy_on_row_check(monkeypatch)
+    _, _, _, angles, _ = _captures_at(radius, tx, rx)
+    assert angles.size == 0 and calls == []
+
+
 def test_specular_point_is_sweep_midpoint_by_construction():
     g = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario().geometry
     assert_allclose(image_source_specular_oracle(g), g.sweep_midpoint, atol=1e-12)
@@ -318,10 +391,32 @@ def test_specular_path_length_image_source_oracle():
     assert_allclose(np.linalg.norm(s - tx_image), 5.0, atol=1e-12)
 
 
+# The path solves' reduction shapes: one launch, RX or captured ray (axes of
+# length 1), flat (M, N, 3) blocks and convex (G, S, K, 3) ones, and the
+# length-2 horizontal reductions.
+@pytest.mark.parametrize("shape", [(1, 3), (36, 3), (1, 1, 3), (1, 36, 3), (455, 36, 3),
+                                   (1, 1, 1, 3), (1, 16, 1, 3), (32, 16, 32, 3), (1, 2),
+                                   (7, 32, 2), (3, 16, 5, 2)])
+def test_component_sums_have_the_bits_of_the_numpy_reductions(shape):
+    # A numpy that sums a short last axis in another order fails here first:
+    # x*x + (y*y + z*z), for one, differs from the norm in the last bit.
+    rng = np.random.default_rng(sum(shape))
+    a, b = 3.0 * rng.standard_normal((2, *shape))
+    wide = rng.standard_normal((*shape[:-1], 2 * shape[-1] + 1))
+    views = [(a, b), (wide[..., ::2][..., :shape[-1]], wide[..., 1::2]),
+             (np.swapaxes(a, 0, -2), np.swapaxes(b, 0, -2)), (a, b[:1])]
+    for x, y in views:
+        assert np.array_equal(scene._norm(x), np.linalg.norm(x, axis=-1))
+        assert np.array_equal(scene._dot(x, y), np.sum(x * y, axis=-1))
+
+
 def _single_path(tx, launch, rx, tx_boresight, rx_boresight):
-    """The one (distance, tx_az, tx_el, rx_az, rx_el) ray of a 1 x 1 batch."""
-    return tuple(float(a.flat[0]) for a in path_geometry_batch(
-        tx, np.asarray(launch)[None, :], np.asarray(rx)[None, :], tx_boresight, rx_boresight))
+    """The one (distance, tx_az, tx_el, rx_az, rx_el) ray of a 1 x 1 solve."""
+    launch = np.asarray(launch)[None, :]
+    d1, tx_az, tx_el = tx_leg(tx, launch, antenna_frame(tx_boresight))
+    d, rx_az, rx_el = path_geometry_batch(launch, d1, np.asarray(rx)[None, :],
+                                          antenna_frame(rx_boresight))
+    return tuple(float(a.flat[0]) for a in (d, tx_az, tx_el, rx_az, rx_el))
 
 
 def test_path_geometry_collinear():
@@ -340,12 +435,13 @@ def test_path_geometry_swap_symmetry():
     rx = scn.geometry.sweep_start
     bt, br = scn.tx_boresight, scn.rx_boresight
     fwd_d, fwd_tx_az, fwd_tx_el, fwd_rx_az, fwd_rx_el = _single_path(tx, launch, rx, bt, br)
-    # A batch solves the TX leg once per launch point: its angles are (N,),
-    # the RX-dependent arrays (M, N).
-    batch = path_geometry_batch(tx, facetize_flat(scn.reflector), scn.geometry.rx_positions()[:3],
-                                bt, br)
-    assert [a.shape for a in batch] == [(3, 36), (36,), (36,), (3, 36), (3, 36)]
-    assert_allclose([batch[1][7], batch[2][7]], [fwd_tx_az, fwd_tx_el], atol=1e-12)
+    # The TX leg is solved once per launch point: its arrays are (N,), the
+    # RX-leg arrays (M, N).
+    launches = facetize_flat(scn.reflector)
+    d1, tx_az, tx_el = tx_leg(tx, launches, antenna_frame(bt))
+    batch = path_geometry_batch(launches, d1, scn.geometry.rx_positions()[:3], antenna_frame(br))
+    assert [a.shape for a in (d1, tx_az, tx_el, *batch)] == [(36,)] * 3 + [(3, 36)] * 3
+    assert_allclose([tx_az[7], tx_el[7]], [fwd_tx_az, fwd_tx_el], atol=1e-12)
     # Swapping the link ends keeps each horn's physical axis; the reference
     # vectors negate because departure and arrival conventions point opposite
     # ways along that axis.
