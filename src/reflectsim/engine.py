@@ -11,12 +11,14 @@ from . import scene
 from .scene import (
     ConvexReflectorSpec,
     FlatReflectorSpec,
+    GeometryError,
     Scenario,
     antenna_frame,
     convex_captures,
     convex_path_geometry_batch,
     facetize_flat,
     path_geometry_batch,
+    section_columns,
     tx_leg,
 )
 
@@ -69,22 +71,36 @@ def _power_db_from_sum(total: np.ndarray, mode: SumMode) -> np.ndarray:
     return out
 
 
+def _rx_in_link_plane(rx_points: np.ndarray) -> np.ndarray:
+    """The (M, 3) RX points as floats; a GeometryError unless all lie in z = 0."""
+    rx = np.asarray(rx_points, dtype=float)
+    off_plane = rx[:, 2] != 0.0
+    if np.any(off_plane):
+        raise GeometryError("RX points must lie in the link plane z = 0, "
+                            f"got z = {float(rx[np.argmax(off_plane), 2])!r} m")
+    return rx
+
+
 def _ray_sums(scenario: Scenario, d: np.ndarray, gain_tx: np.ndarray, rx_az: np.ndarray,
-              rx_el: np.ndarray, mode: SumMode, n_nominal: int) -> np.ndarray:
+              rx_el: np.ndarray, mode: SumMode, n_nominal: int,
+              columns: np.ndarray | None = None) -> np.ndarray:
     """Coherent sum of each row of a (G, N) ray block of path lengths `d`.
 
     `gain_tx` holds the rays' linear TX gains and `rx_az`, `rx_el` their
     arrival angles, each broadcast against `d`. Each ray's phase is
-    referenced to `scenario.d_ref_m`. PHYSICAL mode averages over the N rays
-    of a row; LITERAL mode applies the sqrt(n_nominal) prefactor instead.
+    referenced to `scenario.d_ref_m`. `columns`, if given, gathers each row's
+    ray terms into the rays they stand for (`scene.section_columns`) before
+    the sum. PHYSICAL mode averages over the rays of a row; LITERAL mode
+    applies the sqrt(n_nominal) prefactor instead.
     """
+    n_rays = d.shape[1] if columns is None else columns.size
     lam = scenario.wavelength_m
     tx_power_mw = 10.0 ** (scenario.tx_power_dbm / 10.0)
     gain_rx = scenario.rx_pattern.gain(rx_az, rx_el)
     phasor = np.exp(1j * (-2.0 * math.pi * (d - scenario.d_ref_m) / lam))
     if mode is SumMode.PHYSICAL:
         amp = (
-            (1.0 / d.shape[1])
+            (1.0 / n_rays)
             * np.sqrt(tx_power_mw * gain_tx * gain_rx * scenario.alpha
                       * scenario.reflector.reflection_efficiency)
             * (lam / (FOUR_PI * d))
@@ -96,14 +112,20 @@ def _ray_sums(scenario: Scenario, d: np.ndarray, gain_tx: np.ndarray, rx_az: np.
             * lam ** 2
             * scenario.alpha
         )
-    total = (amp * phasor).sum(axis=1)
+    terms = amp * phasor
+    if columns is not None:
+        # np.take gives a fresh C-contiguous (G, N) block (terms[:, columns]
+        # would be column-major), so each row is summed as an unfolded one.
+        terms = np.take(terms, columns, axis=1)
+    total = terms.sum(axis=1)
     if mode is SumMode.LITERAL:
         total = math.sqrt(n_nominal) * total
     return total
 
 
 def flat_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -> np.ndarray:
-    """Received power (dB) at each of the (M, 3) RX points for a flat-reflector scenario.
+    """Received power (dB) at each of the (M, 3) RX points, all in z = 0, for a
+    flat-reflector scenario.
 
     PHYSICAL mode sums field amplitudes over the facet grid with 1/N
     averaging (dBm); LITERAL mode additionally includes the center reference
@@ -118,12 +140,12 @@ def flat_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -
     launches = facetize_flat(spec)
     if mode is SumMode.LITERAL:
         launches = np.vstack([np.zeros(3), launches])
+    rx = _rx_in_link_plane(rx_points)
     # The TX leg and its gain do not depend on the RX: solved once per call.
     d1, tx_az, tx_el = tx_leg(geom.tx_position, launches, antenna_frame(scenario.tx_boresight))
     gain_tx = scenario.tx_pattern.gain(tx_az, tx_el)
     rx_frame = antenna_frame(scenario.rx_boresight)
 
-    rx = np.asarray(rx_points, dtype=float)
     total = np.empty(len(rx), dtype=complex)
     step = max(1, _RAY_BLOCK // len(launches))
     for start in range(0, len(rx), step):
@@ -134,7 +156,8 @@ def flat_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -
 
 
 def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -> np.ndarray:
-    """Received power (dB) at each of the (M, 3) RX points for a convex-reflector scenario.
+    """Received power (dB) at each of the (M, 3) RX points, all in z = 0, for a
+    convex-reflector scenario.
 
     At each position, sums captured rays over height sections and azimuth
     intercepts with the curved-surface attenuation factor. Each ray is
@@ -149,12 +172,14 @@ def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode)
 
     Positions are grouped by captured-ray count K and evaluated in blocks of
     at most _RAY_BLOCK rays, so every row of a block sums the same number of
-    rays and results do not depend on the blocking.
+    rays and results do not depend on the blocking. Only the upper half of
+    the height sections is solved: `scene.section_columns` gathers its ray
+    terms into all S*K rays of a row, which are then summed in order.
     """
     spec = scenario.reflector
     if not isinstance(spec, ConvexReflectorSpec):
         raise ValueError("convex_sweep_power requires a convex reflector spec")
-    rx = np.asarray(rx_points, dtype=float)
+    rx = _rx_in_link_plane(rx_points)
     geom = scenario.geometry
     angles, intercepts = convex_captures(spec, geom, rx, scenario.rx_pattern)
     tx_frame = antenna_frame(scenario.tx_boresight)
@@ -166,6 +191,7 @@ def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode)
     total = np.zeros(len(rx), dtype=complex)  # uncaptured positions stay 0 -> -inf
     for k in np.unique(counts[counts > 0]):
         rows = np.flatnonzero(counts == k)
+        columns = section_columns(k)
         step = max(1, _RAY_BLOCK // (n_el * k))
         for start in range(0, rows.size, step):
             block = rows[start:start + step]
@@ -179,5 +205,6 @@ def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode)
                 rx_frame,
             )
             gain_tx = scenario.tx_pattern.gain(tx_az, tx_el)
-            total[block] = _ray_sums(scenario, d, gain_tx, rx_az, rx_el, mode, n_el * n_az)
+            total[block] = _ray_sums(scenario, d, gain_tx, rx_az, rx_el, mode, n_el * n_az,
+                                     columns)
     return _power_db_from_sum(total, mode)

@@ -25,10 +25,12 @@ _HEIGHT_SECTIONS = 16
 _AZIMUTH_TARGETS = 32
 
 _CAPTURE_GRID_POINTS = 4097
-# RX positions whose capture lines are solved together: the (block, 4097)
-# temporaries stay in cache. On a 2-CPU host, one thread, the 1800-position
-# 28 GHz sweep's solve took 0.134 s at 16 positions per block, 0.135-0.137 s
-# at 8 and 24, 0.149 s at 32 and 0.206 s at 64 (medians of 15 runs).
+# RX positions whose capture lines are solved together: the four
+# (block, 4097) buffers stay in cache. On a 2-CPU host, one thread, the
+# capture solves of the four `convex-bands` sweeps took 0.345-0.408 s at 16
+# positions per block, 0.332-0.387 s at 8, 0.372-0.429 s at 24 and
+# 0.375-0.459 s at 32 (medians of 9 interleaved runs, three series): 8 led
+# each series by 1-5%, too little to change the block.
 _CAPTURE_BLOCK = 16
 
 _NOT_MONOTONE = "arc reflection map is not monotone for this geometry"
@@ -55,7 +57,12 @@ def unit(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioGeometry:
-    """TX position and the linear RX sweep segment, in the reflector frame."""
+    """TX position and the linear RX sweep segment, in the reflector frame.
+
+    The TX and the sweep lie in the link plane z = 0, through the plate
+    center, so the convex solve can read each lower height section off its
+    mirror image in the upper half.
+    """
 
     tx_position: np.ndarray
     sweep_start: np.ndarray
@@ -64,7 +71,11 @@ class ScenarioGeometry:
 
     def __post_init__(self) -> None:
         for name in ("tx_position", "sweep_start", "sweep_end"):
-            object.__setattr__(self, name, vec3(getattr(self, name)))
+            point = vec3(getattr(self, name))
+            if point[2] != 0.0:
+                raise GeometryError(f"{name} must lie in the link plane z = 0, "
+                                    f"got z = {float(point[2])!r} m")
+            object.__setattr__(self, name, point)
         if self.sweep_length_m <= 0.0:
             raise GeometryError("sweep must have positive length")
         if self.n_rx_positions < 2:
@@ -269,11 +280,11 @@ def convex_captures(
     The specular rays off the arc are traced once, in the horizontal plane
     (the cylinder axis is vertical, so every height section shares the
     azimuth solution); only their crossings with each capture line depend on
-    the RX point, and those are solved for `_CAPTURE_BLOCK` RX points at a
-    time. The intercepts of the rays that reach a capture line must be
+    the RX point, and those are solved in place for `_CAPTURE_BLOCK` RX points
+    at a time. The intercepts of the rays that reach a capture line must be
     strictly ordered along the arc, or a GeometryError is raised: a line that
-    every arc ray reaches is checked with the whole block, a line that only
-    part of the arc reaches is checked on that part, and only the
+    one contiguous run of arc rays reaches is checked with the whole block, a
+    line whose reaching rays have a gap is checked on its own, and only the
     interpolation of the targets runs once per RX point.
 
     Returns the captured arc angle of each target (M, n_az), NaN where the
@@ -311,8 +322,12 @@ def convex_captures(
     targets = (np.arange(n_az) - (n_az - 1) / 2.0) * gamma
     px, py = points.T.copy()
     dx, dy = d_out.T.copy()
-    beta_rev = beta[::-1]
+    n_pts = _CAPTURE_GRID_POINTS
+    beta_rev = beta[::-1].copy()
     angles = np.full((len(rx), n_az), np.nan)
+    # Every block is computed in place in four (block, arc point) buffers.
+    bufs = np.empty((4, min(_CAPTURE_BLOCK, len(rx)), n_pts))
+    valid_buf = np.empty(bufs.shape[1:], dtype=bool)
     for start in range(0, len(rx), _CAPTURE_BLOCK):
         block = slice(start, start + _CAPTURE_BLOCK)
         # Intersect point + tau * d_out with each capture line q + s * line as
@@ -320,31 +335,86 @@ def convex_captures(
         # operations whatever the block size, so blocking changes no bit.
         qx, qy = rx[block, :1], rx[block, 1:2]
         l0, l1 = line[block, :1], line[block, 1:]
-        cross_du = dx * l1 - dy * l0
-        cross_ru = (qx - px) * l1 - (qy - py) * l0
-        valid = np.abs(cross_du) > 1e-15
-        tau = np.divide(cross_ru, cross_du, out=np.full(cross_du.shape, np.nan), where=valid)
-        valid &= tau > 1e-9
-        s = (px + tau * dx - qx) * l0 + (py + tau * dy - qy) * l1
+        cross, tau, s, work = bufs[:, :len(qx)]
+        valid = valid_buf[:len(qx)]
+        # A ray that runs parallel to its line divides by ~0; it is not valid,
+        # so whatever that gives is never read.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.multiply(dx, l1, out=cross)
+            cross -= np.multiply(dy, l0, out=work)             # dx*l1 - dy*l0
+            np.subtract(qx, px, out=tau)
+            tau *= l1
+            np.subtract(qy, py, out=work)
+            work *= l0
+            tau -= work                                         # (qx-px)*l1 - (qy-py)*l0
+            np.greater(np.abs(cross, out=work), 1e-15, out=valid)
+            tau /= cross
+            valid &= tau > 1e-9
+            np.multiply(tau, dx, out=s)
+            s += px
+            s -= qx
+            s *= l0                                             # (px + tau*dx - qx) * l0
+            np.multiply(tau, dy, out=work)
+            work += py
+            work -= qy
+            work *= l1                                          # (py + tau*dy - qy) * l1
+            s += work
 
-        # A line that every arc ray reaches is checked with the whole block;
-        # np.interp needs increasing intercepts, so a decreasing map is read
-        # reversed.
-        n_valid = np.count_nonzero(valid, axis=1)
-        full = n_valid == _CAPTURE_GRID_POINTS
-        falling = full & np.all(s[:, 1:] < s[:, :-1], axis=1)
-        rising = full & np.all(s[:, 1:] > s[:, :-1], axis=1)
-        if np.any(full & ~(falling | rising)):
+        # A line whose valid points are one contiguous run of the arc is
+        # checked with the whole block, on its adjacent valid pairs: their
+        # intercepts must all fall or all rise along the arc.
+        falls = s[:, 1:] < s[:, :-1]
+        rises = s[:, 1:] > s[:, :-1]
+        if np.all(valid):
+            n_valid = np.full(len(qx), n_pts)
+            first = np.zeros(len(qx), dtype=int)
+            contiguous = np.ones(len(qx), dtype=bool)
+        else:
+            pairs = valid[:, 1:] & valid[:, :-1]
+            n_valid = np.count_nonzero(valid, axis=1)
+            # One run of n valid points holds n - 1 valid pairs.
+            contiguous = n_valid - np.count_nonzero(pairs, axis=1) == 1
+            first = np.argmax(valid, axis=1)
+            falls |= ~pairs
+            rises |= ~pairs
+        falling = np.all(falls, axis=1)
+        checked = contiguous & (n_valid >= 2)
+        if np.any(checked & ~(falling | np.all(rises, axis=1))):
             raise GeometryError(_NOT_MONOTONE)
-        for i in np.flatnonzero(full):
-            s_i, beta_i = (s[i, ::-1], beta_rev) if falling[i] else (s[i], beta)
+        # np.interp needs increasing intercepts, so a falling run is read from
+        # one reversed copy of the block.
+        s_rev = s[:, ::-1].copy() if np.any(checked & falling) else None
+        for i in np.flatnonzero(checked):
+            lo, n = first[i], n_valid[i]
+            if falling[i]:
+                lo = n_pts - lo - n
+                s_i, beta_i = s_rev[i, lo:lo + n], beta_rev[lo:lo + n]
+            else:
+                s_i, beta_i = s[i, lo:lo + n], beta[lo:lo + n]
             angles[start + i] = np.interp(targets, s_i, beta_i, left=np.nan, right=np.nan)
-        # A line that only part of the arc reaches is checked on that part.
-        for i in np.flatnonzero(~full & (n_valid >= 2)):
+        # A line whose valid points have a gap is checked on its own.
+        for i in np.flatnonzero(~contiguous & (n_valid >= 2)):
             s_v, beta_v = _oriented_map(s[i, valid[i]], beta[valid[i]])
             angles[start + i] = np.interp(targets, s_v, beta_v, left=np.nan, right=np.nan)
     intercepts = rx[:, None, :2] + targets[None, :, None] * seg[:, None, :]
     return angles, intercepts
+
+
+def section_columns(k: int) -> np.ndarray:
+    """Column gather from the solved half of the height sections to all of them.
+
+    The section grid is exactly antisymmetric about z = 0, and the TX and the
+    RX lie in that plane, so section s and its mirror S-1-s give bit-equal
+    path lengths, azimuths and gains and exactly negated elevations.
+    `convex_path_geometry_batch` solves only sections S//2 ... S-1; indexing
+    its (G, H*K) per-ray terms with these (S*K,) columns gives the full
+    section-major (G, S*K) order, section s read from half-section
+    max(s, S-1-s) - S//2.
+    """
+    n_el = _HEIGHT_SECTIONS
+    sections = np.arange(n_el)
+    half = np.maximum(sections, n_el - 1 - sections) - n_el // 2
+    return (half[:, None] * k + np.arange(k)).ravel()
 
 
 def convex_path_geometry_batch(
@@ -359,40 +429,58 @@ def convex_path_geometry_batch(
 
     `arc_angles` (G, K) and `intercepts` (G, K, 2) are the captured entries
     of G rows of `convex_captures`. Each ray runs TX -> arc launch point in
-    one of the S height sections -> its intercept on the capture segment (the
+    one of the height sections -> its intercept on the capture segment (the
     specular path the antenna actually collects), so the path length is d1 +
     the reflected leg to the intercept, and the arrival angles are those of
-    the reflected ray direction in the RX antenna frame. Returns
-    (distance, tx_az, tx_el, rx_az, rx_el), each of shape (G, S*K) ordered
-    section-major, all angles in degrees.
+    the reflected ray direction in the RX antenna frame. Only the H upper
+    sections S//2 ... S-1 are solved; `section_columns` maps them onto all S.
+    Returns (distance, tx_az, tx_el, rx_az, rx_el), each of shape (G, H*K)
+    ordered section-major, all angles in degrees.
     """
     r = spec.radius_of_curvature_m
     cos_b = np.cos(arc_angles)
     sin_b = np.sin(arc_angles)
-    normals = np.stack([cos_b, sin_b, np.zeros_like(cos_b)], axis=-1)[:, None]  # (G, 1, K, 3)
-    arc_xy = np.stack([r * (cos_b - 1.0), r * sin_b], axis=-1)      # (G, K, 2)
-
+    arc_x = r * (cos_b - 1.0)                                        # (G, K)
+    arc_y = r * sin_b
     n_el = _HEIGHT_SECTIONS
     z_offsets = ((np.arange(n_el) + 0.5) / n_el - 0.5) * spec.height_m
-    g, k = arc_angles.shape
-    launch = np.empty((g, n_el, k, 3))                               # (G, S, K, 3)
-    launch[..., :2] = arc_xy[:, None]
-    launch[..., 2] = z_offsets[:, None]
+    tx = geom.tx_position
 
-    to_launch = launch - geom.tx_position
-    d1 = _norm(to_launch)                                            # (G, S, K)
-    d_in = to_launch / d1[..., None]
-    reflected = d_in - 2.0 * _dot(d_in, normals)[..., None] * normals
+    # TX -> launch leg, component by component: x and y are shared by every
+    # section, and d1 sums (x*x + y*y) + z*z, the order of `_norm`.
+    x = arc_x - tx[0]
+    y = arc_y - tx[1]
+    z = (z_offsets[n_el // 2:] - tx[2])[:, None]                     # (H, 1)
+    d1 = np.sqrt((x * x + y * y)[:, None] + z * z)                   # (G, H, K)
+    ux = x[:, None] / d1
+    uy = y[:, None] / d1
+    uz = z / d1
+    # Mirror off the vertical arc normal (cos, sin, 0). Its zero z term would
+    # add ±0 to an in-plane dot product that is never -0, and subtract ±0
+    # from the z component: neither changes a bit, so both are left out.
+    cos_b, sin_b = cos_b[:, None], sin_b[:, None]
+    two_dot = ux * cos_b
+    two_dot += uy * sin_b
+    two_dot *= 2.0
+    vx = ux - two_dot * cos_b
+    vy = uy - two_dot * sin_b
 
     # Horizontal intercept on the capture segment; every section shares it.
-    tau_h = _norm(intercepts - arc_xy)                               # (G, K)
-    horiz = _norm(reflected[..., :2])                                # (G, S, K)
+    hx = intercepts[..., 0] - arc_x
+    hy = intercepts[..., 1] - arc_y
+    tau_h = np.sqrt(hx * hx + hy * hy)                               # (G, K)
+    horiz = np.sqrt(vx * vx + vy * vy)                               # (G, H, K)
     if np.any(horiz < 1e-9):
         raise GeometryError("reflected ray is vertical; capture intercept undefined")
-    distance = d1 + tau_h[:, None, :] / horiz
+    distance = d1 + tau_h[:, None] / horiz
 
-    # Angles are projected on (G, S*K, 3) stacks: the BLAS product in
+    # Angles are projected on (G, H*K, 3) stacks: the BLAS product in
     # offset_angles_deg then gives each row the bits of a single-position call.
+    g, h, k = d1.shape
+    d_in = np.empty((g, h, k, 3))
+    reflected = np.empty((g, h, k, 3))
+    d_in[..., 0], d_in[..., 1], d_in[..., 2] = ux, uy, uz
+    reflected[..., 0], reflected[..., 1], reflected[..., 2] = vx, vy, uz
     tx_az, tx_el = offset_angles_deg(d_in.reshape(g, -1, 3), tx_frame)
     rx_az, rx_el = offset_angles_deg(reflected.reshape(g, -1, 3), rx_frame)
     return distance.reshape(g, -1), tx_az, tx_el, rx_az, rx_el

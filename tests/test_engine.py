@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,15 +11,25 @@ from reflectsim import engine, scene
 from reflectsim.antenna import Band
 from reflectsim.engine import (
     SumMode,
+    _power_db_from_sum,
     _ray_sums,
     convex_sweep_power,
     flat_sweep_power,
 )
-from reflectsim.config import ScenarioConfig
+from reflectsim.config import ScenarioConfig, parse_config
 from reflectsim.runner import sweep_profile
-from reflectsim.scene import REFLECTOR_SIDE_16IN_M, convex_captures
+from reflectsim.scene import (
+    REFLECTOR_SIDE_16IN_M,
+    GeometryError,
+    antenna_frame,
+    convex_captures,
+    convex_path_geometry_batch,
+    offset_angles_deg,
+    section_columns,
+)
 
 SIDE = REFLECTOR_SIDE_16IN_M
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def friis_dbm(tx_power_dbm, gain_dbi, wavelength_m, distance_m):
@@ -258,6 +269,113 @@ def test_planar_limit_sweep_is_the_flat_sweep_with_the_curved_alpha(mode):
     assert convex.alpha != flat.alpha
     p_flat = sweep_profile(dataclasses.replace(flat, alpha=convex.alpha), mode)
     assert np.array_equal(sweep_profile(convex, mode).power_db, p_flat.power_db)
+
+
+def _convex_fixture(band, extra=""):
+    text = (CONFIGS / f"{band}ghz_convex.cfg").read_text(encoding="utf-8") + extra
+    return parse_config(text).to_scenario()
+
+
+def _unfolded_paths(spec, geom, arc_angles, intercepts, tx_frame, rx_frame):
+    """Every one of the S height sections solved on (G, S, K, 3) stacks, with
+    no mirror fold: (distance, tx_az, tx_el, rx_az, rx_el), each (G, S*K) and
+    section-major."""
+    r = spec.radius_of_curvature_m
+    cos_b, sin_b = np.cos(arc_angles), np.sin(arc_angles)
+    normals = np.stack([cos_b, sin_b, np.zeros_like(cos_b)], axis=-1)[:, None]
+    arc_xy = np.stack([r * (cos_b - 1.0), r * sin_b], axis=-1)
+    n_el = scene._HEIGHT_SECTIONS
+    g, k = arc_angles.shape
+    launch = np.empty((g, n_el, k, 3))
+    launch[..., :2] = arc_xy[:, None]
+    launch[..., 2] = (((np.arange(n_el) + 0.5) / n_el - 0.5) * spec.height_m)[:, None]
+    to_launch = launch - geom.tx_position
+    d1 = scene._norm(to_launch)
+    d_in = to_launch / d1[..., None]
+    reflected = d_in - 2.0 * scene._dot(d_in, normals)[..., None] * normals
+    distance = d1 + scene._norm(intercepts - arc_xy)[:, None] / scene._norm(reflected[..., :2])
+    tx_az, tx_el = offset_angles_deg(d_in.reshape(g, -1, 3), tx_frame)
+    rx_az, rx_el = offset_angles_deg(reflected.reshape(g, -1, 3), rx_frame)
+    return distance.reshape(g, -1), tx_az, tx_el, rx_az, rx_el
+
+
+def _captured_rows(scn, rx):
+    """(arc angles (1, K), intercepts (1, K, 2)) of each RX point that captures."""
+    angles, intercepts = convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern)
+    for a, q in zip(angles, intercepts):
+        kept = ~np.isnan(a)
+        if kept.any():
+            yield a[kept][None], q[kept][None]
+
+
+@pytest.mark.parametrize("sections", [1, 16])
+@pytest.mark.parametrize("band", [28, 39, 120])
+def test_mirrored_height_sections_solve_to_the_same_rays(band, sections, monkeypatch):
+    # With the TX and the RX in z = 0, section s and section S-1-s of the
+    # unfolded solve give bit-equal path lengths, azimuths and gains and exactly
+    # negated elevations; the folded solve is the unfolded upper half, and its
+    # section gather rebuilds every mirrored array.
+    monkeypatch.setattr(scene, "_HEIGHT_SECTIONS", sections)
+    scn = _convex_fixture(band)
+    frames = antenna_frame(scn.tx_boresight), antenna_frame(scn.rx_boresight)
+    rows = list(_captured_rows(scn, scn.geometry.rx_positions()[::300]))
+    assert len(rows) == 6
+    for angles, intercepts in rows:
+        k = angles.shape[1]
+        full = _unfolded_paths(scn.reflector, scn.geometry, angles, intercepts, *frames)
+        half = convex_path_geometry_batch(scn.reflector, scn.geometry, angles, intercepts,
+                                          *frames)
+        d, tx_az, tx_el, rx_az, rx_el = (a.reshape(sections, k) for a in full)
+        mirror = slice(None, None, -1)
+        for same in (d, tx_az, rx_az, scn.tx_pattern.gain(tx_az, tx_el),
+                     scn.rx_pattern.gain(rx_az, rx_el)):
+            assert np.array_equal(same, same[mirror])
+        for negated in (tx_el, rx_el):
+            assert np.array_equal(negated, -negated[mirror])
+        columns = section_columns(k)
+        for whole, upper in zip(full, half):
+            assert np.array_equal(upper.reshape(-1, k), whole.reshape(sections, k)[sections // 2:])
+        for i in (0, 1, 3):
+            assert np.array_equal(np.take(half[i], columns, axis=1), full[i])
+
+
+def _unfolded_sweep_power(scn, rx, mode):
+    """Received power of each RX point summed over every height section's own
+    rays (`_unfolded_paths`, then a plain row sum in `_ray_sums`), one position
+    at a time."""
+    frames = antenna_frame(scn.tx_boresight), antenna_frame(scn.rx_boresight)
+    angles, intercepts = convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern)
+    total = np.zeros(len(rx), dtype=complex)
+    for i in np.flatnonzero(~np.all(np.isnan(angles), axis=1)):
+        kept = ~np.isnan(angles[i])
+        d, tx_az, tx_el, rx_az, rx_el = _unfolded_paths(
+            scn.reflector, scn.geometry, angles[i][kept][None], intercepts[i][kept][None], *frames)
+        gain_tx = scn.tx_pattern.gain(tx_az, tx_el)
+        (total[i],) = _ray_sums(scn, d, gain_tx, rx_az, rx_el, mode,
+                                scene._HEIGHT_SECTIONS * angles.shape[1])
+    return _power_db_from_sum(total, mode)
+
+
+@pytest.mark.parametrize("mode", list(SumMode))
+@pytest.mark.parametrize("fixture", ["28", "39", "120", "28-offset5"])
+def test_folded_sweep_is_the_unfolded_sum(fixture, mode):
+    # No golden profile holds a LITERAL convex sweep; this pins both modes.
+    band, _, offset = fixture.partition("-offset")
+    scn = _convex_fixture(band, f"geometry.sweep_offset = {offset}\n" if offset else "")
+    rx = scn.geometry.rx_positions()[::15]
+    want = _unfolded_sweep_power(scn, rx, mode)
+    assert np.array_equal(convex_sweep_power(scn, rx, mode), want)
+    assert np.isneginf(want).any() == bool(offset)
+
+
+@pytest.mark.parametrize("sweep_power", [flat_sweep_power, convex_sweep_power])
+def test_sweep_rejects_rx_points_off_the_link_plane(sweep_power):
+    kind = "flat" if sweep_power is flat_sweep_power else "convex"
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind=kind).to_scenario()
+    rx = scn.geometry.rx_positions()[::100].copy()
+    rx[7, 2] = 0.125
+    with pytest.raises(GeometryError, match=r"link plane z = 0, got z = 0\.125 m"):
+        sweep_power(scn, rx, SumMode.PHYSICAL)
 
 
 def test_convex_requires_convex_spec():

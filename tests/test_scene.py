@@ -162,7 +162,9 @@ def test_section_convex_default_counts():
     gamma = capture_length_m(scn.rx_pattern, scn.geometry.rx_range_m) / 32
     offsets = np.linalg.norm(intercepts - rx[:2], axis=1)
     assert_allclose(offsets, np.abs(np.arange(32) - 15.5) * gamma, rtol=1e-12)
-    assert all(p.size == 16 * 32 for p in paths)
+    # The upper 8 of the 16 sections are solved; the gather reads all 16.
+    assert all(p.size == 8 * 32 for p in paths)
+    assert scene.section_columns(32).size == 16 * 32
 
 
 def test_section_convex_rays_lie_on_arc():
@@ -182,9 +184,10 @@ def test_section_convex_rays_lie_on_arc():
     d_in = launch - g.tx_position
     tx_az, tx_el = offset_angles_deg(d_in / np.linalg.norm(d_in, axis=1, keepdims=True),
                                      antenna_frame(scn.tx_boresight))
+    # The bottom section is the mirror of the top one, the last solved section.
     n_az = angles.size
-    assert_allclose(tx_az_deg[:n_az], tx_az, atol=1e-9)
-    assert_allclose(tx_el_deg[:n_az], tx_el, atol=1e-9)
+    assert_allclose(tx_az_deg[-n_az:], tx_az, atol=1e-9)
+    assert_allclose(-tx_el_deg[-n_az:], tx_el, atol=1e-9)
 
 
 def test_section_convex_planar_limit_matches_flat_directions():
@@ -228,18 +231,24 @@ def test_section_convex_rejects_rx_behind_reflector():
         convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern)
 
 
-def _captures_at(radius_m, tx, rx, *more_rx):
-    """`convex_captures` at one RX, followed by `more_rx`, for a 16-inch
-    plate facing +x at the origin, the 28 GHz RX pattern and a sweep midpoint
-    2.5 m out, which sizes the capture segments and so the spacing of their
-    32 targets. Returns the targets, the
-    capture-line origin and direction, and the captured arc angles and their
-    intercepts at the first RX."""
+def _plate_and_sweep(radius_m, tx):
+    """A 16-inch convex plate facing +x at the origin, lit from `tx`, and a
+    sweep whose midpoint 2.5 m out sizes the capture segments and so the
+    spacing of their 32 targets."""
     spec = ConvexReflectorSpec(chord_width_m=SIDE, height_m=SIDE, radius_of_curvature_m=radius_m,
                                reflection_efficiency=1.0)
-    rx = np.asarray(rx)
     geom = ScenarioGeometry(tx_position=tx, sweep_start=[2.5, -0.5, 0.0],
                             sweep_end=[2.5, 0.5, 0.0], n_rx_positions=2)
+    return spec, geom
+
+
+def _captures_at(radius_m, tx, rx, *more_rx):
+    """`convex_captures` at one RX, followed by `more_rx`, on `_plate_and_sweep`
+    with the 28 GHz RX pattern. Returns the targets, the capture-line origin
+    and direction, and the captured arc angles and their intercepts at the
+    first RX."""
+    spec, geom = _plate_and_sweep(radius_m, tx)
+    rx = np.asarray(rx)
     pattern = Band.GHZ28.horn
     (angles, *_), (intercepts, *_) = convex_captures(spec, geom, np.array([rx, *more_rx]), pattern)
     n_az = angles.size
@@ -253,7 +262,7 @@ def test_capture_map_increasing_along_the_arc():
     # A nearly flat arc lit from far to the side: the reflected intercepts
     # grow with the arc angle, the opposite of the default sweeps' maps.
     radius = 119.25068253803899
-    tx = np.array([6.863308605723315, -7.905305784640073, 0.4197838364770865])
+    tx = np.array([6.863308605723315, -7.905305784640073, 0.0])
     rx = [0.04410115685021309, -0.07342395706239557, 0.35237264271198265]
     targets, q, line, angles, intercepts = _captures_at(radius, tx, rx)
     assert angles.size == 7 and np.all(np.diff(angles) > 0.0)
@@ -283,7 +292,7 @@ def test_capture_map_that_is_not_monotone_is_rejected():
     # end of the line and come back from the other.
     with pytest.raises(GeometryError, match="not monotone"):
         _captures_at(0.22876151890631236,
-                     [0.8605285095721427, -8.126597734089998, 0.9610066152749481],
+                     [0.8605285095721427, -8.126597734089998, 0.0],
                      [0.29169247385091673, -2.893838176250152, -0.6420837448390428])
 
 
@@ -293,12 +302,12 @@ def test_every_rx_is_checked_before_any_capture_line():
     rx = [0.29169247385091673, -2.893838176250152, -0.6420837448390428]
     with pytest.raises(GeometryError, match="finite"):
         _captures_at(0.22876151890631236,
-                     [0.8605285095721427, -8.126597734089998, 0.9610066152749481],
+                     [0.8605285095721427, -8.126597734089998, 0.0],
                      rx, *[rx] * _CAPTURE_BLOCK, [np.nan, 0.5, 0.0])
 
 
 def _arc_rays_reaching_capture_line(radius, tx, rx):
-    """How many of the capture solve's arc points send their specular ray
+    """Which of the capture solve's arc points send their specular ray
     forward across the RX's capture line: an independent re-trace."""
     beta_max = math.asin(SIDE / (2.0 * radius))
     beta = np.linspace(-beta_max, beta_max, scene._CAPTURE_GRID_POINTS)
@@ -312,16 +321,60 @@ def _arc_rays_reaching_capture_line(radius, tx, rx):
     # launch + tau * d_out = q + s * line, solved for tau by Cramer's rule.
     cross = d_out[:, 0] * line[1] - d_out[:, 1] * line[0]
     tau = ((q[0] - launch[:, 0]) * line[1] - (q[1] - launch[:, 1]) * line[0]) / cross
-    return int(np.count_nonzero(tau > 1e-9))
+    return tau > 1e-9
+
+
+def _is_one_run(mask):
+    """True when the set entries of a boolean vector are contiguous."""
+    idx = np.flatnonzero(mask)
+    return idx.size > 0 and idx[-1] - idx[0] + 1 == idx.size
+
+
+def _per_row_capture_angles(spec, geom, rx, pattern):
+    """The captured arc angles (M, n_az) of `convex_captures`, one capture
+    line at a time: the same arc trace and line intersection, then a gather of
+    each line's valid points, `scene._oriented_map` and np.interp. Also
+    returns each line's valid-point mask (M, arc points)."""
+    r = spec.radius_of_curvature_m
+    beta_max = math.asin(min(1.0, spec.chord_width_m / (2.0 * r)))
+    beta = np.linspace(-beta_max, beta_max, scene._CAPTURE_GRID_POINTS)
+    normals = np.stack([np.cos(beta), np.sin(beta)], axis=1)
+    points = np.stack([r * (normals[:, 0] - 1.0), r * normals[:, 1]], axis=1)
+    d_in = points - geom.tx_position[:2]
+    d_in /= np.linalg.norm(d_in, axis=1, keepdims=True)
+    d_out = d_in - 2.0 * np.sum(d_in * normals, axis=1, keepdims=True) * normals
+    n_az = scene._AZIMUTH_TARGETS
+    gamma = capture_length_m(pattern, geom.rx_range_m) / n_az
+    targets = (np.arange(n_az) - (n_az - 1) / 2.0) * gamma
+    angles = np.full((len(rx), n_az), np.nan)
+    masks = np.zeros((len(rx), beta.size), dtype=bool)
+    for i, (qx, qy) in enumerate(np.asarray(rx)[:, :2]):
+        seg = np.array([qy, -qx]) / np.linalg.norm([qy, -qx])
+        l0, l1 = seg / np.linalg.norm(seg)
+        cross = d_out[:, 0] * l1 - d_out[:, 1] * l0
+        valid = np.abs(cross) > 1e-15
+        tau = np.divide((qx - points[:, 0]) * l1 - (qy - points[:, 1]) * l0, cross,
+                        out=np.full(cross.shape, np.nan), where=valid)
+        valid &= tau > 1e-9
+        s = ((points[:, 0] + tau * d_out[:, 0] - qx) * l0
+             + (points[:, 1] + tau * d_out[:, 1] - qy) * l1)
+        masks[i] = valid
+        if np.count_nonzero(valid) >= 2:
+            s_v, beta_v = scene._oriented_map(s[valid], beta[valid])
+            angles[i] = np.interp(targets, s_v, beta_v, left=np.nan, right=np.nan)
+    return angles, masks
 
 
 # Found by random search: a gently curved arc lit at grazing incidence from
 # far to the side, with the RX close to the plate, reaches the capture line
-# with every arc ray but folds the map; a tight arc lit from the side reaches
-# it with part of its fan and folds that part.
+# with every arc ray but folds the map; a flatter arc lit at grazing incidence
+# from near the plate reaches it with one run of its fan and folds that run;
+# a tight arc lit from the side reaches it with two runs and folds them.
 NOT_MONOTONE = {
-    "block": (1.7402556874548352, [0.02409094640275095, 9.482446983240362, -0.22831519187007676],
+    "block": (1.7402556874548352, [0.02409094640275095, 9.482446983240362, 0.0],
               [0.10969409751167192, -0.14700042527432444, -0.3608426189750602]),
+    "contiguous": (2.085210790986243, [0.035888276375566935, -0.6824853807899866, 0.0],
+                   [0.010505292445855614, 0.11742511887720701, 0.0]),
     "row": (0.23885786817028432, [1.9805731762628922, 8.900492966092528, 0.0],
             [1.6675687612955161, 7.041046649255506, 0.0]),
 }
@@ -329,7 +382,7 @@ NOT_MONOTONE = {
 
 def _spy_on_row_check(monkeypatch):
     """Record the valid-point count of each capture line that reaches the
-    per-row check of a partly reached line."""
+    per-row check of a line whose valid points have a gap."""
     calls = []
     check = scene._oriented_map
 
@@ -350,9 +403,15 @@ def test_capture_map_that_is_not_monotone_is_rejected_by_either_check(branch, mo
         _captures_at(radius, tx, rx)
     if branch == "block":
         # Every arc ray reaches the line: the block check rejects it.
-        assert reached == scene._CAPTURE_GRID_POINTS and calls == []
+        assert np.all(reached) and calls == []
+    elif branch == "contiguous":
+        # One run of the arc reaches it: the block check rejects it too.
+        assert 2 <= np.count_nonzero(reached) < reached.size and _is_one_run(reached)
+        assert calls == []
     else:
-        assert 2 <= reached < scene._CAPTURE_GRID_POINTS and calls == [reached]
+        # Two runs reach it: only the per-row check sees the fold across the gap.
+        assert np.count_nonzero(reached) >= 2 and not _is_one_run(reached)
+        assert calls == [np.count_nonzero(reached)]
 
 
 def test_capture_line_reached_by_one_arc_ray_captures_nothing(monkeypatch):
@@ -361,10 +420,52 @@ def test_capture_line_reached_by_one_arc_ray_captures_nothing(monkeypatch):
     radius = 0.43663268570585767
     tx = [2.5892847611599414, 4.399769426784072, 0.0]
     rx = [0.26895424279909375, 6.507981537100132, 0.0]
-    assert _arc_rays_reaching_capture_line(radius, tx, rx) == 1
+    assert np.count_nonzero(_arc_rays_reaching_capture_line(radius, tx, rx)) == 1
     calls = _spy_on_row_check(monkeypatch)
     _, _, _, angles, _ = _captures_at(radius, tx, rx)
     assert angles.size == 0 and calls == []
+
+
+def test_arc_ray_parallel_to_its_capture_line_is_dropped(monkeypatch):
+    # The RX is placed so that its capture line runs exactly along the
+    # reflected ray of arc point 1070: the line intersection divides by zero
+    # there, with no RuntimeWarning (an error in this suite), and that point is
+    # left out of the one run of arc points that reaches the line.
+    radius, tx = 0.21, [2.0, 1.0, 0.0]
+    rx = [1.9643539045185174, -0.37591719540725355, 0.0]
+    spec, geom = _plate_and_sweep(radius, tx)
+    pattern = Band.GHZ28.horn
+    want, (valid,) = _per_row_capture_angles(spec, geom, np.array([rx]), pattern)
+    beta_max = math.asin(SIDE / (2.0 * radius))
+    beta = np.linspace(-beta_max, beta_max, scene._CAPTURE_GRID_POINTS)
+    normal = np.array([math.cos(beta[1070]), math.sin(beta[1070])])
+    d_in = radius * (normal - [1.0, 0.0]) - np.asarray(tx[:2])
+    d_in /= np.linalg.norm(d_in)
+    d_out = d_in - 2.0 * float(d_in @ normal) * normal
+    assert d_out[0] * rx[0] + d_out[1] * rx[1] == 0.0  # the line runs along the ray
+    assert not valid[1070] and valid[1071] and _is_one_run(valid)
+    assert np.count_nonzero(~np.isnan(want)) == 32
+
+    calls = _spy_on_row_check(monkeypatch)
+    got, _ = convex_captures(spec, geom, np.array([rx]), pattern)
+    assert np.array_equal(got, want) and calls == []
+
+
+def test_offset_sweep_captures_match_the_per_row_solve(monkeypatch):
+    # The 28 GHz convex sweep 5 m off specular: part of the arc reaches most
+    # of its capture lines, each with one run of arc points, and 447 lines
+    # capture nothing. Every line is checked with its block.
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
+                         sweep_offset_m=5.0).to_scenario()
+    rx = scn.geometry.rx_positions()
+    want, valid = _per_row_capture_angles(scn.reflector, scn.geometry, rx, scn.rx_pattern)
+    partial = [v.any() and not v.all() for v in valid]
+    assert sum(partial) > 1000 and all(_is_one_run(v) for v in valid if v.any())
+    assert np.count_nonzero(np.all(np.isnan(want), axis=1)) == 447
+
+    calls = _spy_on_row_check(monkeypatch)
+    got, _ = convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern)
+    assert np.array_equal(got, want, equal_nan=True) and calls == []
 
 
 def test_specular_point_is_sweep_midpoint_by_construction():
@@ -503,6 +604,16 @@ def test_sweep_behind_the_plate_is_rejected(kind):
     on_plane = g.sweep_start * np.array([0.0, 1.0, 1.0])
     with pytest.raises(GeometryError, match=r"x = 0\.0000 m"):
         ScenarioGeometry(g.tx_position, on_plane, g.sweep_end, 1800)
+
+
+@pytest.mark.parametrize("name", ["tx_position", "sweep_start", "sweep_end"])
+def test_geometry_off_the_link_plane_is_rejected(name):
+    g = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario().geometry
+    fields = {f: getattr(g, f) for f in ("tx_position", "sweep_start", "sweep_end")}
+    fields[name] = fields[name] + [0.0, 0.0, -0.0625]
+    with pytest.raises(GeometryError, match=rf"{name} must lie in the link plane z = 0, "
+                                            r"got z = -0\.0625 m"):
+        ScenarioGeometry(**fields, n_rx_positions=1800)
 
 
 def test_geometry_is_the_tx_and_the_sweep_in_the_reflector_frame():
