@@ -7,7 +7,6 @@ import math
 
 import numpy as np
 
-from . import scene
 from .scene import (
     ConvexReflectorSpec,
     FlatReflectorSpec,
@@ -17,8 +16,9 @@ from .scene import (
     convex_captures,
     convex_path_geometry_batch,
     facetize_flat,
+    mirror_fold,
     path_geometry_batch,
-    section_columns,
+    section_heights,
     tx_leg,
 )
 
@@ -72,8 +72,17 @@ def _power_db_from_sum(total: np.ndarray, mode: SumMode) -> np.ndarray:
 
 
 def _rx_in_link_plane(rx_points: np.ndarray) -> np.ndarray:
-    """The (M, 3) RX points as floats; a GeometryError unless all lie in z = 0."""
+    """The (M, 3) RX points as floats; a GeometryError unless every one is
+    finite, in front of the plate (x > 0) and in the link plane z = 0."""
     rx = np.asarray(rx_points, dtype=float)
+    not_finite = ~np.isfinite(rx).all(axis=1)
+    if np.any(not_finite):
+        raise GeometryError("RX points must be finite, "
+                            f"got {rx[np.argmax(not_finite)].tolist()!r}")
+    behind = rx[:, 0] <= 0.0
+    if np.any(behind):
+        raise GeometryError("RX points must be in front of the reflector (x > 0), "
+                            f"got x = {float(rx[np.argmax(behind), 0])!r} m")
     off_plane = rx[:, 2] != 0.0
     if np.any(off_plane):
         raise GeometryError("RX points must lie in the link plane z = 0, "
@@ -89,8 +98,8 @@ def _ray_sums(scenario: Scenario, d: np.ndarray, gain_tx: np.ndarray, rx_az: np.
     `gain_tx` holds the rays' linear TX gains and `rx_az`, `rx_el` their
     arrival angles, each broadcast against `d`. Each ray's phase is
     referenced to `scenario.d_ref_m`. `columns`, if given, gathers each row's
-    ray terms into the rays they stand for (`scene.section_columns`) before
-    the sum. PHYSICAL mode averages over the rays of a row; LITERAL mode
+    ray terms into the rays they stand for (`scene.mirror_fold`) before the
+    sum. PHYSICAL mode averages over the rays of a row; LITERAL mode
     applies the sqrt(n_nominal) prefactor instead.
     """
     n_rays = d.shape[1] if columns is None else columns.size
@@ -132,14 +141,22 @@ def flat_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -
     ray and the sqrt(N) prefactor. Facet order is row-major and fixed, and
     RX points are evaluated in blocks of at most _RAY_BLOCK rays (at least
     one position), so memory stays bounded and results are bit-reproducible.
+    Only the facet rows that `scene.mirror_fold` solves are traced; its
+    columns gather their ray terms into all N rays of a row, which are then
+    summed in order.
     """
     spec = scenario.reflector
     if not isinstance(spec, FlatReflectorSpec):
         raise ValueError("flat_sweep_power requires a flat reflector spec")
     geom = scenario.geometry
+    n = spec.facets_per_side
     launches = facetize_flat(spec)
+    rows, columns = mirror_fold(launches[::n, 2], n)
+    launches = launches.reshape(n, n, 3)[rows].reshape(-1, 3)
     if mode is SumMode.LITERAL:
+        # The centre ray leads the row; it lies in z = 0 and is always solved.
         launches = np.vstack([np.zeros(3), launches])
+        columns = np.concatenate([[0], columns + 1])
     rx = _rx_in_link_plane(rx_points)
     # The TX leg and its gain do not depend on the RX: solved once per call.
     d1, tx_az, tx_el = tx_leg(geom.tx_position, launches, antenna_frame(scenario.tx_boresight))
@@ -147,11 +164,12 @@ def flat_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -
     rx_frame = antenna_frame(scenario.rx_boresight)
 
     total = np.empty(len(rx), dtype=complex)
-    step = max(1, _RAY_BLOCK // len(launches))
+    step = max(1, _RAY_BLOCK // columns.size)
     for start in range(0, len(rx), step):
         block = slice(start, start + step)
         d, rx_az, rx_el = path_geometry_batch(launches, d1, rx[block], rx_frame)
-        total[block] = _ray_sums(scenario, d, gain_tx, rx_az, rx_el, mode, spec.facet_count)
+        total[block] = _ray_sums(scenario, d, gain_tx, rx_az, rx_el, mode, spec.facet_count,
+                                 columns)
     return _power_db_from_sum(total, mode)
 
 
@@ -172,9 +190,10 @@ def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode)
 
     Positions are grouped by captured-ray count K and evaluated in blocks of
     at most _RAY_BLOCK rays, so every row of a block sums the same number of
-    rays and results do not depend on the blocking. Only the upper half of
-    the height sections is solved: `scene.section_columns` gathers its ray
-    terms into all S*K rays of a row, which are then summed in order.
+    rays and results do not depend on the blocking. Only the height sections
+    that `scene.mirror_fold` solves (the upper half) are traced: its columns
+    gather their ray terms into all S*K rays of a row, which are then summed
+    in order.
     """
     spec = scenario.reflector
     if not isinstance(spec, ConvexReflectorSpec):
@@ -184,15 +203,16 @@ def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode)
     angles, intercepts = convex_captures(spec, geom, rx, scenario.rx_pattern)
     tx_frame = antenna_frame(scenario.tx_boresight)
     rx_frame = antenna_frame(scenario.rx_boresight)
-    n_el, n_az = scene._HEIGHT_SECTIONS, angles.shape[1]
+    heights = section_heights(spec)
+    n_el, n_az = heights.size, angles.shape[1]
 
     captured = ~np.isnan(angles)
     counts = captured.sum(1)
     total = np.zeros(len(rx), dtype=complex)  # uncaptured positions stay 0 -> -inf
     for k in np.unique(counts[counts > 0]):
         rows = np.flatnonzero(counts == k)
-        columns = section_columns(k)
-        step = max(1, _RAY_BLOCK // (n_el * k))
+        _, columns = mirror_fold(heights, k)
+        step = max(1, _RAY_BLOCK // columns.size)
         for start in range(0, rows.size, step):
             block = rows[start:start + step]
             kept = captured[block]

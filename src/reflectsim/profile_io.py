@@ -25,8 +25,8 @@ def export_profile(profile: PowerProfile, path: Union[str, Path]) -> None:
     """
     lines = [_CSV_HEADER]
     lines.extend(
-        f"{float(p)!r},{float(db)!r}"
-        for p, db in zip(profile.positions_m, profile.power_db)
+        f"{p!r},{db!r}"
+        for p, db in zip(profile.positions_m.tolist(), profile.power_db.tolist())
     )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -60,8 +60,8 @@ class ScenarioGeometry:
     """TX position and the linear RX sweep segment, in the reflector frame.
 
     The TX and the sweep lie in the link plane z = 0, through the plate
-    center, so the convex solve can read each lower height section off its
-    mirror image in the upper half.
+    center, so both shapes can read a row of rays below it off its exact
+    mirror image above it (`mirror_fold`).
     """
 
     tx_position: np.ndarray
@@ -218,9 +218,18 @@ def facetize_flat(spec: FlatReflectorSpec) -> np.ndarray:
     columns run along the surface horizontal axis (+y).
     """
     n = spec.facets_per_side
-    frac = (np.arange(n) + 0.5) / n - 0.5
-    y, z = np.meshgrid(frac * spec.width_m, frac * spec.height_m)
+    y, z = np.meshgrid(_midpoints(n, spec.width_m), _midpoints(n, spec.height_m))
     return np.stack([np.zeros(n * n), y.ravel(), z.ravel()], axis=1)
+
+
+def _midpoints(n: int, length_m: float) -> np.ndarray:
+    """Centres of n equal cells across a span of `length_m` centred on 0."""
+    return ((np.arange(n) + 0.5) / n - 0.5) * length_m
+
+
+def section_heights(spec: ConvexReflectorSpec) -> np.ndarray:
+    """Centre heights of the `_HEIGHT_SECTIONS` height sections of a convex plate."""
+    return _midpoints(_HEIGHT_SECTIONS, spec.height_m)
 
 
 def capture_length_m(pattern: AntennaPattern, distance_m: float) -> float:
@@ -400,21 +409,27 @@ def convex_captures(
     return angles, intercepts
 
 
-def section_columns(k: int) -> np.ndarray:
-    """Column gather from the solved half of the height sections to all of them.
+def mirror_fold(heights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a launch grid to solve, and the column gather that rebuilds
+    the whole grid from them.
 
-    The section grid is exactly antisymmetric about z = 0, and the TX and the
-    RX lie in that plane, so section s and its mirror S-1-s give bit-equal
-    path lengths, azimuths and gains and exactly negated elevations.
-    `convex_path_geometry_batch` solves only sections S//2 ... S-1; indexing
-    its (G, H*K) per-ray terms with these (S*K,) columns gives the full
-    section-major (G, S*K) order, section s read from half-section
-    max(s, S-1-s) - S//2.
+    `heights` holds the grid's row heights (the convex height sections or the
+    flat facet rows) and each row holds `k` rays. The TX and the RX lie in
+    z = 0, so a row whose height is exactly the negation of another's gives
+    bit-equal path lengths, azimuths and gains and exactly negated
+    elevations: it reads its mirror. A row is solved if its height is >= 0 or
+    no other row has exactly its negated height. Returns the solved rows in
+    increasing order and the (rows * k,) columns that gather the (G, solved
+    rows * k) ray terms of the solved rows into the whole row-major grid.
     """
-    n_el = _HEIGHT_SECTIONS
-    sections = np.arange(n_el)
-    half = np.maximum(sections, n_el - 1 - sections) - n_el // 2
-    return (half[:, None] * k + np.arange(k)).ravel()
+    h = np.asarray(heights, dtype=float).tolist()
+    row_at = {height: i for i, height in enumerate(h)}
+    # The row each row reads: its exact mirror if it is below z = 0 and has one.
+    source = [row_at.get(-height, i) if height < 0.0 else i for i, height in enumerate(h)]
+    rows = [i for i, s in enumerate(source) if s == i]
+    slot = {row: j for j, row in enumerate(rows)}  # index of each solved row among them
+    columns = np.array([slot[s] for s in source])[:, None] * k + np.arange(k)
+    return np.array(rows), columns.ravel()
 
 
 def convex_path_geometry_batch(
@@ -432,25 +447,26 @@ def convex_path_geometry_batch(
     one of the height sections -> its intercept on the capture segment (the
     specular path the antenna actually collects), so the path length is d1 +
     the reflected leg to the intercept, and the arrival angles are those of
-    the reflected ray direction in the RX antenna frame. Only the H upper
-    sections S//2 ... S-1 are solved; `section_columns` maps them onto all S.
-    Returns (distance, tx_az, tx_el, rx_az, rx_el), each of shape (G, H*K)
-    ordered section-major, all angles in degrees.
+    the reflected ray direction in the RX antenna frame. Only the H sections
+    that `mirror_fold` solves are traced (the upper half of the 16), and its
+    columns map them onto all S. Returns (distance, tx_az, tx_el, rx_az,
+    rx_el), each of shape (G, H*K) ordered section-major, all angles in
+    degrees.
     """
     r = spec.radius_of_curvature_m
     cos_b = np.cos(arc_angles)
     sin_b = np.sin(arc_angles)
     arc_x = r * (cos_b - 1.0)                                        # (G, K)
     arc_y = r * sin_b
-    n_el = _HEIGHT_SECTIONS
-    z_offsets = ((np.arange(n_el) + 0.5) / n_el - 0.5) * spec.height_m
+    heights = section_heights(spec)
+    rows, _ = mirror_fold(heights, arc_angles.shape[1])
     tx = geom.tx_position
 
     # TX -> launch leg, component by component: x and y are shared by every
     # section, and d1 sums (x*x + y*y) + z*z, the order of `_norm`.
     x = arc_x - tx[0]
     y = arc_y - tx[1]
-    z = (z_offsets[n_el // 2:] - tx[2])[:, None]                     # (H, 1)
+    z = (heights[rows] - tx[2])[:, None]                             # (H, 1)
     d1 = np.sqrt((x * x + y * y)[:, None] + z * z)                   # (G, H, K)
     ux = x[:, None] / d1
     uy = y[:, None] / d1
@@ -492,9 +508,17 @@ def antenna_frame(boresight: np.ndarray) -> Frame:
     b = unit(boresight)
     if abs(float(np.dot(b, _UP))) > 0.999:
         raise GeometryError("vertical antenna boresights are not supported")
-    e_az = unit(np.cross(_UP, b))
-    e_el = np.cross(b, e_az)
+    e_az = unit(_cross(_UP, b))
+    e_el = _cross(b, e_az)
     return b, e_az, e_el
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b of two 3-vectors, formed component by component in np.cross's
+    own order, so it has np.cross's bits at a small part of its call cost."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def offset_angles_deg(directions: np.ndarray, frame: Frame):
@@ -534,9 +558,20 @@ def path_geometry_batch(launch_points: np.ndarray, d1: np.ndarray, rx: np.ndarra
     shape (M, N).
     """
     launch = np.asarray(launch_points, dtype=float)
-    arrival = np.asarray(rx, dtype=float)[:, None, :] - launch[None, :, :]
-    d2 = _norm(arrival)
+    rx = np.asarray(rx, dtype=float)
+    # The launch -> RX leg, component by component as (M, N) arrays: d2 sums
+    # (x*x + y*y) + z*z, the order of `_norm`.
+    x, y, z = (rx[:, i, None] - launch[:, i] for i in range(3))
+    d2 = x * x
+    d2 += y * y
+    d2 += z * z
+    np.sqrt(d2, out=d2)
     if np.any(d2 == 0.0):
         raise GeometryError("ray launch point coincides with the RX")
-    rx_az, rx_el = offset_angles_deg(arrival / d2[:, :, None], rx_frame)
+    # The angles are projected on one (M, N, 3) stack, as in the convex
+    # solve: its BLAS product gives each row the bits of the broadcast solve.
+    arrival = np.empty(d2.shape + (3,))
+    for i, component in enumerate((x, y, z)):
+        np.divide(component, d2, out=arrival[..., i])
+    rx_az, rx_el = offset_angles_deg(arrival, rx_frame)
     return d1[None, :] + d2, rx_az, rx_el

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import unfolded_convex_paths, unfolded_sweep_power
 from reflectsim import engine, scene
 from reflectsim.antenna import Band
 from reflectsim.engine import (
     SumMode,
-    _power_db_from_sum,
     _ray_sums,
     convex_sweep_power,
     flat_sweep_power,
@@ -24,8 +24,8 @@ from reflectsim.scene import (
     antenna_frame,
     convex_captures,
     convex_path_geometry_batch,
-    offset_angles_deg,
-    section_columns,
+    mirror_fold,
+    section_heights,
 )
 
 SIDE = REFLECTOR_SIDE_16IN_M
@@ -177,20 +177,38 @@ def test_flat_sweep_bit_determinism():
 def test_flat_sweep_does_not_depend_on_blocking(mode, ray_block, monkeypatch):
     # A one-ray budget puts every position in a block of its own; 1000 rays is
     # no multiple of the 36 launches (37 in LITERAL mode), and its 27-position
-    # blocks do not divide the 200-position sweep.
-    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
-    rx = scn.geometry.rx_positions()[::9]
-    n_launch = scn.reflector.facet_count + (mode is SumMode.LITERAL)
-    assert rx.shape[0] * n_launch <= engine._RAY_BLOCK
-    whole = flat_sweep_power(scn, rx, mode)
+    # blocks do not divide the 200-position sweep. LITERAL mode also sums the
+    # folded odd 5/side grid (26 rays: row 0 read off row 4, the z = 0 row
+    # solved), whose 38-position blocks do not divide the sweep either.
+    grids = [6, 5] if mode is SumMode.LITERAL else [6]
+    scenarios = [ScenarioConfig(band=Band.GHZ28, reflector_kind="flat",
+                                facets_per_side=n).to_scenario() for n in grids]
+    rx = scenarios[0].geometry.rx_positions()[::9]
+    launch_counts = [scn.reflector.facet_count + (mode is SumMode.LITERAL) for scn in scenarios]
+    assert all(rx.shape[0] * n_launch <= engine._RAY_BLOCK for n_launch in launch_counts)
+    wholes = [flat_sweep_power(scn, rx, mode) for scn in scenarios]
 
     monkeypatch.setattr(engine, "_RAY_BLOCK", ray_block)
-    assert ray_block % n_launch != 0
-    step = max(1, ray_block // n_launch)
-    assert step == 1 or rx.shape[0] % step != 0
-    assert np.array_equal(flat_sweep_power(scn, rx, mode), whole)
-    alone = [flat_sweep_power(scn, point[None, :], mode)[0] for point in rx]
-    assert np.array_equal(whole, alone)
+    for scn, n_launch, whole in zip(scenarios, launch_counts, wholes):
+        assert ray_block % n_launch != 0
+        step = max(1, ray_block // n_launch)
+        assert step == 1 or rx.shape[0] % step != 0
+        assert np.array_equal(flat_sweep_power(scn, rx, mode), whole)
+        alone = [flat_sweep_power(scn, point[None, :], mode)[0] for point in rx]
+        assert np.array_equal(whole, alone)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.7])
+@pytest.mark.parametrize("mode", list(SumMode))
+@pytest.mark.parametrize("facets_per_side", [1, 2, 3, 5, 6, 7, 16, 64])
+def test_folded_flat_sweep_is_the_unfolded_sum(facets_per_side, mode, offset):
+    # 1/side LITERAL sums two launches at the origin, the facet and the centre
+    # ray; neither has a mirror, so both are solved and neither is merged.
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", facets_per_side=facets_per_side,
+                         sweep_offset_m=offset).to_scenario()
+    rx = scn.geometry.rx_positions()[::15]
+    want = unfolded_sweep_power(scn, rx, mode)
+    assert np.array_equal(flat_sweep_power(scn, rx, mode), want)
 
 
 def test_flat_requires_flat_spec():
@@ -276,29 +294,6 @@ def _convex_fixture(band, extra=""):
     return parse_config(text).to_scenario()
 
 
-def _unfolded_paths(spec, geom, arc_angles, intercepts, tx_frame, rx_frame):
-    """Every one of the S height sections solved on (G, S, K, 3) stacks, with
-    no mirror fold: (distance, tx_az, tx_el, rx_az, rx_el), each (G, S*K) and
-    section-major."""
-    r = spec.radius_of_curvature_m
-    cos_b, sin_b = np.cos(arc_angles), np.sin(arc_angles)
-    normals = np.stack([cos_b, sin_b, np.zeros_like(cos_b)], axis=-1)[:, None]
-    arc_xy = np.stack([r * (cos_b - 1.0), r * sin_b], axis=-1)
-    n_el = scene._HEIGHT_SECTIONS
-    g, k = arc_angles.shape
-    launch = np.empty((g, n_el, k, 3))
-    launch[..., :2] = arc_xy[:, None]
-    launch[..., 2] = (((np.arange(n_el) + 0.5) / n_el - 0.5) * spec.height_m)[:, None]
-    to_launch = launch - geom.tx_position
-    d1 = scene._norm(to_launch)
-    d_in = to_launch / d1[..., None]
-    reflected = d_in - 2.0 * scene._dot(d_in, normals)[..., None] * normals
-    distance = d1 + scene._norm(intercepts - arc_xy)[:, None] / scene._norm(reflected[..., :2])
-    tx_az, tx_el = offset_angles_deg(d_in.reshape(g, -1, 3), tx_frame)
-    rx_az, rx_el = offset_angles_deg(reflected.reshape(g, -1, 3), rx_frame)
-    return distance.reshape(g, -1), tx_az, tx_el, rx_az, rx_el
-
-
 def _captured_rows(scn, rx):
     """(arc angles (1, K), intercepts (1, K, 2)) of each RX point that captures."""
     angles, intercepts = convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern)
@@ -322,7 +317,7 @@ def test_mirrored_height_sections_solve_to_the_same_rays(band, sections, monkeyp
     assert len(rows) == 6
     for angles, intercepts in rows:
         k = angles.shape[1]
-        full = _unfolded_paths(scn.reflector, scn.geometry, angles, intercepts, *frames)
+        full = unfolded_convex_paths(scn.reflector, scn.geometry, angles, intercepts, *frames)
         half = convex_path_geometry_batch(scn.reflector, scn.geometry, angles, intercepts,
                                           *frames)
         d, tx_az, tx_el, rx_az, rx_el = (a.reshape(sections, k) for a in full)
@@ -332,28 +327,11 @@ def test_mirrored_height_sections_solve_to_the_same_rays(band, sections, monkeyp
             assert np.array_equal(same, same[mirror])
         for negated in (tx_el, rx_el):
             assert np.array_equal(negated, -negated[mirror])
-        columns = section_columns(k)
+        _, columns = mirror_fold(section_heights(scn.reflector), k)
         for whole, upper in zip(full, half):
             assert np.array_equal(upper.reshape(-1, k), whole.reshape(sections, k)[sections // 2:])
         for i in (0, 1, 3):
             assert np.array_equal(np.take(half[i], columns, axis=1), full[i])
-
-
-def _unfolded_sweep_power(scn, rx, mode):
-    """Received power of each RX point summed over every height section's own
-    rays (`_unfolded_paths`, then a plain row sum in `_ray_sums`), one position
-    at a time."""
-    frames = antenna_frame(scn.tx_boresight), antenna_frame(scn.rx_boresight)
-    angles, intercepts = convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern)
-    total = np.zeros(len(rx), dtype=complex)
-    for i in np.flatnonzero(~np.all(np.isnan(angles), axis=1)):
-        kept = ~np.isnan(angles[i])
-        d, tx_az, tx_el, rx_az, rx_el = _unfolded_paths(
-            scn.reflector, scn.geometry, angles[i][kept][None], intercepts[i][kept][None], *frames)
-        gain_tx = scn.tx_pattern.gain(tx_az, tx_el)
-        (total[i],) = _ray_sums(scn, d, gain_tx, rx_az, rx_el, mode,
-                                scene._HEIGHT_SECTIONS * angles.shape[1])
-    return _power_db_from_sum(total, mode)
 
 
 @pytest.mark.parametrize("mode", list(SumMode))
@@ -363,7 +341,7 @@ def test_folded_sweep_is_the_unfolded_sum(fixture, mode):
     band, _, offset = fixture.partition("-offset")
     scn = _convex_fixture(band, f"geometry.sweep_offset = {offset}\n" if offset else "")
     rx = scn.geometry.rx_positions()[::15]
-    want = _unfolded_sweep_power(scn, rx, mode)
+    want = unfolded_sweep_power(scn, rx, mode)
     assert np.array_equal(convex_sweep_power(scn, rx, mode), want)
     assert np.isneginf(want).any() == bool(offset)
 
@@ -375,6 +353,22 @@ def test_sweep_rejects_rx_points_off_the_link_plane(sweep_power):
     rx = scn.geometry.rx_positions()[::100].copy()
     rx[7, 2] = 0.125
     with pytest.raises(GeometryError, match=r"link plane z = 0, got z = 0\.125 m"):
+        sweep_power(scn, rx, SumMode.PHYSICAL)
+
+
+@pytest.mark.parametrize("bad_rx, message", [
+    ([np.nan, 0.5, 0.0], r"must be finite, got \[nan, 0\.5, 0\.0\]"),
+    ([-2.0, 0.5, 0.0], r"in front of the reflector \(x > 0\), got x = -2\.0 m"),
+], ids=["not_finite", "behind"])
+@pytest.mark.parametrize("sweep_power", [flat_sweep_power, convex_sweep_power])
+def test_sweep_rejects_rx_points_that_are_not_finite_or_in_front(sweep_power, bad_rx, message):
+    # One RX rule for both shapes: a flat sweep once gave -inf at the NaN point
+    # and, behind the plate, the power it gives at the mirrored point in front.
+    kind = "flat" if sweep_power is flat_sweep_power else "convex"
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind=kind).to_scenario()
+    rx = scn.geometry.rx_positions()[::100].copy()
+    rx[4] = bad_rx
+    with pytest.raises(GeometryError, match=message):
         sweep_power(scn, rx, SumMode.PHYSICAL)
 
 

@@ -23,8 +23,10 @@ from reflectsim.scene import (
     convex_captures,
     convex_path_geometry_batch,
     facetize_flat,
+    mirror_fold,
     offset_angles_deg,
     path_geometry_batch,
+    section_heights,
     tx_leg,
     vec3,
 )
@@ -164,7 +166,49 @@ def test_section_convex_default_counts():
     assert_allclose(offsets, np.abs(np.arange(32) - 15.5) * gamma, rtol=1e-12)
     # The upper 8 of the 16 sections are solved; the gather reads all 16.
     assert all(p.size == 8 * 32 for p in paths)
-    assert scene.section_columns(32).size == 16 * 32
+    assert mirror_fold(section_heights(scn.reflector), 32)[1].size == 16 * 32
+
+
+@pytest.mark.parametrize("k", [1, 5, 32])
+def test_mirror_fold_of_the_sections_is_the_upper_half(k):
+    # The 16 section heights are exactly antisymmetric: sections 8-15 are
+    # solved, in order, and section s reads section max(s, 15 - s).
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
+    rows, columns = mirror_fold(section_heights(scn.reflector), k)
+    assert rows.tolist() == list(range(8, 16))
+    sections = np.arange(16)
+    half = np.maximum(sections, 15 - sections) - 8
+    assert np.array_equal(columns, (half[:, None] * k + np.arange(k)).ravel())
+
+
+@pytest.mark.parametrize("facets_per_side, solved", [(1, 1), (2, 1), (5, 4), (6, 5), (7, 5),
+                                                      (16, 8), (33, 24), (64, 32)])
+def test_mirror_fold_reads_only_exact_mirror_rows(facets_per_side, solved):
+    # A row reads another only if their heights are exact negations; at 6/side
+    # one of the three row pairs is, and a z = 0 row is always solved.
+    spec = FlatReflectorSpec(width_m=SIDE, height_m=SIDE, facets_per_side=facets_per_side,
+                             reflection_efficiency=1.0)
+    n = facets_per_side
+    launches = facetize_flat(spec)
+    heights = launches[::n, 2]
+    rows, columns = mirror_fold(heights, n)
+    assert rows.size == solved
+    assert np.all(np.diff(rows) > 0)
+    assert set(np.flatnonzero(heights >= 0.0)) <= set(rows.tolist())
+    if n % 2:
+        assert heights[n // 2] == 0.0 and n // 2 in rows
+    gathered = launches.reshape(n, n, 3)[rows].reshape(-1, 3)[columns]
+    assert np.array_equal(gathered[:, :2], launches[:, :2])
+    folded = gathered[:, 2] != launches[:, 2]
+    assert np.array_equal(gathered[:, 2], np.where(folded, -launches[:, 2], launches[:, 2]))
+    assert np.count_nonzero(folded) == (n - solved) * n
+
+
+def test_mirror_fold_solves_rows_without_an_exact_mirror():
+    # -0.1 has no exact mirror: the row above it sits one ulp higher than 0.1.
+    rows, columns = mirror_fold(np.array([-0.25, 0.0, -0.1, np.nextafter(0.1, 1.0), 0.25]), 2)
+    assert rows.tolist() == [1, 2, 3, 4]
+    assert columns.tolist() == [6, 7, 0, 1, 2, 3, 4, 5, 6, 7]
 
 
 def test_section_convex_rays_lie_on_arc():
@@ -509,6 +553,51 @@ def test_component_sums_have_the_bits_of_the_numpy_reductions(shape):
     for x, y in views:
         assert np.array_equal(scene._norm(x), np.linalg.norm(x, axis=-1))
         assert np.array_equal(scene._dot(x, y), np.sum(x * y, axis=-1))
+
+
+def _axis_and_random_pairs():
+    """Axis-aligned 3-vectors with signed zeros, each paired with every
+    other, and 2,000 random pairs."""
+    axes = [np.array(v) for v in ([1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0],
+                                  [-0.0, 0.0, -1.0], [0.0, -0.0, 0.0], [-2.5, 0.0, -0.0])]
+    rng = np.random.default_rng(3)
+    rand = 10.0 ** rng.uniform(-3, 3, (2000, 2, 1)) * rng.standard_normal((2000, 2, 3))
+    return [(a, b) for a in axes for b in axes] + [(a, b) for a, b in rand]
+
+
+def test_cross_has_the_bits_of_np_cross():
+    for a, b in _axis_and_random_pairs():
+        # tobytes: array_equal does not tell -0.0 from 0.0.
+        assert scene._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+
+
+def test_antenna_frame_has_the_bits_of_np_cross():
+    for b in (np.array([-1.0, 0.0, 0.0]), np.array([0.6, -0.8, 0.0]),
+              *np.random.default_rng(4).standard_normal((200, 3))):
+        b, e_az, e_el = antenna_frame(b)
+        want_az = scene.unit(np.cross(scene._UP, b))
+        assert e_az.tobytes() == want_az.tobytes()
+        assert e_el.tobytes() == np.cross(b, want_az).tobytes()
+
+
+@pytest.mark.parametrize("band, facets_per_side", [(Band.GHZ28, 6), (Band.GHZ39, 7),
+                                                   (Band.GHZ120, 16), (Band.GHZ28, 1)])
+def test_component_rx_leg_is_the_stacked_solve(band, facets_per_side):
+    # The RX leg on (M, N) components equals the (M, N, 3) broadcast solve,
+    # LITERAL's centre ray and an offset sweep included.
+    scn = ScenarioConfig(band=band, reflector_kind="flat", facets_per_side=facets_per_side,
+                         sweep_offset_m=0.3).to_scenario()
+    launches = np.vstack([np.zeros(3), facetize_flat(scn.reflector)])
+    frame = antenna_frame(scn.rx_boresight)
+    d1, _, _ = tx_leg(scn.geometry.tx_position, launches, antenna_frame(scn.tx_boresight))
+    rx = scn.geometry.rx_positions()[::7]
+    arrival = rx[:, None, :] - launches[None, :, :]
+    d2 = scene._norm(arrival)
+    want = (d1[None, :] + d2, *offset_angles_deg(arrival / d2[:, :, None], frame))
+    got = path_geometry_batch(launches, d1, rx, frame)
+    for g, w in zip(got, want):
+        assert g.shape == (len(rx), len(launches))
+        assert np.array_equal(g, w)
 
 
 def _single_path(tx, launch, rx, tx_boresight, rx_boresight):
