@@ -8,8 +8,6 @@ import math
 import numpy as np
 
 from .scene import (
-    ConvexReflectorSpec,
-    FlatReflectorSpec,
     GeometryError,
     Scenario,
     antenna_frame,
@@ -132,23 +130,41 @@ def _ray_sums(scenario: Scenario, d: np.ndarray, gain_tx: np.ndarray, rx_az: np.
     return total
 
 
-def flat_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -> np.ndarray:
-    """Received power (dB) at each of the (M, 3) RX points, all in z = 0, for a
-    flat-reflector scenario.
+def sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -> np.ndarray:
+    """Received power (dB) at each of the (M, 3) RX points, all in z = 0.
 
-    PHYSICAL mode sums field amplitudes over the facet grid with 1/N
-    averaging (dBm); LITERAL mode additionally includes the center reference
-    ray and the sqrt(N) prefactor. Facet order is row-major and fixed, and
-    RX points are evaluated in blocks of at most _RAY_BLOCK rays (at least
-    one position), so memory stays bounded and results are bit-reproducible.
-    Only the facet rows that `scene.mirror_fold` solves are traced; its
-    columns gather their ray terms into all N rays of a row, which are then
-    summed in order.
+    The RX points are checked and both antenna frames built once; the plate's
+    plan (`_flat_groups` or `_convex_groups`) then splits the sweep into ray
+    groups. A group is (positions, columns, n_nominal, solve): the indices of
+    the RX points it sums, the `scene.mirror_fold` columns that gather each
+    row's solved ray terms into all the rays it stands for, the nominal ray
+    count of LITERAL's sqrt(n_nominal) prefactor, and `solve(block)`, which
+    returns (d, gain_tx, rx_az, rx_el) for a block of its positions. Each
+    group is evaluated in blocks of at most _RAY_BLOCK rays (at least one
+    position), so memory stays bounded, every row of a block sums the same
+    rays in the same order, and results do not depend on the blocking.
+    PHYSICAL mode averages the field amplitudes over a row's rays (dBm).
+    A position no group sums gets -inf.
     """
+    rx = _rx_in_link_plane(rx_points)
+    frames = antenna_frame(scenario.tx_boresight), antenna_frame(scenario.rx_boresight)
+    plan = _convex_groups if scenario.is_convex else _flat_groups
+    total = np.zeros(len(rx), dtype=complex)
+    for positions, columns, n_nominal, solve in plan(scenario, rx, mode, *frames):
+        step = max(1, _RAY_BLOCK // columns.size)
+        for start in range(0, positions.size, step):
+            block = positions[start:start + step]
+            d, gain_tx, rx_az, rx_el = solve(block)
+            total[block] = _ray_sums(scenario, d, gain_tx, rx_az, rx_el, mode, n_nominal, columns)
+    return _power_db_from_sum(total, mode)
+
+
+def _flat_groups(scenario: Scenario, rx: np.ndarray, mode: SumMode, tx_frame, rx_frame):
+    """One group of every RX point over the facet grid, row-major. Only the
+    facet rows that `mirror_fold` solves are traced, and LITERAL mode leads
+    each row with the centre reference ray. The TX leg and its gains do not
+    depend on the RX, so they are solved here, once."""
     spec = scenario.reflector
-    if not isinstance(spec, FlatReflectorSpec):
-        raise ValueError("flat_sweep_power requires a flat reflector spec")
-    geom = scenario.geometry
     n = spec.facets_per_side
     launches = facetize_flat(spec)
     rows, columns = mirror_fold(launches[::n, 2], n)
@@ -157,74 +173,41 @@ def flat_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -
         # The centre ray leads the row; it lies in z = 0 and is always solved.
         launches = np.vstack([np.zeros(3), launches])
         columns = np.concatenate([[0], columns + 1])
-    rx = _rx_in_link_plane(rx_points)
-    # The TX leg and its gain do not depend on the RX: solved once per call.
-    d1, tx_az, tx_el = tx_leg(geom.tx_position, launches, antenna_frame(scenario.tx_boresight))
+    d1, tx_az, tx_el = tx_leg(scenario.geometry.tx_position, launches, tx_frame)
     gain_tx = scenario.tx_pattern.gain(tx_az, tx_el)
-    rx_frame = antenna_frame(scenario.rx_boresight)
 
-    total = np.empty(len(rx), dtype=complex)
-    step = max(1, _RAY_BLOCK // columns.size)
-    for start in range(0, len(rx), step):
-        block = slice(start, start + step)
+    def solve(block):
         d, rx_az, rx_el = path_geometry_batch(launches, d1, rx[block], rx_frame)
-        total[block] = _ray_sums(scenario, d, gain_tx, rx_az, rx_el, mode, spec.facet_count,
-                                 columns)
-    return _power_db_from_sum(total, mode)
+        return d, gain_tx, rx_az, rx_el
+
+    return [(np.arange(len(rx)), columns, spec.facet_count, solve)]
 
 
-def convex_sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -> np.ndarray:
-    """Received power (dB) at each of the (M, 3) RX points, all in z = 0, for a
-    convex-reflector scenario.
-
-    At each position, sums captured rays over height sections and azimuth
-    intercepts with the curved-surface attenuation factor. Each ray is
-    evaluated along its specular path from the TX over the arc to its
-    intercept on the RX capture segment (the bundle the antenna aperture
-    actually collects), so the divergence of the curved surface dephases the
-    bundle physically. PHYSICAL mode averages over the captured-ray count;
-    LITERAL applies the sqrt(N_el * N_az) prefactor. A position where no ray
-    is capturable gets -inf. Every radius is summed this way; a config at
-    its planar-limit radius reaches `flat_sweep_power` instead, because
-    `ScenarioConfig.to_scenario()` gives it a flat spec.
-
-    Positions are grouped by captured-ray count K and evaluated in blocks of
-    at most _RAY_BLOCK rays, so every row of a block sums the same number of
-    rays and results do not depend on the blocking. Only the height sections
-    that `scene.mirror_fold` solves (the upper half) are traced: its columns
-    gather their ray terms into all S*K rays of a row, which are then summed
-    in order.
-    """
-    spec = scenario.reflector
-    if not isinstance(spec, ConvexReflectorSpec):
-        raise ValueError("convex_sweep_power requires a convex reflector spec")
-    rx = _rx_in_link_plane(rx_points)
-    geom = scenario.geometry
+def _convex_groups(scenario: Scenario, rx: np.ndarray, mode: SumMode, tx_frame, rx_frame):
+    """One group per captured-ray count K of the RX points that capture any
+    ray, in increasing K. Each ray is evaluated along its specular path from
+    the TX over the arc to its intercept on the RX capture segment (the
+    bundle the antenna aperture actually collects), so the divergence of the
+    curved surface dephases the bundle physically. Only the height sections
+    that `mirror_fold` solves (the upper half) are traced; a group's columns
+    gather them into all S*K rays of a row. A `ConvexReflectorSpec` of any
+    radius is summed this way; a config at its planar-limit radius never
+    gets here, because `ScenarioConfig.to_scenario()` gives it a flat spec."""
+    spec, geom = scenario.reflector, scenario.geometry
     angles, intercepts = convex_captures(spec, geom, rx, scenario.rx_pattern)
-    tx_frame = antenna_frame(scenario.tx_boresight)
-    rx_frame = antenna_frame(scenario.rx_boresight)
     heights = section_heights(spec)
-    n_el, n_az = heights.size, angles.shape[1]
-
     captured = ~np.isnan(angles)
     counts = captured.sum(1)
-    total = np.zeros(len(rx), dtype=complex)  # uncaptured positions stay 0 -> -inf
-    for k in np.unique(counts[counts > 0]):
-        rows = np.flatnonzero(counts == k)
-        _, columns = mirror_fold(heights, k)
-        step = max(1, _RAY_BLOCK // columns.size)
-        for start in range(0, rows.size, step):
-            block = rows[start:start + step]
-            kept = captured[block]
-            d, tx_az, tx_el, rx_az, rx_el = convex_path_geometry_batch(
-                spec,
-                geom,
-                angles[block][kept].reshape(-1, k),
-                intercepts[block][kept].reshape(-1, k, 2),
-                tx_frame,
-                rx_frame,
-            )
-            gain_tx = scenario.tx_pattern.gain(tx_az, tx_el)
-            total[block] = _ray_sums(scenario, d, gain_tx, rx_az, rx_el, mode, n_el * n_az,
-                                     columns)
-    return _power_db_from_sum(total, mode)
+    # The solved sections do not depend on the number of rays in a row.
+    solved = heights[mirror_fold(heights, 1)[0]]
+
+    def solve(block):
+        kept = captured[block]
+        d, tx_az, tx_el, rx_az, rx_el = convex_path_geometry_batch(
+            spec, geom, solved, angles[block][kept].reshape(block.size, -1),
+            intercepts[block][kept].reshape(block.size, -1, 2), tx_frame, rx_frame)
+        return d, scenario.tx_pattern.gain(tx_az, tx_el), rx_az, rx_el
+
+    n_nominal = heights.size * angles.shape[1]
+    return [(np.flatnonzero(counts == k), mirror_fold(heights, k)[1], n_nominal, solve)
+            for k in np.unique(counts[counts > 0])]

@@ -7,13 +7,14 @@ import os
 import numpy as np
 
 from .config import ScenarioConfig
-from .engine import SumMode, convex_sweep_power, flat_sweep_power
+from .engine import SumMode, sweep_power
 from .metrics import PowerProfile
 from .scene import Scenario
 
-# Threads per sweep. Every position is computed on its own and numpy's array
-# kernels release the GIL, so contiguous chunks of the sweep run side by side
-# and give the same bits as one call over the whole sweep.
+# Threads per sweep. Every position is computed on its own, so contiguous
+# chunks of the sweep give the same bits as one call over the whole sweep.
+# numpy releases the GIL only inside each array kernel, so the threads
+# overlap part of a sweep, not all of it (README, "Model summary").
 _SWEEP_WORKERS = min(2, os.cpu_count() or 1)
 
 
@@ -30,7 +31,6 @@ def sweep_profile(scenario: Scenario, mode: SumMode) -> PowerProfile:
     from concurrent.futures import ThreadPoolExecutor
 
     rx_points = scenario.geometry.rx_positions()
-    sweep_power = convex_sweep_power if scenario.is_convex else flat_sweep_power
     chunks = np.array_split(rx_points, min(_SWEEP_WORKERS, len(rx_points)))
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
         power = np.concatenate(list(pool.map(lambda rx: sweep_power(scenario, rx, mode), chunks)))

@@ -285,7 +285,8 @@ def convex_captures(
     sight line toward the reflector center, centered on it, and
     2*d*tan(HPBW_az/2) long at the sweep's range d = `geom.rx_range_m`.
     `_AZIMUTH_TARGETS` target intercepts are spaced evenly across it, one
-    segment length / `_AZIMUTH_TARGETS` apart. All RX points are checked first.
+    segment length / `_AZIMUTH_TARGETS` apart. The RX points must be finite
+    and in front of the plate, as the sweep has checked them.
     The specular rays off the arc are traced once, in the horizontal plane
     (the cylinder axis is vertical, so every height section shares the
     azimuth solution); only their crossings with each capture line depend on
@@ -301,10 +302,6 @@ def convex_captures(
     capture segments in the horizontal plane.
     """
     rx = np.asarray(rx_points, dtype=float)
-    if not np.all(np.isfinite(rx)):
-        raise GeometryError("RX positions must be finite")
-    if np.any(rx[:, 0] <= 0.0):
-        raise GeometryError("RX must be in front of the reflector")
     # Horizontal and perpendicular to the sight line -rx toward the center.
     seg = np.stack([rx[:, 1], -rx[:, 0]], axis=1)
     norm_seg = _row_norms(seg)
@@ -435,6 +432,7 @@ def mirror_fold(heights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 def convex_path_geometry_batch(
     spec: ConvexReflectorSpec,
     geom: ScenarioGeometry,
+    heights: np.ndarray,
     arc_angles: np.ndarray,
     intercepts: np.ndarray,
     tx_frame: Frame,
@@ -448,25 +446,23 @@ def convex_path_geometry_batch(
     specular path the antenna actually collects), so the path length is d1 +
     the reflected leg to the intercept, and the arrival angles are those of
     the reflected ray direction in the RX antenna frame. Only the H sections
-    that `mirror_fold` solves are traced (the upper half of the 16), and its
-    columns map them onto all S. Returns (distance, tx_az, tx_el, rx_az,
-    rx_el), each of shape (G, H*K) ordered section-major, all angles in
-    degrees.
+    at `heights` are traced: a sweep passes the upper half of the 16, the
+    rows `mirror_fold` solves, and its columns map them onto all S. Returns
+    (distance, tx_az, tx_el, rx_az, rx_el), each of shape (G, H*K) ordered
+    section-major, all angles in degrees.
     """
     r = spec.radius_of_curvature_m
     cos_b = np.cos(arc_angles)
     sin_b = np.sin(arc_angles)
     arc_x = r * (cos_b - 1.0)                                        # (G, K)
     arc_y = r * sin_b
-    heights = section_heights(spec)
-    rows, _ = mirror_fold(heights, arc_angles.shape[1])
     tx = geom.tx_position
 
     # TX -> launch leg, component by component: x and y are shared by every
     # section, and d1 sums (x*x + y*y) + z*z, the order of `_norm`.
     x = arc_x - tx[0]
     y = arc_y - tx[1]
-    z = (heights[rows] - tx[2])[:, None]                             # (H, 1)
+    z = (heights - tx[2])[:, None]                                   # (H, 1)
     d1 = np.sqrt((x * x + y * y)[:, None] + z * z)                   # (G, H, K)
     ux = x[:, None] / d1
     uy = y[:, None] / d1

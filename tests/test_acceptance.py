@@ -16,7 +16,7 @@ import conftest
 
 from reflectsim.antenna import AntennaPattern, Band
 from reflectsim.config import ScenarioConfig, dump_config, parse_config
-from reflectsim.engine import SumMode, convex_sweep_power, flat_sweep_power
+from reflectsim.engine import SumMode, sweep_power
 from reflectsim.metrics import analyze, smoothed_envelope_db
 from reflectsim.profile_io import export_profile, import_measured
 from reflectsim.runner import run_sweep, sweep_profile
@@ -81,7 +81,7 @@ def test_c1_friis_identity_all_bands():
         scn = dataclasses.replace(ScenarioConfig(band=band, reflector_kind="flat",
                                                  facets_per_side=1).to_scenario(), alpha=1.0)
         rx = scn.geometry.sweep_midpoint[None, :]
-        (got,) = flat_sweep_power(scn, rx, SumMode.PHYSICAL)
+        (got,) = sweep_power(scn, rx, SumMode.PHYSICAL)
         want = friis_dbm(scn.tx_power_dbm, scn.tx_pattern.boresight_gain_dbi,
                          scn.wavelength_m, 5.0)
         worst = max(worst, abs(got - want))
@@ -107,7 +107,7 @@ def test_c2_specular_peak_location():
     t0 = time.perf_counter()
     errors = {}
     for offset, scn in scenarios.items():
-        power = flat_sweep_power(scn, scn.geometry.rx_positions(), SumMode.PHYSICAL)
+        power = sweep_power(scn, scn.geometry.rx_positions(), SumMode.PHYSICAL)
         centre = lobe_centre_m(scn.geometry.rx_offsets_m(), power)
         oracle = sweep_coordinate(scn.geometry, conftest.image_source_specular_oracle(scn.geometry))
         errors[offset] = centre - oracle
@@ -196,17 +196,17 @@ def test_c7a_reciprocity():
                                rx_pattern=AntennaPattern(20.0, 16.0, 15.0))
     rx = flat.geometry.sweep_midpoint
     (d_flat,) = np.abs(
-        flat_sweep_power(flat, rx[None, :], SumMode.PHYSICAL)
-        - flat_sweep_power(_swapped_link(flat, rx), flat.geometry.tx_position[None, :],
-                           SumMode.PHYSICAL))
+        sweep_power(flat, rx[None, :], SumMode.PHYSICAL)
+        - sweep_power(_swapped_link(flat, rx), flat.geometry.tx_position[None, :],
+                      SumMode.PHYSICAL))
 
     convex = dataclasses.replace(
         ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario(), alpha=0.05)
     rx_c = convex.geometry.sweep_midpoint
     (d_convex,) = np.abs(
-        convex_sweep_power(convex, rx_c[None, :], SumMode.PHYSICAL)
-        - convex_sweep_power(_swapped_link(convex, rx_c),
-                             convex.geometry.tx_position[None, :], SumMode.PHYSICAL))
+        sweep_power(convex, rx_c[None, :], SumMode.PHYSICAL)
+        - sweep_power(_swapped_link(convex, rx_c),
+                      convex.geometry.tx_position[None, :], SumMode.PHYSICAL))
     report("C7a reciprocity", d_flat < 1e-9 and d_convex < 1e-9,
            f"TX/RX swap deltas: flat {d_flat:.2e} dB, convex {d_convex:.2e} dB (limit 1e-9)")
 
@@ -215,8 +215,8 @@ def test_c7b_reference_path_invariance():
     base = ScenarioConfig(band=Band.GHZ39, reflector_kind="flat").to_scenario()
     shifted = dataclasses.replace(base, d_ref_m=base.d_ref_m + 7.3)
     rx = base.geometry.sweep_start + 0.62 * (base.geometry.sweep_end - base.geometry.sweep_start)
-    (delta,) = np.abs(flat_sweep_power(base, rx[None, :], SumMode.PHYSICAL)
-                      - flat_sweep_power(shifted, rx[None, :], SumMode.PHYSICAL))
+    (delta,) = np.abs(sweep_power(base, rx[None, :], SumMode.PHYSICAL)
+                      - sweep_power(shifted, rx[None, :], SumMode.PHYSICAL))
     report("C7b d-ref-invariance", delta < 1e-9,
            f"power shift under +7.3 m reference change = {delta:.2e} dB (limit 1e-9)")
 
@@ -228,7 +228,7 @@ def test_c7c_efficiency_scaling():
     part = ScenarioConfig(band=Band.GHZ39, reflector_kind="flat",
                           reflection_efficiency=k).to_scenario()
     rx = full.geometry.sweep_start + 0.62 * (full.geometry.sweep_end - full.geometry.sweep_start)
-    (diff,) = flat_sweep_power(full, rx[None, :], SumMode.PHYSICAL) - flat_sweep_power(
+    (diff,) = sweep_power(full, rx[None, :], SumMode.PHYSICAL) - sweep_power(
         part, rx[None, :], SumMode.PHYSICAL)
     err = abs(diff + 10.0 * math.log10(k))
     report("C7c efficiency-scaling", err < 1e-9,
@@ -271,7 +271,7 @@ def test_c7f_facet_refinement_convergence():
     scenarios = (ScenarioConfig(band=Band.GHZ28, reflector_kind="flat",
                                 facets_per_side=n).to_scenario()
                  for n in (32, RESOLVED_FACETS_PER_SIDE, 2 * RESOLVED_FACETS_PER_SIDE))
-    p32, p64, p128 = (flat_sweep_power(scn, scn.geometry.rx_positions(), SumMode.PHYSICAL)
+    p32, p64, p128 = (sweep_power(scn, scn.geometry.rx_positions(), SumMode.PHYSICAL)
                       for scn in scenarios)
     change_32_64 = float(np.max(np.abs(p32 - p64)))
     change_64_128 = float(np.max(np.abs(p64 - p128)))

@@ -4,19 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import unfolded_convex_paths, unfolded_sweep_power
-from reflectsim import engine, scene
+from reflectsim import engine, runner, scene
 from reflectsim.antenna import Band
-from reflectsim.engine import (
-    SumMode,
-    _ray_sums,
-    convex_sweep_power,
-    flat_sweep_power,
-)
-from reflectsim.config import ScenarioConfig, parse_config
+from reflectsim.engine import SumMode, _ray_sums, sweep_power
+from reflectsim.config import ConfigError, ScenarioConfig, parse_config
 from reflectsim.runner import sweep_profile
 from reflectsim.scene import (
     REFLECTOR_SIDE_16IN_M,
@@ -127,7 +122,7 @@ def test_friis_identity_single_facet():
     scn = dataclasses.replace(ScenarioConfig(band=Band.GHZ28, reflector_kind="flat",
                                              facets_per_side=1).to_scenario(), alpha=1.0)
     rx = scn.geometry.sweep_midpoint[None, :]
-    (got,) = flat_sweep_power(scn, rx, SumMode.PHYSICAL)
+    (got,) = sweep_power(scn, rx, SumMode.PHYSICAL)
     want = friis_dbm(scn.tx_power_dbm, 17.0, scn.wavelength_m, 5.0)
     assert abs(got - want) < 1e-9
 
@@ -138,7 +133,7 @@ def test_literal_mode_single_facet_formula():
     scn = dataclasses.replace(ScenarioConfig(band=Band.GHZ28, reflector_kind="flat",
                                              facets_per_side=1).to_scenario(), alpha=1.0)
     rx = scn.geometry.sweep_midpoint[None, :]
-    (got,) = flat_sweep_power(scn, rx, SumMode.LITERAL)
+    (got,) = sweep_power(scn, rx, SumMode.LITERAL)
     p_mw = 10.0 ** (scn.tx_power_dbm / 10.0)
     term = p_mw / (4 * math.pi * 5.0) ** 2 * 10.0**1.7 * scn.wavelength_m**2
     assert_allclose(got, 10.0 * math.log10(2.0 * term), atol=1e-9)
@@ -149,7 +144,7 @@ def test_reference_path_shift_leaves_power_unchanged():
     shifted = dataclasses.replace(base, d_ref_m=base.d_ref_m + 7.3)
     rx = base.geometry.sweep_start + 0.62 * (base.geometry.sweep_end - base.geometry.sweep_start)
     for mode in SumMode:
-        delta = flat_sweep_power(base, rx[None, :], mode) - flat_sweep_power(
+        delta = sweep_power(base, rx[None, :], mode) - sweep_power(
             shifted, rx[None, :], mode)
         assert abs(delta[0]) < 1e-9
 
@@ -167,8 +162,8 @@ def test_peak_power_bounded_by_shortest_path_friis():
 def test_flat_sweep_bit_determinism():
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat", n_positions=101).to_scenario()
     rx = scn.geometry.rx_positions()
-    a = flat_sweep_power(scn, rx, SumMode.PHYSICAL)
-    b = flat_sweep_power(scn, rx, SumMode.PHYSICAL)
+    a = sweep_power(scn, rx, SumMode.PHYSICAL)
+    b = sweep_power(scn, rx, SumMode.PHYSICAL)
     assert np.array_equal(a, b)
 
 
@@ -186,15 +181,15 @@ def test_flat_sweep_does_not_depend_on_blocking(mode, ray_block, monkeypatch):
     rx = scenarios[0].geometry.rx_positions()[::9]
     launch_counts = [scn.reflector.facet_count + (mode is SumMode.LITERAL) for scn in scenarios]
     assert all(rx.shape[0] * n_launch <= engine._RAY_BLOCK for n_launch in launch_counts)
-    wholes = [flat_sweep_power(scn, rx, mode) for scn in scenarios]
+    wholes = [sweep_power(scn, rx, mode) for scn in scenarios]
 
     monkeypatch.setattr(engine, "_RAY_BLOCK", ray_block)
     for scn, n_launch, whole in zip(scenarios, launch_counts, wholes):
         assert ray_block % n_launch != 0
         step = max(1, ray_block // n_launch)
         assert step == 1 or rx.shape[0] % step != 0
-        assert np.array_equal(flat_sweep_power(scn, rx, mode), whole)
-        alone = [flat_sweep_power(scn, point[None, :], mode)[0] for point in rx]
+        assert np.array_equal(sweep_power(scn, rx, mode), whole)
+        alone = [sweep_power(scn, point[None, :], mode)[0] for point in rx]
         assert np.array_equal(whole, alone)
 
 
@@ -208,13 +203,7 @@ def test_folded_flat_sweep_is_the_unfolded_sum(facets_per_side, mode, offset):
                          sweep_offset_m=offset).to_scenario()
     rx = scn.geometry.rx_positions()[::15]
     want = unfolded_sweep_power(scn, rx, mode)
-    assert np.array_equal(flat_sweep_power(scn, rx, mode), want)
-
-
-def test_flat_requires_flat_spec():
-    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
-    with pytest.raises(ValueError):
-        flat_sweep_power(scn, scn.geometry.sweep_midpoint[None, :], SumMode.PHYSICAL)
+    assert np.array_equal(sweep_power(scn, rx, mode), want)
 
 
 # ---------------------------------------------------------------- convex path
@@ -227,7 +216,7 @@ def test_convex_single_ray_friis(monkeypatch):
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
     scn = dataclasses.replace(scn, alpha=1.0)
     rx = scn.geometry.sweep_midpoint[None, :]
-    (got,) = convex_sweep_power(scn, rx, SumMode.PHYSICAL)
+    (got,) = sweep_power(scn, rx, SumMode.PHYSICAL)
     want = friis_dbm(scn.tx_power_dbm, 17.0, scn.wavelength_m, 5.0)
     assert abs(got - want) < 1e-9
 
@@ -237,7 +226,7 @@ def test_convex_no_capture_returns_sentinel():
                          radius_of_curvature_m=9e5).to_scenario()
     g = scn.geometry
     rx = g.sweep_midpoint + 2.5 * g.sweep_axis
-    power = convex_sweep_power(scn, rx[None, :], SumMode.PHYSICAL)
+    power = sweep_power(scn, rx[None, :], SumMode.PHYSICAL)
     assert power.tolist() == [float("-inf")]
 
 
@@ -270,8 +259,8 @@ def test_convex_sweep_does_not_depend_on_blocking(mode, monkeypatch):
                                   scn.rx_pattern)[0][0] for point in rx]
     assert np.array_equal(angles, one_by_one, equal_nan=True)
 
-    swept = convex_sweep_power(scn, rx, mode)
-    alone = [convex_sweep_power(scn, point[None, :], mode)[0] for point in rx]
+    swept = sweep_power(scn, rx, mode)
+    alone = [sweep_power(scn, point[None, :], mode)[0] for point in rx]
     assert np.array_equal(swept, alone)
     assert np.array_equal(np.isneginf(swept), counts == 0)
 
@@ -313,12 +302,14 @@ def test_mirrored_height_sections_solve_to_the_same_rays(band, sections, monkeyp
     monkeypatch.setattr(scene, "_HEIGHT_SECTIONS", sections)
     scn = _convex_fixture(band)
     frames = antenna_frame(scn.tx_boresight), antenna_frame(scn.rx_boresight)
+    heights = section_heights(scn.reflector)
+    solved = heights[mirror_fold(heights, 1)[0]]
     rows = list(_captured_rows(scn, scn.geometry.rx_positions()[::300]))
     assert len(rows) == 6
     for angles, intercepts in rows:
         k = angles.shape[1]
         full = unfolded_convex_paths(scn.reflector, scn.geometry, angles, intercepts, *frames)
-        half = convex_path_geometry_batch(scn.reflector, scn.geometry, angles, intercepts,
+        half = convex_path_geometry_batch(scn.reflector, scn.geometry, solved, angles, intercepts,
                                           *frames)
         d, tx_az, tx_el, rx_az, rx_el = (a.reshape(sections, k) for a in full)
         mirror = slice(None, None, -1)
@@ -327,7 +318,7 @@ def test_mirrored_height_sections_solve_to_the_same_rays(band, sections, monkeyp
             assert np.array_equal(same, same[mirror])
         for negated in (tx_el, rx_el):
             assert np.array_equal(negated, -negated[mirror])
-        _, columns = mirror_fold(section_heights(scn.reflector), k)
+        _, columns = mirror_fold(heights, k)
         for whole, upper in zip(full, half):
             assert np.array_equal(upper.reshape(-1, k), whole.reshape(sections, k)[sections // 2:])
         for i in (0, 1, 3):
@@ -342,13 +333,18 @@ def test_folded_sweep_is_the_unfolded_sum(fixture, mode):
     scn = _convex_fixture(band, f"geometry.sweep_offset = {offset}\n" if offset else "")
     rx = scn.geometry.rx_positions()[::15]
     want = unfolded_sweep_power(scn, rx, mode)
-    assert np.array_equal(convex_sweep_power(scn, rx, mode), want)
+    assert np.array_equal(sweep_power(scn, rx, mode), want)
     assert np.isneginf(want).any() == bool(offset)
 
 
-@pytest.mark.parametrize("sweep_power", [flat_sweep_power, convex_sweep_power])
-def test_sweep_rejects_rx_points_off_the_link_plane(sweep_power):
-    kind = "flat" if sweep_power is flat_sweep_power else "convex"
+# One RX rule for both shapes. The ids keep the names of the two per-shape
+# sweep functions that `sweep_power` replaced.
+SHAPES = pytest.mark.parametrize("kind", ["flat", "convex"],
+                                 ids=["flat_sweep_power", "convex_sweep_power"])
+
+
+@SHAPES
+def test_sweep_rejects_rx_points_off_the_link_plane(kind):
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind=kind).to_scenario()
     rx = scn.geometry.rx_positions()[::100].copy()
     rx[7, 2] = 0.125
@@ -359,12 +355,12 @@ def test_sweep_rejects_rx_points_off_the_link_plane(sweep_power):
 @pytest.mark.parametrize("bad_rx, message", [
     ([np.nan, 0.5, 0.0], r"must be finite, got \[nan, 0\.5, 0\.0\]"),
     ([-2.0, 0.5, 0.0], r"in front of the reflector \(x > 0\), got x = -2\.0 m"),
-], ids=["not_finite", "behind"])
-@pytest.mark.parametrize("sweep_power", [flat_sweep_power, convex_sweep_power])
-def test_sweep_rejects_rx_points_that_are_not_finite_or_in_front(sweep_power, bad_rx, message):
-    # One RX rule for both shapes: a flat sweep once gave -inf at the NaN point
-    # and, behind the plate, the power it gives at the mirrored point in front.
-    kind = "flat" if sweep_power is flat_sweep_power else "convex"
+    ([0.0, 0.5, 0.0], r"in front of the reflector \(x > 0\), got x = 0\.0 m"),
+], ids=["not_finite", "behind", "in_plate_plane"])
+@SHAPES
+def test_sweep_rejects_rx_points_that_are_not_finite_or_in_front(kind, bad_rx, message):
+    # A flat sweep once gave -inf at the NaN point and, behind the plate, the
+    # power it gives at the mirrored point in front.
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind=kind).to_scenario()
     rx = scn.geometry.rx_positions()[::100].copy()
     rx[4] = bad_rx
@@ -372,10 +368,60 @@ def test_sweep_rejects_rx_points_that_are_not_finite_or_in_front(sweep_power, ba
         sweep_power(scn, rx, SumMode.PHYSICAL)
 
 
-def test_convex_requires_convex_spec():
-    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()
-    with pytest.raises(ValueError):
-        convex_sweep_power(scn, scn.geometry.sweep_midpoint[None, :], SumMode.PHYSICAL)
+@st.composite
+def _links(draw):
+    """A short sweep over a random link: band, shape, mode, TX and RX ranges,
+    incidence and sweep offset, on a small flat grid or a convex arc."""
+    kind = draw(st.sampled_from(["flat", "convex"]))
+    fields = dict(band=draw(st.sampled_from(list(Band))), mode=draw(st.sampled_from(list(SumMode))),
+                  reflector_kind=kind, tx_range_m=draw(st.floats(0.5, 5.0)),
+                  rx_range_m=draw(st.floats(0.5, 5.0)), incidence_deg=draw(st.floats(0.0, 60.0)),
+                  sweep_offset_m=draw(st.floats(-1.0, 1.0)), n_positions=draw(st.integers(2, 9)))
+    if kind == "flat":
+        fields["facets_per_side"] = draw(st.integers(1, 8))
+    else:
+        fields["radius_of_curvature_m"] = draw(st.floats(SIDE / 2, 3.0, exclude_min=True))
+    try:
+        return ScenarioConfig(**fields)
+    except ConfigError:  # a sweep that reaches behind the plate
+        assume(False)
+
+
+def _outcome(call):
+    """The result of `call()`, or the message of the GeometryError it raises."""
+    try:
+        return call()
+    except GeometryError as exc:
+        return str(exc)
+
+
+@given(config=_links())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_random_links_sum_every_ray_whatever_the_blocking(config):
+    # The folded, grouped and blocked sweep is the unfolded sum bit for bit,
+    # for every ray budget and thread count; a sweep that raises raises the
+    # same GeometryError every way.
+    scn, mode = config.to_scenario(), config.mode
+    rx = scn.geometry.rx_positions()
+    want = _outcome(lambda: unfolded_sweep_power(scn, rx, mode))
+    got = [_outcome(lambda: sweep_power(scn, rx, mode))]
+    with pytest.MonkeyPatch.context() as patch:
+        for ray_block in (1, 7):
+            patch.setattr(engine, "_RAY_BLOCK", ray_block)
+            got.append(_outcome(lambda: sweep_power(scn, rx, mode)))
+    profiles = []
+    with pytest.MonkeyPatch.context() as patch:
+        for workers in (1, 2):
+            patch.setattr(runner, "_SWEEP_WORKERS", workers)
+            profiles.append(_outcome(lambda: sweep_profile(scn, mode).power_db))
+    if isinstance(want, str):
+        assert all(isinstance(other, str) and other == want for other in got + profiles)
+        return
+    assert all(np.array_equal(power, want) for power in got)
+    top = np.max(want)
+    if mode is SumMode.LITERAL and np.isfinite(top):
+        want = want - top
+    assert all(np.array_equal(power, want) for power in profiles)
 
 
 @given(t=st.floats(0.0, 1.0))
@@ -384,7 +430,7 @@ def test_physical_power_never_exceeds_friis_bound(t):
     scn = ScenarioConfig(band=Band.GHZ39, reflector_kind="flat").to_scenario()
     g = scn.geometry
     rx = g.sweep_start + t * (g.sweep_end - g.sweep_start)
-    (power,) = flat_sweep_power(scn, rx[None, :], SumMode.PHYSICAL)
+    (power,) = sweep_power(scn, rx[None, :], SumMode.PHYSICAL)
     # The path through the reflector center, less generous slack for any facet.
     d_min = float(np.linalg.norm(g.tx_position) + np.linalg.norm(rx)) - SIDE
     bound = friis_dbm(scn.tx_power_dbm, 20.0, scn.wavelength_m, max(d_min, 1.0))

@@ -6,7 +6,7 @@ import pytest
 from reflectsim import runner
 from reflectsim.antenna import Band
 from reflectsim.config import ScenarioConfig, parse_config
-from reflectsim.engine import SumMode, flat_sweep_power
+from reflectsim.engine import SumMode, sweep_power
 from reflectsim.runner import run_sweep, sweep_profile
 from reflectsim.scene import GeometryError
 
@@ -59,9 +59,7 @@ def test_threaded_sweep_equals_one_engine_call(kind, mode, n_positions, monkeypa
     monkeypatch.setattr(runner, "_SWEEP_WORKERS", 2)
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind=kind,
                          n_positions=n_positions).to_scenario()
-    name = f"{kind}_sweep_power"
-    engine_call = getattr(runner, name)
-    want = engine_call(scn, scn.geometry.rx_positions(), mode)
+    want = sweep_power(scn, scn.geometry.rx_positions(), mode)
     if mode is SumMode.LITERAL:
         want = want - np.max(want)
 
@@ -69,9 +67,9 @@ def test_threaded_sweep_equals_one_engine_call(kind, mode, n_positions, monkeypa
 
     def counted(scenario, rx, sum_mode):
         chunk_sizes.append(len(rx))
-        return engine_call(scenario, rx, sum_mode)
+        return sweep_power(scenario, rx, sum_mode)
 
-    monkeypatch.setattr(runner, name, counted)
+    monkeypatch.setattr(runner, "sweep_power", counted)
     threads = threading.active_count()
     got = sweep_profile(scn, mode).power_db
     assert threading.active_count() == threads  # no worker outlives the sweep
@@ -87,8 +85,8 @@ def test_error_in_second_chunk_surfaces(monkeypatch):
     def fail_on_second(scenario, rx, mode):
         if np.array_equal(rx, second):
             raise GeometryError("ray launch point coincides with the RX")
-        return flat_sweep_power(scenario, rx, mode)
+        return sweep_power(scenario, rx, mode)
 
-    monkeypatch.setattr(runner, "flat_sweep_power", fail_on_second)
+    monkeypatch.setattr(runner, "sweep_power", fail_on_second)
     with pytest.raises(GeometryError, match="coincides with the RX"):
         sweep_profile(scn, SumMode.PHYSICAL)

@@ -11,6 +11,7 @@ from conftest import image_source_specular_oracle
 from reflectsim import scene
 from reflectsim.antenna import Band
 from reflectsim.config import ConfigError, ScenarioConfig, parse_config
+from reflectsim.engine import SumMode, sweep_power
 from reflectsim.scene import (
     ConvexReflectorSpec,
     FlatReflectorSpec,
@@ -138,8 +139,10 @@ def _capture_and_paths(scn, rx):
     angles, intercepts = angles[captured], intercepts[captured]
     if angles.size == 0:
         return n_az, angles, None
-    paths = convex_path_geometry_batch(scn.reflector, scn.geometry, angles[None], intercepts[None],
-                                       antenna_frame(scn.tx_boresight),
+    heights = section_heights(scn.reflector)
+    paths = convex_path_geometry_batch(scn.reflector, scn.geometry,
+                                       heights[mirror_fold(heights, 1)[0]], angles[None],
+                                       intercepts[None], antenna_frame(scn.tx_boresight),
                                        antenna_frame(scn.rx_boresight))
     return n_az, angles, [p[0] for p in paths]
 
@@ -265,14 +268,15 @@ def test_section_convex_empty_when_nothing_reachable():
 
 
 def test_section_convex_rejects_rx_behind_reflector():
+    # The sweep checks its RX points once, before the capture solve.
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
     behind = -NORMAL
-    with pytest.raises(GeometryError):
-        convex_captures(scn.reflector, scn.geometry, behind[None, :], scn.rx_pattern)
+    with pytest.raises(GeometryError, match="in front of the reflector"):
+        sweep_power(scn, behind[None, :], SumMode.PHYSICAL)
     # One bad position in a sweep rejects the whole sweep.
     rx = np.vstack([scn.geometry.sweep_midpoint, behind])
-    with pytest.raises(GeometryError):
-        convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern)
+    with pytest.raises(GeometryError, match="in front of the reflector"):
+        sweep_power(scn, rx, SumMode.PHYSICAL)
 
 
 def _plate_and_sweep(radius_m, tx):
@@ -342,12 +346,17 @@ def test_capture_map_that_is_not_monotone_is_rejected():
 
 def test_every_rx_is_checked_before_any_capture_line():
     # The first capture block has a map that is not monotone; a non-finite RX
-    # in the next block is reported first.
-    rx = [0.29169247385091673, -2.893838176250152, -0.6420837448390428]
+    # in the next block is reported first, by the sweep's one RX check.
+    spec, geom = _plate_and_sweep(0.22876151890631236,
+                                  [0.8605285095721427, -8.126597734089998, 0.0])
+    scn = dataclasses.replace(ScenarioConfig(band=Band.GHZ28).to_scenario(),
+                              reflector=spec, geometry=geom)
+    rx = [0.29169247385091673, -2.893838176250152, 0.0]
+    with pytest.raises(GeometryError, match="not monotone"):
+        sweep_power(scn, np.array([rx]), SumMode.PHYSICAL)
     with pytest.raises(GeometryError, match="finite"):
-        _captures_at(0.22876151890631236,
-                     [0.8605285095721427, -8.126597734089998, 0.0],
-                     rx, *[rx] * _CAPTURE_BLOCK, [np.nan, 0.5, 0.0])
+        sweep_power(scn, np.array([rx] * (_CAPTURE_BLOCK + 1) + [[np.nan, 0.5, 0.0]]),
+                    SumMode.PHYSICAL)
 
 
 def _arc_rays_reaching_capture_line(radius, tx, rx):
@@ -578,6 +587,18 @@ def test_antenna_frame_has_the_bits_of_np_cross():
         want_az = scene.unit(np.cross(scene._UP, b))
         assert e_az.tobytes() == want_az.tobytes()
         assert e_el.tobytes() == np.cross(b, want_az).tobytes()
+
+
+def test_antenna_frame_rejects_boresights_near_the_vertical():
+    # The rejected cone is |b . z| > 0.999: 0.9995 lies in it, 0.998 outside.
+    for z, rejected in ((0.9995, True), (-0.9995, True), (0.998, False), (-0.998, False)):
+        b = np.array([math.sqrt(1.0 - z * z), 0.0, z])
+        if rejected:
+            with pytest.raises(GeometryError, match="vertical antenna boresights"):
+                antenna_frame(b)
+        else:
+            _, e_az, _ = antenna_frame(b)
+            assert_allclose(e_az, [0.0, 1.0, 0.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("band, facets_per_side", [(Band.GHZ28, 6), (Band.GHZ39, 7),
