@@ -148,9 +148,10 @@ def sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -> np.
     """
     rx = _rx_in_link_plane(rx_points)
     frames = antenna_frame(scenario.tx_boresight), antenna_frame(scenario.rx_boresight)
-    plan = _convex_groups if scenario.is_convex else _flat_groups
+    groups = (_convex_groups(scenario, rx, *frames) if scenario.is_convex
+              else _flat_groups(scenario, rx, mode, *frames))
     total = np.zeros(len(rx), dtype=complex)
-    for positions, columns, n_nominal, solve in plan(scenario, rx, mode, *frames):
+    for positions, columns, n_nominal, solve in groups:
         step = max(1, _RAY_BLOCK // columns.size)
         for start in range(0, positions.size, step):
             block = positions[start:start + step]
@@ -183,7 +184,7 @@ def _flat_groups(scenario: Scenario, rx: np.ndarray, mode: SumMode, tx_frame, rx
     return [(np.arange(len(rx)), columns, spec.facet_count, solve)]
 
 
-def _convex_groups(scenario: Scenario, rx: np.ndarray, mode: SumMode, tx_frame, rx_frame):
+def _convex_groups(scenario: Scenario, rx: np.ndarray, tx_frame, rx_frame):
     """One group per captured-ray count K of the RX points that capture any
     ray, in increasing K. Each ray is evaluated along its specular path from
     the TX over the arc to its intercept on the RX capture segment (the

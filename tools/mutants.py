@@ -1,6 +1,6 @@
 """Run tier-1 against one-line mutants of the package and record what kills each.
 
-    python3 tools/mutants.py [--out MUTANTS.json] [--only TEXT]
+    python3 tools/mutants.py
 
 Each row of `MUTANTS` names a file under `src/reflectsim/`, the exact text a
 mutant replaces (it must occur once), the new text, the rule the old text
@@ -13,15 +13,15 @@ guards, and the outcome expected:
 The script copies the repository into a temporary directory and runs the
 unmutated tier-1 there first, with no test deselected: a mutant counts as
 killed only by a test that passes on that run. Each mutant is then applied to
-the copy on its own, tier-1 runs again, and the file is restored. The record
-(baseline, then per mutant its outcome, the first killing test and the
-seconds taken) is written as JSON; the exit status is 1 if any outcome is not
-the one its row expects. Its file name keeps pytest from collecting it.
+the copy on its own, tier-1 runs again, and the file is restored. Every row
+runs; the record (baseline, then per mutant its outcome, the first killing
+test and the seconds taken) is written to MUTANTS.json at the repository root.
+The exit status is 1 if any outcome is not the one its row expects. Its file
+name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -110,12 +110,7 @@ def tier1(repo: Path) -> tuple[dict[str, bool], float]:
     return results, seconds
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=ROOT / "MUTANTS.json")
-    parser.add_argument("--only", default="", help="run only rows whose old text contains this")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         repo = Path(tmp) / "repo"
         shutil.copytree(ROOT, repo, ignore=shutil.ignore_patterns(
@@ -125,8 +120,6 @@ def main(argv=None) -> int:
               f"in {base_s:.1f} s", flush=True)
         rows = []
         for name, old, new, rule, expected in MUTANTS:
-            if args.only not in old:
-                continue
             path = repo / "src" / "reflectsim" / name
             source = path.read_text()
             row = {"file": f"src/reflectsim/{name}", "old": old, "new": new, "rule": rule,
@@ -158,7 +151,7 @@ def main(argv=None) -> int:
                      "seconds": round(base_s, 1)},
         "mutants": rows,
     }
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    (ROOT / "MUTANTS.json").write_text(json.dumps(record, indent=2) + "\n")
     return 0 if all(row["as_expected"] for row in rows) else 1
 
 
