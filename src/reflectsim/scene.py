@@ -245,34 +245,6 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over a short last axis, summed component by component
-    from the left. On the 2- and 3-component axes of the path solves this has
-    the bits of np.sum(a * b, axis=-1) at about a quarter of its cost;
-    summing in another order changes the last bit."""
-    total = a[..., 0] * b[..., 0]
-    for i in range(1, a.shape[-1]):
-        total += a[..., i] * b[..., i]
-    return total
-
-
-def _norm(v: np.ndarray) -> np.ndarray:
-    """Norms over the last axis, with the bits of np.linalg.norm(v, axis=-1)."""
-    return np.sqrt(_dot(v, v))
-
-
-def _oriented_map(s_v: np.ndarray, beta_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The valid intercepts `s_v` of one capture line and their arc angles,
-    ordered by increasing intercept; a GeometryError if they are not strictly
-    monotone along the arc."""
-    ds = np.diff(s_v)
-    if np.all(ds < 0.0):
-        return s_v[::-1], beta_v[::-1]
-    if not np.all(ds > 0.0):
-        raise GeometryError(_NOT_MONOTONE)
-    return s_v, beta_v
-
-
 def convex_captures(
     spec: ConvexReflectorSpec,
     geom: ScenarioGeometry,
@@ -291,11 +263,11 @@ def convex_captures(
     (the cylinder axis is vertical, so every height section shares the
     azimuth solution); only their crossings with each capture line depend on
     the RX point, and those are solved in place for `_CAPTURE_BLOCK` RX points
-    at a time. The intercepts of the rays that reach a capture line must be
-    strictly ordered along the arc, or a GeometryError is raised: a line that
-    one contiguous run of arc rays reaches is checked with the whole block, a
-    line whose reaching rays have a gap is checked on its own, and only the
-    interpolation of the targets runs once per RX point.
+    at a time. A capture line that two or more arc rays reach is read over
+    them, and they must be one contiguous run of the arc whose intercepts
+    strictly fall or strictly rise along it, or a GeometryError is raised.
+    The rule is checked with the whole block; only the interpolation of the
+    targets runs once per RX point.
 
     Returns the captured arc angle of each target (M, n_az), NaN where the
     arc cannot reach it, and the target intercepts (M, n_az, 2) on the
@@ -306,7 +278,8 @@ def convex_captures(
     seg = np.stack([rx[:, 1], -rx[:, 0]], axis=1)
     norm_seg = _row_norms(seg)
     if np.any(norm_seg < 1e-12):
-        raise GeometryError("RX sight line is vertical; capture segment undefined")
+        raise GeometryError("RX point within 1e-12 m of the plate's vertical axis; "
+                            "capture segment undefined")
     seg = seg / norm_seg
     # The intersection has always used a twice-normalized direction;
     # normalizing once moves the last bits of the convex profiles.
@@ -366,31 +339,31 @@ def convex_captures(
             work *= l1                                          # (py + tau*dy - qy) * l1
             s += work
 
-        # A line whose valid points are one contiguous run of the arc is
-        # checked with the whole block, on its adjacent valid pairs: their
-        # intercepts must all fall or all rise along the arc.
+        # A line is read over its valid points, which must be one contiguous
+        # run of the arc whose intercepts all fall or all rise along it: the
+        # block is checked on its adjacent valid pairs.
         falls = s[:, 1:] < s[:, :-1]
         rises = s[:, 1:] > s[:, :-1]
         if np.all(valid):
             n_valid = np.full(len(qx), n_pts)
             first = np.zeros(len(qx), dtype=int)
-            contiguous = np.ones(len(qx), dtype=bool)
+            one_run = True
         else:
             pairs = valid[:, 1:] & valid[:, :-1]
             n_valid = np.count_nonzero(valid, axis=1)
             # One run of n valid points holds n - 1 valid pairs.
-            contiguous = n_valid - np.count_nonzero(pairs, axis=1) == 1
+            one_run = n_valid - np.count_nonzero(pairs, axis=1) == 1
             first = np.argmax(valid, axis=1)
             falls |= ~pairs
             rises |= ~pairs
         falling = np.all(falls, axis=1)
-        checked = contiguous & (n_valid >= 2)
-        if np.any(checked & ~(falling | np.all(rises, axis=1))):
+        read = n_valid >= 2
+        if np.any(read & ~(one_run & (falling | np.all(rises, axis=1)))):
             raise GeometryError(_NOT_MONOTONE)
         # np.interp needs increasing intercepts, so a falling run is read from
         # one reversed copy of the block.
-        s_rev = s[:, ::-1].copy() if np.any(checked & falling) else None
-        for i in np.flatnonzero(checked):
+        s_rev = s[:, ::-1].copy() if np.any(read & falling) else None
+        for i in np.flatnonzero(read):
             lo, n = first[i], n_valid[i]
             if falling[i]:
                 lo = n_pts - lo - n
@@ -398,10 +371,6 @@ def convex_captures(
             else:
                 s_i, beta_i = s[i, lo:lo + n], beta[lo:lo + n]
             angles[start + i] = np.interp(targets, s_i, beta_i, left=np.nan, right=np.nan)
-        # A line whose valid points have a gap is checked on its own.
-        for i in np.flatnonzero(~contiguous & (n_valid >= 2)):
-            s_v, beta_v = _oriented_map(s[i, valid[i]], beta[valid[i]])
-            angles[start + i] = np.interp(targets, s_v, beta_v, left=np.nan, right=np.nan)
     intercepts = rx[:, None, :2] + targets[None, :, None] * seg[:, None, :]
     return angles, intercepts
 
@@ -459,7 +428,7 @@ def convex_path_geometry_batch(
     tx = geom.tx_position
 
     # TX -> launch leg, component by component: x and y are shared by every
-    # section, and d1 sums (x*x + y*y) + z*z, the order of `_norm`.
+    # section, and d1 sums (x*x + y*y) + z*z, the order of np.linalg.norm.
     x = arc_x - tx[0]
     y = arc_y - tx[1]
     z = (heights - tx[2])[:, None]                                   # (H, 1)
@@ -537,7 +506,7 @@ def tx_leg(tx: np.ndarray, launch_points: np.ndarray, tx_frame: Frame):
     antenna frame), each of shape (N,).
     """
     to_launch = np.asarray(launch_points, dtype=float) - vec3(tx)[None, :]
-    d1 = _norm(to_launch)
+    d1 = np.linalg.norm(to_launch, axis=-1)
     if np.any(d1 == 0.0):
         raise GeometryError("ray launch point coincides with the TX")
     tx_az, tx_el = offset_angles_deg(to_launch / d1[:, None], tx_frame)
@@ -556,7 +525,7 @@ def path_geometry_batch(launch_points: np.ndarray, d1: np.ndarray, rx: np.ndarra
     launch = np.asarray(launch_points, dtype=float)
     rx = np.asarray(rx, dtype=float)
     # The launch -> RX leg, component by component as (M, N) arrays: d2 sums
-    # (x*x + y*y) + z*z, the order of `_norm`.
+    # (x*x + y*y) + z*z, the order of np.linalg.norm.
     x, y, z = (rx[:, i, None] - launch[:, i] for i in range(3))
     d2 = x * x
     d2 += y * y

@@ -44,10 +44,11 @@ def unfolded_convex_paths(spec, geom, arc_angles, intercepts, tx_frame, rx_frame
     launch[..., :2] = arc_xy[:, None]
     launch[..., 2] = (((np.arange(n_el) + 0.5) / n_el - 0.5) * spec.height_m)[:, None]
     to_launch = launch - geom.tx_position
-    d1 = scene._norm(to_launch)
+    d1 = np.linalg.norm(to_launch, axis=-1)
     d_in = to_launch / d1[..., None]
-    reflected = d_in - 2.0 * scene._dot(d_in, normals)[..., None] * normals
-    distance = d1 + scene._norm(intercepts - arc_xy)[:, None] / scene._norm(reflected[..., :2])
+    reflected = d_in - 2.0 * np.sum(d_in * normals, axis=-1)[..., None] * normals
+    distance = (d1 + np.linalg.norm(intercepts - arc_xy, axis=-1)[:, None]
+                / np.linalg.norm(reflected[..., :2], axis=-1))
     tx_az, tx_el = offset_angles_deg(d_in.reshape(g, -1, 3), tx_frame)
     rx_az, rx_el = offset_angles_deg(reflected.reshape(g, -1, 3), rx_frame)
     return distance.reshape(g, -1), tx_az, tx_el, rx_az, rx_el

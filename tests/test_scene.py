@@ -386,7 +386,7 @@ def _is_one_run(mask):
 def _per_row_capture_angles(spec, geom, rx, pattern):
     """The captured arc angles (M, n_az) of `convex_captures`, one capture
     line at a time: the same arc trace and line intersection, then a gather of
-    each line's valid points, `scene._oriented_map` and np.interp. Also
+    each line's valid points, the one-run rule on np.diff and np.interp. Also
     returns each line's valid-point mask (M, arc points)."""
     r = spec.radius_of_curvature_m
     beta_max = math.asin(min(1.0, spec.chord_width_m / (2.0 * r)))
@@ -413,7 +413,13 @@ def _per_row_capture_angles(spec, geom, rx, pattern):
              + (points[:, 1] + tau * d_out[:, 1] - qy) * l1)
         masks[i] = valid
         if np.count_nonzero(valid) >= 2:
-            s_v, beta_v = scene._oriented_map(s[valid], beta[valid])
+            # One run of the arc whose intercepts strictly fall or strictly rise.
+            s_v, beta_v = s[valid], beta[valid]
+            ds = np.diff(s_v)
+            if not _is_one_run(valid) or not (np.all(ds < 0.0) or np.all(ds > 0.0)):
+                raise GeometryError("not monotone")
+            if ds[0] < 0.0:
+                s_v, beta_v = s_v[::-1], beta_v[::-1]
             angles[i] = np.interp(targets, s_v, beta_v, left=np.nan, right=np.nan)
     return angles, masks
 
@@ -433,53 +439,116 @@ NOT_MONOTONE = {
 }
 
 
-def _spy_on_row_check(monkeypatch):
-    """Record the valid-point count of each capture line that reaches the
-    per-row check of a line whose valid points have a gap."""
-    calls = []
-    check = scene._oriented_map
-
-    def spy(s_v, beta_v):
-        calls.append(s_v.size)
-        return check(s_v, beta_v)
-
-    monkeypatch.setattr(scene, "_oriented_map", spy)
-    return calls
-
-
 @pytest.mark.parametrize("branch", sorted(NOT_MONOTONE))
-def test_capture_map_that_is_not_monotone_is_rejected_by_either_check(branch, monkeypatch):
+def test_capture_map_that_is_not_monotone_is_rejected_by_either_check(branch):
     radius, tx, rx = NOT_MONOTONE[branch]
     reached = _arc_rays_reaching_capture_line(radius, tx, rx)
-    calls = _spy_on_row_check(monkeypatch)
     with pytest.raises(GeometryError, match="not monotone"):
         _captures_at(radius, tx, rx)
     if branch == "block":
-        # Every arc ray reaches the line: the block check rejects it.
-        assert np.all(reached) and calls == []
+        # Every arc ray reaches the line.
+        assert np.all(reached)
     elif branch == "contiguous":
-        # One run of the arc reaches it: the block check rejects it too.
+        # One run of the arc reaches it.
         assert 2 <= np.count_nonzero(reached) < reached.size and _is_one_run(reached)
-        assert calls == []
     else:
-        # Two runs reach it: only the per-row check sees the fold across the gap.
+        # Two runs reach it, and they fold across the gap.
         assert np.count_nonzero(reached) >= 2 and not _is_one_run(reached)
-        assert calls == [np.count_nonzero(reached)]
 
 
-def test_capture_line_reached_by_one_arc_ray_captures_nothing(monkeypatch):
+def test_capture_line_reached_by_one_arc_ray_captures_nothing():
     # One point cannot be interpolated, so the line gets NaN angles, with no
     # RuntimeWarning (which the suite's settings turn into an error).
     radius = 0.43663268570585767
     tx = [2.5892847611599414, 4.399769426784072, 0.0]
     rx = [0.26895424279909375, 6.507981537100132, 0.0]
     assert np.count_nonzero(_arc_rays_reaching_capture_line(radius, tx, rx)) == 1
-    calls = _spy_on_row_check(monkeypatch)
     _, _, _, angles, _ = _captures_at(radius, tx, rx)
-    assert angles.size == 0 and calls == []
+    assert angles.size == 0
 
 
-def test_arc_ray_parallel_to_its_capture_line_is_dropped(monkeypatch):
+def test_capture_line_reached_by_two_arc_rays_is_interpolated():
+    # Two adjacent arc rays that run nearly along the capture line cross it
+    # far apart: the map between their two intercepts captures 12 targets.
+    radius = 0.538399366101344
+    tx = [0.618757771534818, 0.4194355122707295, 0.0]
+    rx = [0.012533682006507119, 0.08835471278818269, 0.0]
+    spec, geom = _plate_and_sweep(radius, tx)
+    reached = _arc_rays_reaching_capture_line(radius, tx, rx)
+    assert np.array_equal(np.flatnonzero(reached), [2950, 2951])
+    want, _ = _per_row_capture_angles(spec, geom, np.array([rx]), Band.GHZ28.horn)
+    got, _ = convex_captures(spec, geom, np.array([rx]), Band.GHZ28.horn)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.count_nonzero(~np.isnan(got)) == 12
+
+
+def test_capture_line_through_an_arc_point_leaves_that_point_out():
+    # The capture line passes through arc point 2, so that point's ray starts
+    # on the line and does not reach it: the line is read over points 3 to
+    # 1738 alone, and target 19, whose intercept lies between those of
+    # points 2 and 3, captures nothing.
+    radius, tx = 0.5, [2.165, -1.25, 0.0]
+    rx = [0.06467209523470692, -0.15926242508400928, 0.0]
+    spec, geom = _plate_and_sweep(radius, tx)
+    beta_max = math.asin(SIDE / (2.0 * radius))
+    beta = np.linspace(-beta_max, beta_max, scene._CAPTURE_GRID_POINTS)[2]
+    point = radius * np.array([math.cos(beta) - 1.0, math.sin(beta)])
+    q = np.asarray(rx[:2])
+    assert abs((point - q) @ q) / np.linalg.norm(q) < 1e-15
+    reached = _arc_rays_reaching_capture_line(radius, tx, rx)
+    assert np.flatnonzero(reached)[[0, -1]].tolist() == [3, 1738] and _is_one_run(reached)
+    want, _ = _per_row_capture_angles(spec, geom, np.array([rx]), Band.GHZ28.horn)
+    got, _ = convex_captures(spec, geom, np.array([rx]), Band.GHZ28.horn)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.count_nonzero(~np.isnan(got)) == 19 and np.isnan(got[0, 19])
+
+
+# Found by random search: a tight arc lit from the side reaches each of these
+# capture lines, close to the plate, with two runs of its fan. Read across
+# the gap as one map, their intercepts all fall and the sweep gave finite
+# powers, but 6, 1 and 3 of the targets lay behind the rays interpolated
+# for them.
+TWO_RUNS = [
+    (0.20686633297066545, [0.9624650763669171, -0.8523676743062261, 0.0],
+     [0.018015248165684727, -0.01462254446254363, 0.0]),
+    (0.23945029096254558, [0.9194454319807106, -0.47670699350162593, 0.0],
+     [0.01571861924233914, -0.006516580034123365, 0.0]),
+    (0.2268411721430038, [1.551137478887874, -2.2925374872155473, 0.0],
+     [0.03953330212115226, -0.03492221419602082, 0.0]),
+]
+
+
+def test_capture_line_reached_by_two_runs_of_the_arc_is_rejected():
+    for radius, tx, rx in TWO_RUNS:
+        reached = _arc_rays_reaching_capture_line(radius, tx, rx)
+        assert np.count_nonzero(reached) >= 2 and not _is_one_run(reached)
+        spec, geom = _plate_and_sweep(radius, tx)
+        scn = dataclasses.replace(ScenarioConfig(band=Band.GHZ28).to_scenario(),
+                                  reflector=spec, geometry=geom)
+        with pytest.raises(GeometryError, match="not monotone"):
+            sweep_power(scn, np.array([rx]), SumMode.PHYSICAL)
+
+
+def test_rx_on_the_plates_vertical_axis_is_rejected():
+    # An RX point within 1e-12 m of the plate's vertical axis has no
+    # horizontal sight line, so no capture segment.
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
+    with pytest.raises(GeometryError, match="vertical axis"):
+        sweep_power(scn, np.array([[1e-13, 0.0, 0.0]]), SumMode.PHYSICAL)
+
+
+def test_tx_over_a_launch_point_is_rejected():
+    # A TX 1e-13 m in front of the arc's centre point: the rays from it to
+    # that point's height sections come in, and leave, all but vertically, so
+    # they cross no capture segment.
+    spec, geom = _plate_and_sweep(0.5, [1e-13, 0.0, 0.0])
+    tx_frame, rx_frame = antenna_frame(-geom.tx_position), antenna_frame(geom.sweep_midpoint)
+    with pytest.raises(GeometryError, match="reflected ray is vertical"):
+        convex_path_geometry_batch(spec, geom, section_heights(spec), np.zeros((1, 1)),
+                                   np.array([[[2.5, 0.0]]]), tx_frame, rx_frame)
+
+
+def test_arc_ray_parallel_to_its_capture_line_is_dropped():
     # The RX is placed so that its capture line runs exactly along the
     # reflected ray of arc point 1070: the line intersection divides by zero
     # there, with no RuntimeWarning (an error in this suite), and that point is
@@ -499,15 +568,14 @@ def test_arc_ray_parallel_to_its_capture_line_is_dropped(monkeypatch):
     assert not valid[1070] and valid[1071] and _is_one_run(valid)
     assert np.count_nonzero(~np.isnan(want)) == 32
 
-    calls = _spy_on_row_check(monkeypatch)
     got, _ = convex_captures(spec, geom, np.array([rx]), pattern)
-    assert np.array_equal(got, want) and calls == []
+    assert np.array_equal(got, want)
 
 
-def test_offset_sweep_captures_match_the_per_row_solve(monkeypatch):
+def test_offset_sweep_captures_match_the_per_row_solve():
     # The 28 GHz convex sweep 5 m off specular: part of the arc reaches most
     # of its capture lines, each with one run of arc points, and 447 lines
-    # capture nothing. Every line is checked with its block.
+    # capture nothing.
     scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
                          sweep_offset_m=5.0).to_scenario()
     rx = scn.geometry.rx_positions()
@@ -516,9 +584,8 @@ def test_offset_sweep_captures_match_the_per_row_solve(monkeypatch):
     assert sum(partial) > 1000 and all(_is_one_run(v) for v in valid if v.any())
     assert np.count_nonzero(np.all(np.isnan(want), axis=1)) == 447
 
-    calls = _spy_on_row_check(monkeypatch)
     got, _ = convex_captures(scn.reflector, scn.geometry, rx, scn.rx_pattern)
-    assert np.array_equal(got, want, equal_nan=True) and calls == []
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_specular_point_is_sweep_midpoint_by_construction():
@@ -543,25 +610,6 @@ def test_specular_path_length_image_source_oracle():
     tx_image = g.tx_position.copy()
     tx_image[0] = -tx_image[0]
     assert_allclose(np.linalg.norm(s - tx_image), 5.0, atol=1e-12)
-
-
-# The path solves' reduction shapes: one launch, RX or captured ray (axes of
-# length 1), flat (M, N, 3) blocks and convex (G, S, K, 3) ones, and the
-# length-2 horizontal reductions.
-@pytest.mark.parametrize("shape", [(1, 3), (36, 3), (1, 1, 3), (1, 36, 3), (455, 36, 3),
-                                   (1, 1, 1, 3), (1, 16, 1, 3), (32, 16, 32, 3), (1, 2),
-                                   (7, 32, 2), (3, 16, 5, 2)])
-def test_component_sums_have_the_bits_of_the_numpy_reductions(shape):
-    # A numpy that sums a short last axis in another order fails here first:
-    # x*x + (y*y + z*z), for one, differs from the norm in the last bit.
-    rng = np.random.default_rng(sum(shape))
-    a, b = 3.0 * rng.standard_normal((2, *shape))
-    wide = rng.standard_normal((*shape[:-1], 2 * shape[-1] + 1))
-    views = [(a, b), (wide[..., ::2][..., :shape[-1]], wide[..., 1::2]),
-             (np.swapaxes(a, 0, -2), np.swapaxes(b, 0, -2)), (a, b[:1])]
-    for x, y in views:
-        assert np.array_equal(scene._norm(x), np.linalg.norm(x, axis=-1))
-        assert np.array_equal(scene._dot(x, y), np.sum(x * y, axis=-1))
 
 
 def _axis_and_random_pairs():
@@ -613,7 +661,7 @@ def test_component_rx_leg_is_the_stacked_solve(band, facets_per_side):
     d1, _, _ = tx_leg(scn.geometry.tx_position, launches, antenna_frame(scn.tx_boresight))
     rx = scn.geometry.rx_positions()[::7]
     arrival = rx[:, None, :] - launches[None, :, :]
-    d2 = scene._norm(arrival)
+    d2 = np.linalg.norm(arrival, axis=-1)
     want = (d1[None, :] + d2, *offset_angles_deg(arrival / d2[:, :, None], frame))
     got = path_geometry_batch(launches, d1, rx, frame)
     for g, w in zip(got, want):

@@ -60,26 +60,25 @@ MUTANTS = [
      "the convex solve traces only the sections that mirror_fold solves, in their order",
      "killed"),
     ("scene.py", "valid &= tau > 1e-9", "valid &= tau > -1e-9",
-     "an arc ray reaches a capture line only ahead of its launch point",
-     "gap: it differs only for a line through an arc point to 1e-9 m; no test has one"),
+     "an arc ray reaches a capture line only ahead of its launch point", "killed"),
     ("scene.py", "if np.any(horiz < 1e-9):", "if np.any(horiz < 0.0):",
-     "a vertical reflected ray has no capture intercept",
-     "gap: no test has a TX within 1e-9 m (horizontally) of a launch point"),
+     "a vertical reflected ray has no capture intercept", "killed"),
     ("scene.py", "if abs(float(np.dot(b, _UP))) > 0.999:",
      "if abs(float(np.dot(b, _UP))) > 0.9999999:",
      "a boresight within the |b.z| > 0.999 cone has no frame", "killed"),
-    ("scene.py", "checked = contiguous & (n_valid >= 2)", "checked = contiguous & (n_valid >= 3)",
-     "a capture line reached by two contiguous arc rays is interpolated",
-     "gap: no test has a line reached by exactly two contiguous arc rays"),
+    ("scene.py", "read = n_valid >= 2", "read = n_valid >= 3",
+     "a capture line reached by two arc rays is interpolated", "killed"),
     ("scene.py", "if height < 0.0 else i for i, height", "if height <= 0.0 else i for i, height",
      "only a row below z = 0 reads its mirror",
      "equivalent: a -0.0 row finds its own 0.0 key and reads itself"),
     ("scene.py", "row_at.get(-height, i) if height < 0.0",
      "len(h) - 1 - i if height < 0.0",
      "a row reads its mirror only if the mirror's height is its exact negation", "killed"),
-    ("scene.py", "contiguous = n_valid - np.count_nonzero(pairs, axis=1) == 1",
-     "contiguous = n_valid > 0",
-     "a capture line whose reaching rays have a gap is checked on its own", "killed"),
+    ("scene.py", "one_run & (falling | np.all(rises, axis=1))",
+     "(falling | np.all(rises, axis=1))",
+     "a capture line reached by two runs of the arc is rejected", "killed"),
+    ("scene.py", "if np.any(norm_seg < 1e-12):", "if np.any(norm_seg < 0.0):",
+     "an RX point on the plate's vertical axis has no capture segment", "killed"),
     ("scene.py", "np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])",
      "np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]) + 0.0",
      "_cross keeps np.cross's signed zeros", "killed"),
