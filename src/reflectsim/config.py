@@ -51,7 +51,7 @@ _MAX_LENGTH_M = 1e9
 
 # RX positions per sweep. The default 1.8 m sweep then has an 18 um pitch,
 # under 1/100 of the shortest wavelength; a 28 GHz convex sweep of this many
-# positions took 18 s with a peak RSS of 146 MB on 2 CPUs.
+# positions took 6.8 s through the CLI with a peak RSS of 145 MB on 2 CPUs.
 _MAX_POSITIONS = 100_000
 
 # Flat facets per side: the engine's ray budget bounds a block's memory at any

@@ -25,13 +25,14 @@ _HEIGHT_SECTIONS = 16
 _AZIMUTH_TARGETS = 32
 
 _CAPTURE_GRID_POINTS = 4097
-# RX positions whose capture lines are solved together: the four
-# (block, 4097) buffers stay in cache. On a 2-CPU host, one thread, the
-# capture solves of the four `convex-bands` sweeps took 0.345-0.408 s at 16
-# positions per block, 0.332-0.387 s at 8, 0.372-0.429 s at 24 and
-# 0.375-0.459 s at 32 (medians of 9 interleaved runs, three series): 8 led
-# each series by 1-5%, too little to change the block.
-_CAPTURE_BLOCK = 16
+# RX positions whose capture lines are solved together: each numpy call of a
+# block covers this many lines, so a larger block makes fewer calls, and
+# hands the GIL between a sweep's two threads less often. On a 2-CPU host,
+# two threads, the capture solves of the four `convex-bands` sweeps took
+# 0.65-0.74 s at 4 positions per block, 0.43-0.48 s at 8, 0.32-0.38 s at 16,
+# 0.28-0.34 s at 32 and 0.31-0.36 s at 64 (medians of 9 interleaved rounds,
+# two series). The three (32, 4097) buffers take 3 MB per thread.
+_CAPTURE_BLOCK = 32
 
 _NOT_MONOTONE = "arc reflection map is not monotone for this geometry"
 
@@ -261,7 +262,8 @@ def convex_captures(
     and in front of the plate, as the sweep has checked them.
     The specular rays off the arc are traced once, in the horizontal plane
     (the cylinder axis is vertical, so every height section shares the
-    azimuth solution); only their crossings with each capture line depend on
+    azimuth solution), at `_CAPTURE_GRID_POINTS` arc angles from +beta_max
+    down to -beta_max; only their crossings with each capture line depend on
     the RX point, and those are solved in place for `_CAPTURE_BLOCK` RX points
     at a time. A capture line that two or more arc rays reach is read over
     them, and they must be one contiguous run of the arc whose intercepts
@@ -287,7 +289,10 @@ def convex_captures(
 
     r = spec.radius_of_curvature_m
     beta_max = math.asin(min(1.0, spec.chord_width_m / (2.0 * r)))
-    beta = np.linspace(-beta_max, beta_max, _CAPTURE_GRID_POINTS)
+    # Traced from +beta_max down, so the intercepts of every config-built
+    # line rise along the arc. The reversed ascending linspace keeps its
+    # points' bits; a descending linspace can differ in the last bit.
+    beta = np.linspace(-beta_max, beta_max, _CAPTURE_GRID_POINTS)[::-1]
     cos_b = np.cos(beta)[:, None]
     sin_b = np.sin(beta)[:, None]
     normals = np.hstack([cos_b, sin_b])
@@ -302,10 +307,9 @@ def convex_captures(
     px, py = points.T.copy()
     dx, dy = d_out.T.copy()
     n_pts = _CAPTURE_GRID_POINTS
-    beta_rev = beta[::-1].copy()
     angles = np.full((len(rx), n_az), np.nan)
-    # Every block is computed in place in four (block, arc point) buffers.
-    bufs = np.empty((4, min(_CAPTURE_BLOCK, len(rx)), n_pts))
+    # Every block is computed in place in three (block, arc point) buffers.
+    bufs = np.empty((3, min(_CAPTURE_BLOCK, len(rx)), n_pts))
     valid_buf = np.empty(bufs.shape[1:], dtype=bool)
     for start in range(0, len(rx), _CAPTURE_BLOCK):
         block = slice(start, start + _CAPTURE_BLOCK)
@@ -314,7 +318,7 @@ def convex_captures(
         # operations whatever the block size, so blocking changes no bit.
         qx, qy = rx[block, :1], rx[block, 1:2]
         l0, l1 = line[block, :1], line[block, 1:]
-        cross, tau, s, work = bufs[:, :len(qx)]
+        cross, tau, work = bufs[:, :len(qx)]
         valid = valid_buf[:len(qx)]
         # A ray that runs parallel to its line divides by ~0; it is not valid,
         # so whatever that gives is never read.
@@ -329,6 +333,7 @@ def convex_captures(
             np.greater(np.abs(cross, out=work), 1e-15, out=valid)
             tau /= cross
             valid &= tau > 1e-9
+            s = cross                                           # cross is not read again
             np.multiply(tau, dx, out=s)
             s += px
             s -= qx
@@ -340,36 +345,41 @@ def convex_captures(
             s += work
 
         # A line is read over its valid points, which must be one contiguous
-        # run of the arc whose intercepts all fall or all rise along it: the
-        # block is checked on its adjacent valid pairs.
-        falls = s[:, 1:] < s[:, :-1]
+        # run of the arc whose intercepts all rise or all fall along it: the
+        # block is checked on its adjacent valid pairs. The lines of every
+        # config rise, so only a read line that does not rise is tested for
+        # falling: that takes code-built geometry, such as an RX a few
+        # centimetres from the plate and off its reflected fan.
         rises = s[:, 1:] > s[:, :-1]
         if np.all(valid):
             n_valid = np.full(len(qx), n_pts)
             first = np.zeros(len(qx), dtype=int)
             one_run = True
+            pairs = None
         else:
             pairs = valid[:, 1:] & valid[:, :-1]
             n_valid = np.count_nonzero(valid, axis=1)
             # One run of n valid points holds n - 1 valid pairs.
             one_run = n_valid - np.count_nonzero(pairs, axis=1) == 1
             first = np.argmax(valid, axis=1)
-            falls |= ~pairs
             rises |= ~pairs
-        falling = np.all(falls, axis=1)
         read = n_valid >= 2
-        if np.any(read & ~(one_run & (falling | np.all(rises, axis=1)))):
+        rising = np.all(rises, axis=1)
+        falling = read & ~rising
+        if np.any(falling):
+            falls = s[falling, 1:] < s[falling, :-1]
+            if pairs is not None:
+                falls |= ~pairs[falling]
+            falling[falling] = np.all(falls, axis=1)
+        if np.any(read & ~(one_run & (rising | falling))):
             raise GeometryError(_NOT_MONOTONE)
-        # np.interp needs increasing intercepts, so a falling run is read from
-        # one reversed copy of the block.
-        s_rev = s[:, ::-1].copy() if np.any(read & falling) else None
         for i in np.flatnonzero(read):
             lo, n = first[i], n_valid[i]
+            s_i, beta_i = s[i, lo:lo + n], beta[lo:lo + n]
             if falling[i]:
-                lo = n_pts - lo - n
-                s_i, beta_i = s_rev[i, lo:lo + n], beta_rev[lo:lo + n]
-            else:
-                s_i, beta_i = s[i, lo:lo + n], beta[lo:lo + n]
+                # np.interp needs increasing intercepts: it reads the run
+                # through reversed views, which it copies.
+                s_i, beta_i = s_i[::-1], beta_i[::-1]
             angles[start + i] = np.interp(targets, s_i, beta_i, left=np.nan, right=np.nan)
     intercepts = rx[:, None, :2] + targets[None, :, None] * seg[:, None, :]
     return angles, intercepts

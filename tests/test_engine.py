@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +366,18 @@ def test_sweep_rejects_rx_points_that_are_not_finite_or_in_front(kind, bad_rx, m
     rx = scn.geometry.rx_positions()[::100].copy()
     rx[4] = bad_rx
     with pytest.raises(GeometryError, match=message):
+        sweep_power(scn, rx, SumMode.PHYSICAL)
+
+
+@pytest.mark.parametrize("shape", ["one_point", "two_columns"])
+@SHAPES
+def test_sweep_rejects_rx_points_that_are_not_an_m_by_3_array(kind, shape):
+    # A single (3,) point once raised numpy's AxisError, and an (M, 2) array
+    # an IndexError.
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind=kind).to_scenario()
+    rx = (scn.geometry.sweep_midpoint if shape == "one_point"
+          else scn.geometry.rx_positions()[::100, :2])
+    with pytest.raises(GeometryError, match=re.escape(f"(M, 3) array, got shape {rx.shape}")):
         sweep_power(scn, rx, SumMode.PHYSICAL)
 
 

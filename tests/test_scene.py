@@ -588,6 +588,30 @@ def test_offset_sweep_captures_match_the_per_row_solve():
     assert np.array_equal(got, want, equal_nan=True)
 
 
+def test_capture_lines_whose_intercepts_fall_along_the_trace_match_the_per_row_solve():
+    # The nearly flat arc of test_capture_map_increasing_along_the_arc, lit
+    # from far to the side, and RX points within 0.05 m of the plate: on
+    # capture lines 1 to 27 the captured angles rise with the targets, so the
+    # intercepts fall along the arc as it is traced, from +beta_max down. No
+    # config places an RX there. Each of those lines is read over a part of
+    # the arc, and lines 28 to 31, which rise, share the first 32-line block.
+    spec, _ = _plate_and_sweep(119.25068253803899, [6.863308605723315, -7.905305784640073, 0.0])
+    geom = ScenarioGeometry([6.863308605723315, -7.905305784640073, 0.0], [0.01, -0.2, 0.0],
+                            [0.05, 0.2, 0.0], 64)
+    rx = geom.rx_positions()
+    pattern = Band.GHZ28.horn
+    want, valid = _per_row_capture_angles(spec, geom, rx, pattern)
+    read = np.count_nonzero(~np.isnan(want), axis=1) >= 2
+    ascending = np.array([np.all(np.diff(row[~np.isnan(row)]) > 0.0) for row in want])
+    falls = read & ascending
+    assert np.flatnonzero(falls).tolist() == list(range(1, 28))
+    assert all(v.any() and not v.all() for v in valid[falls])
+    assert np.all(read[28:32] & ~ascending[28:32])
+
+    got, _ = convex_captures(spec, geom, rx, pattern)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 def test_specular_point_is_sweep_midpoint_by_construction():
     g = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario().geometry
     assert_allclose(image_source_specular_oracle(g), g.sweep_midpoint, atol=1e-12)

@@ -39,6 +39,8 @@ TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collecti
 MUTANTS = [
     ("engine.py", "behind = rx[:, 0] <= 0.0", "behind = rx[:, 0] < 0.0",
      "an RX point in the plate plane x = 0 is rejected", "killed"),
+    ("engine.py", "if rx.ndim != 2 or rx.shape[1] != 3:", "if False:",
+     "RX points that are not an (M, 3) array are rejected", "killed"),
     ("engine.py", "not_finite = ~np.isfinite(rx).all(axis=1)",
      "not_finite = np.zeros(len(rx), dtype=bool)",
      "a non-finite RX point is rejected before any ray is solved", "killed"),
@@ -74,9 +76,16 @@ MUTANTS = [
     ("scene.py", "row_at.get(-height, i) if height < 0.0",
      "len(h) - 1 - i if height < 0.0",
      "a row reads its mirror only if the mirror's height is its exact negation", "killed"),
-    ("scene.py", "one_run & (falling | np.all(rises, axis=1))",
-     "(falling | np.all(rises, axis=1))",
+    ("scene.py", "one_run & (rising | falling)", "(rising | falling)",
      "a capture line reached by two runs of the arc is rejected", "killed"),
+    ("scene.py", "falling[falling] = np.all(falls, axis=1)", "falling[falling] = True",
+     "a read capture line that does not rise must fall, or it is rejected", "killed"),
+    ("scene.py", "s_i, beta_i = s_i[::-1], beta_i[::-1]", "pass",
+     "a falling capture line is interpolated over its run reversed", "killed"),
+    ("scene.py", "_CAPTURE_GRID_POINTS)[::-1]", "_CAPTURE_GRID_POINTS)",
+     "the arc is traced from +beta_max down, so config-built capture lines rise",
+     "equivalent: every line then falls and is read reversed, with the same bits; "
+     "only the copies and the falling test come back"),
     ("scene.py", "if np.any(norm_seg < 1e-12):", "if np.any(norm_seg < 0.0):",
      "an RX point on the plate's vertical axis has no capture segment", "killed"),
     ("scene.py", "np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])",
