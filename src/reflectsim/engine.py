@@ -8,12 +8,12 @@ import math
 import numpy as np
 
 from .scene import (
-    GeometryError,
     Scenario,
     antenna_frame,
     convex_captures,
     convex_path_geometry_batch,
     facetize_flat,
+    link_points,
     mirror_fold,
     path_geometry_batch,
     section_heights,
@@ -74,40 +74,19 @@ def _power_db_from_sum(total: np.ndarray, mode: SumMode) -> np.ndarray:
     return out
 
 
-def _rx_in_link_plane(rx_points: np.ndarray) -> np.ndarray:
-    """The (M, 3) RX points as floats; a GeometryError unless every one is
-    finite, in front of the plate (x > 0) and in the link plane z = 0."""
-    rx = np.asarray(rx_points, dtype=float)
-    if rx.ndim != 2 or rx.shape[1] != 3:
-        raise GeometryError(f"RX points must be an (M, 3) array, got shape {rx.shape}")
-    not_finite = ~np.isfinite(rx).all(axis=1)
-    if np.any(not_finite):
-        raise GeometryError("RX points must be finite, "
-                            f"got {rx[np.argmax(not_finite)].tolist()!r}")
-    behind = rx[:, 0] <= 0.0
-    if np.any(behind):
-        raise GeometryError("RX points must be in front of the reflector (x > 0), "
-                            f"got x = {float(rx[np.argmax(behind), 0])!r} m")
-    off_plane = rx[:, 2] != 0.0
-    if np.any(off_plane):
-        raise GeometryError("RX points must lie in the link plane z = 0, "
-                            f"got z = {float(rx[np.argmax(off_plane), 2])!r} m")
-    return rx
-
-
 def _ray_sums(scenario: Scenario, d: np.ndarray, gain_tx: np.ndarray, rx_az: np.ndarray,
               rx_el: np.ndarray, mode: SumMode, n_nominal: int,
-              columns: np.ndarray | None = None) -> np.ndarray:
+              columns: np.ndarray) -> np.ndarray:
     """Coherent sum of each row of a (G, N) ray block of path lengths `d`.
 
     `gain_tx` holds the rays' linear TX gains and `rx_az`, `rx_el` their
     arrival angles, each broadcast against `d`. Each ray's phase is
-    referenced to `scenario.d_ref_m`. `columns`, if given, gathers each row's
-    ray terms into the rays they stand for (`scene.mirror_fold`) before the
-    sum. PHYSICAL mode averages over the rays of a row; LITERAL mode
-    applies the sqrt(n_nominal) prefactor instead.
+    referenced to `scenario.d_ref_m`. `columns` gathers each row's ray terms
+    into the rays they stand for (`scene.mirror_fold`) before the sum.
+    PHYSICAL mode averages over the rays of a row; LITERAL mode applies the
+    sqrt(n_nominal) prefactor instead.
     """
-    n_rays = d.shape[1] if columns is None else columns.size
+    n_rays = columns.size
     lam = scenario.wavelength_m
     tx_power_mw = 10.0 ** (scenario.tx_power_dbm / 10.0)
     gain_rx = scenario.rx_pattern.gain(rx_az, rx_el)
@@ -127,10 +106,9 @@ def _ray_sums(scenario: Scenario, d: np.ndarray, gain_tx: np.ndarray, rx_az: np.
             * scenario.alpha
         )
     terms = amp * phasor
-    if columns is not None:
-        # np.take gives a fresh C-contiguous (G, N) block (terms[:, columns]
-        # would be column-major), so each row is summed as an unfolded one.
-        terms = np.take(terms, columns, axis=1)
+    # np.take gives a fresh C-contiguous (G, N) block (terms[:, columns]
+    # would be column-major), so each row is summed as an unfolded one.
+    terms = np.take(terms, columns, axis=1)
     total = terms.sum(axis=1)
     if mode is SumMode.LITERAL:
         total = math.sqrt(n_nominal) * total
@@ -153,7 +131,7 @@ def sweep_power(scenario: Scenario, rx_points: np.ndarray, mode: SumMode) -> np.
     PHYSICAL mode averages the field amplitudes over a row's rays (dBm).
     A position no group sums gets -inf.
     """
-    rx = _rx_in_link_plane(rx_points)
+    rx = link_points(rx_points, "RX points")
     frames = antenna_frame(scenario.tx_boresight), antenna_frame(scenario.rx_boresight)
     groups = (_convex_groups(scenario, rx, *frames) if scenario.is_convex
               else _flat_groups(scenario, rx, mode, *frames))

@@ -41,12 +41,24 @@ class GeometryError(ValueError):
     """Raised for degenerate or inconsistent scene geometry."""
 
 
-def vec3(v) -> np.ndarray:
-    """Build a finite 3-vector from any length-3 sequence."""
-    arr = np.asarray(v, dtype=float).reshape(3).copy()
-    if not np.all(np.isfinite(arr)):
-        raise GeometryError(f"vector components must be finite, got {arr}")
-    return arr
+def link_points(points, name: str) -> np.ndarray:
+    """The (M, 3) points of `name` as floats; a GeometryError unless every one
+    is finite, in front of the plate (x > 0) and in the link plane z = 0."""
+    p = np.asarray(points, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 3:
+        raise GeometryError(f"{name} must be an (M, 3) array, got shape {p.shape}")
+    not_finite = ~np.isfinite(p).all(axis=1)
+    if np.any(not_finite):
+        raise GeometryError(f"{name} must be finite, got {p[np.argmax(not_finite)].tolist()!r}")
+    behind = p[:, 0] <= 0.0
+    if np.any(behind):
+        raise GeometryError(f"{name} must be in front of the reflector (x > 0), "
+                            f"got x = {float(p[np.argmax(behind), 0])!r} m")
+    off_plane = p[:, 2] != 0.0
+    if np.any(off_plane):
+        raise GeometryError(f"{name} must lie in the link plane z = 0, "
+                            f"got z = {float(p[np.argmax(off_plane), 2])!r} m")
+    return p
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -60,9 +72,9 @@ def unit(v: np.ndarray) -> np.ndarray:
 class ScenarioGeometry:
     """TX position and the linear RX sweep segment, in the reflector frame.
 
-    The TX and the sweep lie in the link plane z = 0, through the plate
-    center, so both shapes can read a row of rays below it off its exact
-    mirror image above it (`mirror_fold`).
+    The TX and the sweep lie in front of the plate, in the link plane z = 0
+    through its center (`link_points`), so both shapes can read a row of
+    rays below it off its exact mirror image above it (`mirror_fold`).
     """
 
     tx_position: np.ndarray
@@ -71,22 +83,13 @@ class ScenarioGeometry:
     n_rx_positions: int
 
     def __post_init__(self) -> None:
+        # A straight sweep with both ends in front is in front everywhere.
         for name in ("tx_position", "sweep_start", "sweep_end"):
-            point = vec3(getattr(self, name))
-            if point[2] != 0.0:
-                raise GeometryError(f"{name} must lie in the link plane z = 0, "
-                                    f"got z = {float(point[2])!r} m")
-            object.__setattr__(self, name, point)
+            object.__setattr__(self, name, link_points([getattr(self, name)], name)[0])
         if self.sweep_length_m <= 0.0:
             raise GeometryError("sweep must have positive length")
         if self.n_rx_positions < 2:
             raise GeometryError("n_rx_positions must be >= 2")
-        if self.tx_position[0] <= 0.0:
-            raise GeometryError("TX must be on the illuminated side of the reflector plane (x > 0)")
-        near_x = min(self.sweep_start[0], self.sweep_end[0])
-        if near_x <= 0.0:
-            raise GeometryError(f"the RX sweep reaches x = {near_x:.4f} m; every RX position "
-                                "must be in front of the reflector plane (x > 0)")
 
     @property
     def sweep_length_m(self) -> float:
@@ -515,7 +518,7 @@ def tx_leg(tx: np.ndarray, launch_points: np.ndarray, tx_frame: Frame):
     distances d1 and the departure angles (tx -> launch, degrees, in the TX
     antenna frame), each of shape (N,).
     """
-    to_launch = np.asarray(launch_points, dtype=float) - vec3(tx)[None, :]
+    to_launch = np.asarray(launch_points, dtype=float) - np.asarray(tx)[None, :]
     d1 = np.linalg.norm(to_launch, axis=-1)
     if np.any(d1 == 0.0):
         raise GeometryError("ray launch point coincides with the TX")

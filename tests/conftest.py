@@ -56,10 +56,10 @@ def unfolded_convex_paths(spec, geom, arc_angles, intercepts, tx_frame, rx_frame
 
 def unfolded_sweep_power(scn, rx, mode):
     """Received power of each RX point summed over every ray of the plate with
-    no mirror fold, then a plain row sum in `_ray_sums`. A flat plate sends
-    every facet (and LITERAL's centre ray) through `tx_leg` and
-    `path_geometry_batch`; a convex one sums every height section's own rays
-    (`unfolded_convex_paths`), one position at a time."""
+    no mirror fold, then a row sum in `_ray_sums` over identity columns. A
+    flat plate sends every facet (and LITERAL's centre ray) through `tx_leg`
+    and `path_geometry_batch`; a convex one sums every height section's own
+    rays (`unfolded_convex_paths`), one position at a time."""
     spec = scn.reflector
     frames = antenna_frame(scn.tx_boresight), antenna_frame(scn.rx_boresight)
     if isinstance(spec, FlatReflectorSpec):
@@ -69,7 +69,7 @@ def unfolded_sweep_power(scn, rx, mode):
         d1, tx_az, tx_el = tx_leg(scn.geometry.tx_position, launches, frames[0])
         d, rx_az, rx_el = path_geometry_batch(launches, d1, rx, frames[1])
         total = _ray_sums(scn, d, scn.tx_pattern.gain(tx_az, tx_el), rx_az, rx_el, mode,
-                          spec.facet_count)
+                          spec.facet_count, np.arange(len(launches)))
         return _power_db_from_sum(total, mode)
     angles, intercepts = convex_captures(spec, scn.geometry, rx, scn.rx_pattern)
     total = np.zeros(len(rx), dtype=complex)
@@ -79,7 +79,7 @@ def unfolded_sweep_power(scn, rx, mode):
             spec, scn.geometry, angles[i][kept][None], intercepts[i][kept][None], *frames)
         gain_tx = scn.tx_pattern.gain(tx_az, tx_el)
         (total[i],) = _ray_sums(scn, d, gain_tx, rx_az, rx_el, mode,
-                                scene._HEIGHT_SECTIONS * angles.shape[1])
+                                scene._HEIGHT_SECTIONS * angles.shape[1], np.arange(d.shape[1]))
     return _power_db_from_sum(total, mode)
 
 

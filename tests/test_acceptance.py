@@ -11,16 +11,17 @@ import math
 import time
 
 import numpy as np
+from hypothesis import assume, given, settings, strategies as st
 
 import conftest
 
 from reflectsim.antenna import AntennaPattern, Band
-from reflectsim.config import ScenarioConfig, dump_config, parse_config
+from reflectsim.config import ConfigError, ScenarioConfig, dump_config, parse_config
 from reflectsim.engine import SumMode, sweep_power
 from reflectsim.metrics import analyze, smoothed_envelope_db
 from reflectsim.profile_io import export_profile, import_measured
 from reflectsim.runner import run_sweep, sweep_profile
-from reflectsim.scene import ScenarioGeometry, facetize_flat
+from reflectsim.scene import GeometryError, ScenarioGeometry, facetize_flat
 
 BANDS = (Band.GHZ28, Band.GHZ39, Band.GHZ120)
 
@@ -233,6 +234,48 @@ def test_c7c_efficiency_scaling():
     err = abs(diff + 10.0 * math.log10(k))
     report("C7c efficiency-scaling", err < 1e-9,
            f"|delta - 10*log10(eta)| = {err:.2e} dB (limit 1e-9)")
+
+
+@st.composite
+def _flat_links(draw):
+    """A PHYSICAL flat link with distinct TX and RX horns from the band table,
+    and the same link with its TX and RX swapped."""
+    tx_horn, rx_horn = draw(st.permutations([band.horn for band in BANDS]))[:2]
+    try:
+        config = ScenarioConfig(
+            band=draw(st.sampled_from(BANDS)), reflector_kind="flat", mode=SumMode.PHYSICAL,
+            tx_range_m=draw(st.floats(0.5, 5.0)), rx_range_m=draw(st.floats(0.5, 5.0)),
+            incidence_deg=draw(st.floats(0.0, 60.0)), sweep_offset_m=draw(st.floats(-1.0, 1.0)),
+            facets_per_side=draw(st.integers(1, 8)))
+    except ConfigError:  # a sweep that reaches behind the plate
+        assume(False)
+    scn = dataclasses.replace(config.to_scenario(), tx_pattern=tx_horn, rx_pattern=rx_horn)
+    try:
+        swapped = _swapped_link(scn, scn.geometry.sweep_midpoint)
+    except GeometryError:  # a swapped sweep that reaches behind the plate
+        assume(False)
+    return scn, swapped
+
+
+@given(link=_flat_links(), d_ref_shift=st.floats(1.0, 5.0), eta=st.floats(0.05, 1.0))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_c7abc_hold_on_random_flat_links(link, d_ref_shift, eta):
+    # C7a-C7c on random asymmetric flat links, at the sweep midpoint, where
+    # the swapped horns aim as the originals do. A RuntimeWarning is an error.
+    scn, swapped = link
+    rx = scn.geometry.sweep_midpoint[None, :]
+
+    def power(s, point=rx):
+        (p,) = sweep_power(s, point, SumMode.PHYSICAL)
+        assert np.isfinite(p)
+        return p
+
+    base = power(scn)
+    assert abs(base - power(swapped, scn.geometry.tx_position[None, :])) < 1e-9
+    assert abs(base - power(dataclasses.replace(scn, d_ref_m=scn.d_ref_m + d_ref_shift))) < 1e-9
+    part = dataclasses.replace(scn.reflector, reflection_efficiency=eta)
+    scaled = power(dataclasses.replace(scn, reflector=part))
+    assert abs(base + 10.0 * math.log10(eta) - scaled) < 1e-9
 
 
 def test_c7d_attenuation_ordering():

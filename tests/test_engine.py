@@ -93,7 +93,7 @@ def boresight_amplitudes(distance_m):
     d = np.asarray(distance_m, dtype=float)[:, None]
     zero = np.zeros_like(d)
     gain_tx = BORESIGHT_SCENARIO.tx_pattern.gain(zero, zero)
-    return _ray_sums(BORESIGHT_SCENARIO, d, gain_tx, zero, zero, SumMode.PHYSICAL, 1)
+    return _ray_sums(BORESIGHT_SCENARIO, d, gain_tx, zero, zero, SumMode.PHYSICAL, 1, np.arange(1))
 
 
 def test_contribution_at_reference_distance_is_real_positive():

@@ -37,13 +37,16 @@ TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collecti
 
 # (file, old text, new text, rule guarded, expected outcome)
 MUTANTS = [
-    ("engine.py", "behind = rx[:, 0] <= 0.0", "behind = rx[:, 0] < 0.0",
-     "an RX point in the plate plane x = 0 is rejected", "killed"),
-    ("engine.py", "if rx.ndim != 2 or rx.shape[1] != 3:", "if False:",
+    ("scene.py", "behind = p[:, 0] <= 0.0", "behind = p[:, 0] < 0.0",
+     "a link point in the plate plane x = 0 is rejected", "killed"),
+    ("scene.py", "if p.ndim != 2 or p.shape[1] != 3:", "if False:",
      "RX points that are not an (M, 3) array are rejected", "killed"),
-    ("engine.py", "not_finite = ~np.isfinite(rx).all(axis=1)",
-     "not_finite = np.zeros(len(rx), dtype=bool)",
-     "a non-finite RX point is rejected before any ray is solved", "killed"),
+    ("scene.py", "not_finite = ~np.isfinite(p).all(axis=1)",
+     "not_finite = np.zeros(len(p), dtype=bool)",
+     "a non-finite link point is rejected before any ray is solved", "killed"),
+    ("scene.py", 'for name in ("tx_position", "sweep_start", "sweep_end"):',
+     'for name in ("sweep_start", "sweep_end"):',
+     "the TX is held to the link-point rule with the sweep ends", "killed"),
     ("engine.py", "terms = np.take(terms, columns, axis=1)", "terms = terms[:, columns]",
      "a folded row is gathered C-contiguous, so it sums as its unfolded row", "killed"),
     ("engine.py", "step = max(1, _RAY_BLOCK // columns.size)",
