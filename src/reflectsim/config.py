@@ -154,14 +154,10 @@ class ScenarioConfig:
         # The label names the output files inside output.dir.
         _check(os.path.basename(self.label) == self.label, "output.label",
                "must be a file name, not a path")
-        # A field of the other reflector kind would be ignored by to_scenario()
-        # and dropped by dump_config().
-        other, foreign = (("convex", _CONVEX_ONLY_KEYS) if self.reflector_kind == "flat"
-                          else ("flat", _FLAT_ONLY_KEYS))
-        for key in sorted(foreign):
+        for key, kind in _KIND_KEYS.items():
             name = _KEY_TABLE[key][0]
-            _check(getattr(self, name) == _DEFAULTS[name], key,
-                   f"only valid for {other} reflectors")
+            _check(kind == self.reflector_kind or getattr(self, name) == _DEFAULTS[name], key,
+                   f"only valid for {kind} reflectors")
         _check(self.facets_per_side is None or 1 <= self.facets_per_side <= _MAX_FACETS_PER_SIDE,
                "reflector.facets_per_side", f"must be in [1, {_MAX_FACETS_PER_SIDE}] or 'auto'")
         _check(0.0 < self.reflection_efficiency <= 1.0,
@@ -324,8 +320,10 @@ _LENGTH_KEYS = {key for key, (_, parse) in _KEY_TABLE.items()
                 if parse is _parse_length and key != "reflector.radius_of_curvature"}
 _DEFAULTS = {field.name: field.default for field in dataclasses.fields(ScenarioConfig)}
 
-_FLAT_ONLY_KEYS = {"reflector.facets_per_side"}
-_CONVEX_ONLY_KEYS = {"reflector.radius_of_curvature"}
+# Key -> the one reflector kind that reads it. A field of the other kind would
+# be ignored by to_scenario() and dropped by dump_config(), so a config of the
+# other kind must leave it at its default, and a document must not set it.
+_KIND_KEYS = {"reflector.facets_per_side": "flat", "reflector.radius_of_curvature": "convex"}
 # Keys that place the RX sweep together.
 _SWEEP_KEYS = ("geometry.rx_range", "geometry.incidence_deg",
                "geometry.sweep_length", "geometry.sweep_offset")
@@ -373,11 +371,10 @@ def parse_config(text: str, overrides: Optional[Mapping[str, str]] = None) -> Sc
     if "band" not in values:
         raise ConfigError("band is required (set 'band = ...' or pass --band)", key="band")
     kind = values.get("reflector_kind", "flat")
-    other, foreign = ("convex", _CONVEX_ONLY_KEYS) if kind == "flat" else ("flat", _FLAT_ONLY_KEYS)
-    misplaced = [key for key in seen if key in foreign]
+    misplaced = [key for key in seen if _KIND_KEYS.get(key, kind) != kind]
     if misplaced:
         key = misplaced[0]
-        raise ConfigError(f"only valid for {other} reflectors", key=key, line=seen[key])
+        raise ConfigError(f"only valid for {_KIND_KEYS[key]} reflectors", key=key, line=seen[key])
     if kind == "convex" and "radius_of_curvature_m" not in values:
         raise ConfigError("required for convex reflectors", key="reflector.radius_of_curvature")
 
@@ -395,10 +392,9 @@ def parse_config(text: str, overrides: Optional[Mapping[str, str]] = None) -> Sc
 
 def dump_config(config: ScenarioConfig) -> str:
     """Canonical text form; parses back to an equal config."""
-    skip = _CONVEX_ONLY_KEYS if config.reflector_kind == "flat" else _FLAT_ONLY_KEYS
     lines = []
     for key in _KEY_TABLE:
-        if key in skip:
+        if _KIND_KEYS.get(key, config.reflector_kind) != config.reflector_kind:
             continue
         field_name, _ = _KEY_TABLE[key]
         value = getattr(config, field_name)

@@ -22,9 +22,6 @@ from .scene import (
 
 FOUR_PI = 4.0 * math.pi
 
-# Sentinel for "no capturable field at this RX position".
-NO_POWER_DB = float("-inf")
-
 # Rays per sweep block, for both shapes: bounds the (positions x rays) arrays
 # of a flat block and the (positions x sections x rays) arrays of a convex one.
 # A larger block makes fewer numpy calls per ray, so a sweep's two threads
@@ -63,15 +60,11 @@ class SumMode(enum.Enum):
 
 
 def _power_db_from_sum(total: np.ndarray, mode: SumMode) -> np.ndarray:
-    """Power (dB) of each coherent sum; a zero sum maps to the -inf sentinel."""
-    mag = np.abs(total)
-    out = np.full(mag.shape, NO_POWER_DB)
-    nz = mag > 0.0
-    if mode is SumMode.PHYSICAL:
-        out[nz] = 20.0 * np.log10(mag[nz])  # |sum|^2 in dB
-    else:
-        out[nz] = 10.0 * np.log10(mag[nz])
-    return out
+    """Power (dB) of each coherent sum: |sum|^2 in PHYSICAL mode, |sum| in
+    LITERAL. A zero sum is the -inf no-capture sentinel (log10(0)); a NaN sum
+    stays NaN, and PowerProfile rejects it."""
+    with np.errstate(divide="ignore"):
+        return (20.0 if mode is SumMode.PHYSICAL else 10.0) * np.log10(np.abs(total))
 
 
 def _ray_sums(scenario: Scenario, d: np.ndarray, gain_tx: np.ndarray, rx_az: np.ndarray,

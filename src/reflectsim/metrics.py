@@ -19,6 +19,26 @@ MIN_ANALYZE_SAMPLES = 101
 MAX_ABS_POWER_DB = 3000.0
 
 
+def first_bad_sample(positions: np.ndarray, powers: np.ndarray) -> Optional[tuple[int, str]]:
+    """Index and reason of the first sample of two equal-length float arrays
+    that breaks a profile rule, or None. A sample's position is finite and
+    above the one before it, and its power is -inf (the no-capture sentinel)
+    or within MAX_ABS_POWER_DB. Written as "ok" rules, so NaN breaks them."""
+    ok = np.stack([
+        np.isfinite(positions),
+        np.r_[True, positions[1:] > positions[:-1]],
+        (np.abs(powers) <= MAX_ABS_POWER_DB) | np.isneginf(powers),
+    ])
+    if ok.all():
+        return None
+    i = int(np.argmin(ok.all(axis=0)))
+    rule = int(np.argmin(ok[:, i]))
+    reason = ("position must be finite", "positions must be strictly increasing",
+              f"power must be -inf or in [-{MAX_ABS_POWER_DB:g}, {MAX_ABS_POWER_DB:g}] dB"
+              " (no NaN or +inf)")[rule]
+    return i, f"{reason}, got {float((powers if rule == 2 else positions)[i])!r}"
+
+
 @dataclass(frozen=True, eq=False)
 class PowerProfile:
     """Received power (dB) indexed by position along the linear RX sweep."""
@@ -36,16 +56,9 @@ class PowerProfile:
             raise ValueError("positions and powers must have equal length")
         if pos.size == 0:
             raise ValueError("profile must contain at least one sample")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
-        if not np.all(np.diff(pos) > 0.0):
-            raise ValueError("positions must be strictly increasing")
-        # -inf is the no-capture sentinel; NaN fails the bound.
-        if not np.all((np.abs(pwr) <= MAX_ABS_POWER_DB) | np.isneginf(pwr)):
-            raise ValueError(
-                f"powers must be -inf or in [-{MAX_ABS_POWER_DB:g}, {MAX_ABS_POWER_DB:g}] dB"
-                " (no NaN or +inf)"
-            )
+        bad = first_bad_sample(pos, pwr)
+        if bad is not None:
+            raise ValueError(f"sample {bad[0]}: {bad[1]}")
 
     def __len__(self) -> int:
         return int(self.positions_m.size)
@@ -114,10 +127,8 @@ def smoothed_envelope_db(power_db: np.ndarray) -> np.ndarray:
     sums = np.convolve(linear, kernel, mode="same")
     counts = np.convolve(np.isfinite(pwr).astype(float), kernel, mode="same")
     mean = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0.0)
-    out = np.full(mean.shape, -np.inf)
-    nz = mean > 0.0
-    out[nz] = 10.0 * np.log10(mean[nz])
-    return out
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(mean)
 
 
 def _detrended(power: np.ndarray, envelope: np.ndarray) -> np.ndarray:

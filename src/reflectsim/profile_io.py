@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .metrics import MAX_ABS_POWER_DB, PowerProfile
+from .metrics import PowerProfile, first_bad_sample
 
 _CSV_HEADER = "position_m,power_db"
 
@@ -35,6 +34,7 @@ def import_measured(path: Union[str, Path]) -> PowerProfile:
     """Read a measured profile from CSV in the export schema.
 
     Extra columns are ignored; the profile label is taken from the filename.
+    The samples are held to `PowerProfile`'s rules, and an error names its row.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -57,6 +57,7 @@ def import_measured(path: Union[str, Path]) -> PowerProfile:
             f"{path}: header must contain position_m and power_db columns"
         ) from None
 
+    rows: list[int] = []
     positions: list[float] = []
     powers: list[float] = []
     for row_no, raw in enumerate(lines[1:], start=2):
@@ -66,29 +67,15 @@ def import_measured(path: Union[str, Path]) -> PowerProfile:
         if len(cells) < len(header):
             raise ProfileFormatError(f"{path}: row {row_no}: expected {len(header)} columns")
         try:
-            pos = float(cells[pos_col])
-            pwr = float(cells[pwr_col])
+            positions.append(float(cells[pos_col]))
+            powers.append(float(cells[pwr_col]))
         except ValueError:
             raise ProfileFormatError(f"{path}: row {row_no}: non-numeric value") from None
-        if not math.isfinite(pos):
-            raise ProfileFormatError(f"{path}: row {row_no}: position must be finite")
-        # -inf is the no-capture sentinel that export_profile writes.
-        if not (abs(pwr) <= MAX_ABS_POWER_DB or pwr == -math.inf):
-            raise ProfileFormatError(
-                f"{path}: row {row_no}: power must be -inf or in "
-                f"[-{MAX_ABS_POWER_DB:g}, {MAX_ABS_POWER_DB:g}] dB, got {pwr!r}"
-            )
-        if positions and pos <= positions[-1]:
-            raise ProfileFormatError(
-                f"{path}: row {row_no}: positions must be strictly increasing"
-            )
-        positions.append(pos)
-        powers.append(pwr)
-    if not positions:
+        rows.append(row_no)
+    if not rows:
         raise ProfileFormatError(f"{path}: no data rows")
-
-    return PowerProfile(
-        positions_m=np.array(positions),
-        power_db=np.array(powers),
-        label=path.stem,
-    )
+    positions_m, power_db = np.array(positions), np.array(powers)
+    bad = first_bad_sample(positions_m, power_db)
+    if bad is not None:
+        raise ProfileFormatError(f"{path}: row {rows[bad[0]]}: {bad[1]}")
+    return PowerProfile(positions_m=positions_m, power_db=power_db, label=path.stem)

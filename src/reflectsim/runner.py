@@ -6,10 +6,10 @@ import os
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .engine import SumMode, sweep_power
 from .metrics import PowerProfile
-from .scene import Scenario
+from .scene import GeometryError, Scenario
 
 # Threads per sweep. Every position is computed on its own, so contiguous
 # chunks of the sweep give the same bits as one call over the whole sweep.
@@ -46,5 +46,11 @@ def sweep_profile(scenario: Scenario, mode: SumMode) -> PowerProfile:
 
 
 def run_sweep(config: ScenarioConfig) -> PowerProfile:
-    """Run the sweep described by a config; deterministic for a fixed config."""
-    return sweep_profile(config.to_scenario(), config.mode)
+    """Run the sweep described by a config; deterministic for a fixed config.
+    A plate too wide for its curvature at this link fails the convex capture
+    solve, a `GeometryError` raised here as a `ConfigError` on the radius."""
+    try:
+        return sweep_profile(config.to_scenario(), config.mode)
+    except GeometryError as exc:
+        raise ConfigError(f"{exc}; lower reflector.width or raise this radius",
+                          key="reflector.radius_of_curvature") from None

@@ -85,7 +85,11 @@ class ScenarioGeometry:
     def __post_init__(self) -> None:
         # A straight sweep with both ends in front is in front everywhere.
         for name in ("tx_position", "sweep_start", "sweep_end"):
-            object.__setattr__(self, name, link_points([getattr(self, name)], name)[0])
+            point = np.asarray(getattr(self, name), dtype=float)
+            if point.shape != (3,):
+                raise GeometryError(f"{name} must be a point of shape (3,), "
+                                    f"got shape {point.shape}")
+            object.__setattr__(self, name, link_points(point[None], name)[0])
         if self.sweep_length_m <= 0.0:
             raise GeometryError("sweep must have positive length")
         if self.n_rx_positions < 2:

@@ -278,6 +278,52 @@ def test_c7abc_hold_on_random_flat_links(link, d_ref_shift, eta):
     assert abs(base + 10.0 * math.log10(eta) - scaled) < 1e-9
 
 
+@st.composite
+def _convex_links(draw):
+    """A PHYSICAL convex link of 51 positions with distinct TX and RX horns
+    from the band table."""
+    tx_horn, rx_horn = draw(st.permutations([band.horn for band in BANDS]))[:2]
+    try:
+        config = ScenarioConfig(
+            band=draw(st.sampled_from(BANDS)), reflector_kind="convex", mode=SumMode.PHYSICAL,
+            tx_range_m=draw(st.floats(0.5, 5.0)), rx_range_m=draw(st.floats(0.5, 5.0)),
+            incidence_deg=draw(st.floats(0.0, 60.0)), sweep_offset_m=draw(st.floats(-1.0, 1.0)),
+            radius_of_curvature_m=draw(st.floats(0.25, 20.0)), n_positions=51)
+    except ConfigError:  # a sweep that reaches behind the plate
+        assume(False)
+    return dataclasses.replace(config.to_scenario(), tx_pattern=tx_horn, rx_pattern=rx_horn)
+
+
+@given(scn=_convex_links(), d_ref_shift=st.floats(1.0, 5.0), eta=st.floats(0.05, 1.0))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_mirror_and_c7bc_hold_on_random_convex_links(scn, d_ref_shift, eta):
+    # At every position: mirroring the link through y = 0, a phase-reference
+    # shift and an efficiency step. A RuntimeWarning is an error.
+    g = scn.geometry
+    flip = np.array([1.0, -1.0, 1.0])
+    mirrored = dataclasses.replace(scn, geometry=ScenarioGeometry(
+        flip * g.tx_position, flip * g.sweep_start, flip * g.sweep_end, g.n_rx_positions))
+    assert np.array_equal(mirrored.geometry.rx_positions(), flip * g.rx_positions())
+
+    def power(s):
+        return sweep_power(s, s.geometry.rx_positions(), SumMode.PHYSICAL)
+
+    try:
+        base = power(scn)
+    except GeometryError as exc:  # a plate too wide for this link
+        assume("not monotone" not in str(exc))
+        raise
+    uncaptured = np.isneginf(base)
+    assert np.all(np.isfinite(base[~uncaptured]))
+    for other, shift in ((mirrored, 0.0),
+                         (dataclasses.replace(scn, d_ref_m=scn.d_ref_m + d_ref_shift), 0.0),
+                         (dataclasses.replace(scn, reflector=dataclasses.replace(
+                             scn.reflector, reflection_efficiency=eta)), 10.0 * math.log10(eta))):
+        got = power(other)
+        assert np.array_equal(np.isneginf(got), uncaptured)
+        assert np.max(np.abs(got[~uncaptured] - base[~uncaptured] - shift), initial=0.0) < 1e-9
+
+
 def test_c7d_attenuation_ordering():
     radii = (0.25, 0.5, 1.0, 10.0, 1e5)
     flat = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario()

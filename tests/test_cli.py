@@ -257,6 +257,19 @@ def test_compare_against_exported_measurement(tmp_path, capsys):
     assert report["n_excluded"] == 0
 
 
+def test_plate_too_wide_for_its_curvature_is_validation_error(tmp_path, capsys):
+    # The config is valid, but its arc reflects the capture lines out of
+    # order at sweep time: that names the radius (exit 1), not a crash (2).
+    cfg = write_config(tmp_path, "band = 28\nreflector.kind = convex\nreflector.width = 20\n"
+                       "reflector.radius_of_curvature = 10.1\ngeometry.n_positions = 101\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: reflector.radius_of_curvature: "
+                          "arc reflection map is not monotone for this geometry")
+    assert "reflector.width" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_missing_measured_file_is_runtime_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["compare", "--config", str(cfg), str(tmp_path / "nope.csv")]) == 2

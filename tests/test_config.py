@@ -190,7 +190,7 @@ def test_non_finite_number_rejected_with_key_and_line(key, value, tmp_path, caps
     assert {"reflector.radius_of_curvature", "reflector.width",
             "geometry.tx_range"} <= set(NUMBER_KEYS)
     lines = ["band = 28"]
-    if key in config_module._CONVEX_ONLY_KEYS:
+    if config_module._KIND_KEYS.get(key) == "convex":
         lines.append("reflector.kind = convex")
         if key != "reflector.radius_of_curvature":
             lines.append("reflector.radius_of_curvature = 0.5")
@@ -291,7 +291,7 @@ OUT_OF_RANGE = [
 @pytest.mark.parametrize("key, value", OUT_OF_RANGE)
 def test_out_of_range_value_names_its_key_and_line(key, value, tmp_path, capsys):
     lines = ["# out-of-range probe", "band = 28"]
-    if key in config_module._CONVEX_ONLY_KEYS:
+    if config_module._KIND_KEYS.get(key) == "convex":
         lines.append("reflector.kind = convex")
         if key != "reflector.radius_of_curvature":
             lines.append("reflector.radius_of_curvature = 0.5")
@@ -397,7 +397,7 @@ def test_length_keys_share_one_range():
     convex = dict(reflector_kind="convex", radius_of_curvature_m=0.5)
     for key in sorted(config_module._LENGTH_KEYS):
         field = config_module._KEY_TABLE[key][0]
-        kind = convex if key in config_module._CONVEX_ONLY_KEYS else {}
+        kind = convex if config_module._KIND_KEYS.get(key) == "convex" else {}
         # The offset may be 0 or negative: only its magnitude is bounded.
         below = (-math.nextafter(hi, math.inf) if key == "geometry.sweep_offset"
                  else math.nextafter(lo, 0.0))
@@ -591,7 +591,7 @@ def _magnitude(signed):
 @st.composite
 def _documents(draw):
     kind = draw(st.sampled_from(["flat", "convex"]))
-    foreign = config_module._FLAT_ONLY_KEYS if kind == "convex" else config_module._CONVEX_ONLY_KEYS
+    foreign = {key for key, only in config_module._KIND_KEYS.items() if only != kind}
     keys = draw(st.lists(st.sampled_from(sorted(set(_VALUES) - foreign)), unique=True, max_size=8))
     # The default 1800 positions would make a convex example take seconds.
     keys += [key for key in ("geometry.n_positions", "reflector.radius_of_curvature")

@@ -285,3 +285,34 @@ def test_profile_bounds_the_power_so_analyze_stays_finite():
     # Warnings are errors here: the loudest allowed profile analyzes cleanly.
     stats = analyze(PowerProfile(pos, np.full(200, 3000.0)))
     assert np.isfinite(stats.envelope_dynamic_range_db)
+
+
+@pytest.mark.parametrize(
+    "positions, powers, index, reason",
+    [
+        ([0.0, 0.5, 0.5], [0.0, 0.0, 0.0], 2,
+         "positions must be strictly increasing, got 0.5"),
+        ([0.0, np.nan, 1.0], [0.0, 0.0, 0.0], 1, "position must be finite, got nan"),
+        ([0.0, 0.5, 1.0], [0.0, -np.inf, 3000.5], 2,
+         "power must be -inf or in [-3000, 3000] dB (no NaN or +inf), got 3000.5"),
+        # The first sample that breaks a rule is named, by its first rule.
+        ([0.0, 1.0, 0.5], [np.nan, 0.0, 0.0], 0,
+         "power must be -inf or in [-3000, 3000] dB (no NaN or +inf), got nan"),
+        ([np.inf, 1.0], [np.nan, 0.0], 0, "position must be finite, got inf"),
+    ],
+)
+def test_profile_names_the_first_sample_that_breaks_a_rule(positions, powers, index, reason):
+    with pytest.raises(ValueError) as info:
+        PowerProfile(positions, powers)
+    assert str(info.value) == f"sample {index}: {reason}"
+
+
+def test_envelope_of_a_nan_power_is_nan_not_the_sentinel():
+    # Only a window without a finite sample is -inf; a NaN is not one.
+    power = np.full(200, -60.0)
+    power[150:] = -np.inf
+    power[20] = np.nan
+    envelope = smoothed_envelope_db(power)
+    assert np.all(np.isnan(envelope[:46]))
+    assert np.all(np.isfinite(envelope[46:175]))
+    assert np.all(np.isneginf(envelope[175:]))

@@ -128,3 +128,12 @@ def test_import_rejects_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(ProfileFormatError, match="empty"):
         import_measured(path)
+
+
+def test_import_names_the_row_past_blank_lines(tmp_path):
+    # Blank lines are skipped, but a rule broken by a sample names its row.
+    path = tmp_path / "gaps.csv"
+    path.write_text("position_m,power_db\n0.0,-54.0\n\n0.001,-55.0\n\n\n0.001,-56.0\n")
+    with pytest.raises(ProfileFormatError, match=re.escape(
+            f"{path}: row 7: positions must be strictly increasing, got 0.001")):
+        import_measured(path)

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from reflectsim import runner
 from reflectsim.antenna import Band
-from reflectsim.config import ScenarioConfig, parse_config
+from reflectsim.config import ConfigError, ScenarioConfig, parse_config
 from reflectsim.engine import SumMode, sweep_power
 from reflectsim.runner import run_sweep, sweep_profile
 from reflectsim.scene import GeometryError
@@ -90,3 +91,25 @@ def test_error_in_second_chunk_surfaces(monkeypatch):
     monkeypatch.setattr(runner, "sweep_power", fail_on_second)
     with pytest.raises(GeometryError, match="coincides with the RX"):
         sweep_profile(scn, SumMode.PHYSICAL)
+
+
+@pytest.mark.parametrize("mode", list(SumMode))
+def test_nan_sum_is_an_error_not_a_coverage_hole(mode):
+    # A NaN alpha makes every coherent sum NaN. The -inf no-capture sentinel
+    # comes only from a zero sum, so the profile rejects the NaN.
+    scn = ScenarioConfig(band=Band.GHZ28, n_positions=5).to_scenario()
+    bad = dataclasses.replace(scn, alpha=float("nan"))
+    assert np.all(np.isnan(sweep_power(bad, scn.geometry.rx_positions(), mode)))
+    with pytest.raises(ValueError, match=r"sample 0: power .* \(no NaN or \+inf\), got nan"):
+        sweep_profile(bad, mode)
+
+
+def test_plate_too_wide_for_its_curvature_names_the_radius():
+    config = parse_config("band = 28\nreflector.kind = convex\nreflector.width = 20\n"
+                          "reflector.radius_of_curvature = 10.1\ngeometry.n_positions = 101\n")
+    with pytest.raises(ConfigError, match="not monotone.*reflector.width") as info:
+        run_sweep(config)
+    assert (info.value.key, info.value.line) == ("reflector.radius_of_curvature", None)
+    # sweep_profile, below the config, still raises the geometry error.
+    with pytest.raises(GeometryError, match="not monotone"):
+        sweep_profile(config.to_scenario(), config.mode)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -822,6 +823,18 @@ def test_geometry_rejects_a_point_that_is_not_finite():
     with pytest.raises(GeometryError,
                        match=r"tx_position must be finite, got \[1\.0, nan, 0\.0\]"):
         ScenarioGeometry(np.array([1.0, np.nan, 0.0]), g.sweep_start, g.sweep_end, 1800)
+
+
+@pytest.mark.parametrize("name", ["tx_position", "sweep_start", "sweep_end"])
+@pytest.mark.parametrize("point", [[1.0, 0.0], [[1.0, 0.0, 0.0]], 1.0, [1.0, 0.0, 0.0, 0.0]])
+def test_geometry_point_that_is_not_one_3_vector_names_its_field_and_shape(name, point):
+    g = ScenarioConfig(band=Band.GHZ28, reflector_kind="flat").to_scenario().geometry
+    fields = {f: getattr(g, f) for f in ("tx_position", "sweep_start", "sweep_end")}
+    fields[name] = point
+    shape = np.shape(point)
+    with pytest.raises(GeometryError, match=re.escape(
+            f"{name} must be a point of shape (3,), got shape {shape}")):
+        ScenarioGeometry(**fields, n_rx_positions=1800)
 
 
 def test_default_scenario_unknown_inputs():

@@ -101,6 +101,29 @@ MUTANTS = [
      "an incidence of 90 degrees is rejected",
      "equivalent: a 90-degree config is still rejected, by the sweep-in-front rule "
      "with that rule's message"),
+    ("config.py", '_KIND_KEYS = {"reflector.facets_per_side": "flat", ', "_KIND_KEYS = {",
+     "a key of one reflector kind is rejected on a config of the other", "killed"),
+    ("config.py", "misplaced = [key for key in seen if _KIND_KEYS.get(key, kind) != kind]",
+     "misplaced = []",
+     "a document may not set a key of the other kind, even to its default", "killed"),
+    ("config.py",
+     "if _KIND_KEYS.get(key, config.reflector_kind) != config.reflector_kind:", "if False:",
+     "dump_config leaves out the keys of the other kind", "killed"),
+    ("engine.py", 'with np.errstate(divide="ignore"):', "with np.errstate():",
+     "a zero coherent sum is the -inf sentinel, with no RuntimeWarning", "killed"),
+    ("metrics.py", 'with np.errstate(divide="ignore"):', "with np.errstate():",
+     "a smoothing window without a finite sample is -inf, with no RuntimeWarning", "killed"),
+    ("metrics.py", "np.r_[True, positions[1:] > positions[:-1]]",
+     "np.r_[True, positions[1:] >= positions[:-1]]",
+     "a profile position equal to the one before it is rejected", "killed"),
+    ("metrics.py", "| np.isneginf(powers)", "| np.isinf(powers)",
+     "a +inf power is rejected; only -inf is the sentinel", "killed"),
+    ("profile_io.py", "row {rows[bad[0]]}", "row {bad[0] + 2}",
+     "a sample's error names its CSV row, past skipped blank lines", "killed"),
+    ("runner.py", 'key="reflector.radius_of_curvature"', 'key="reflector.width"',
+     "a sweep-time geometry error of a config names the curvature radius", "killed"),
+    ("scene.py", "if point.shape != (3,):", "if False:",
+     "a geometry point that is not one 3-vector names its field and shape", "killed"),
 ]
 
 
