@@ -47,10 +47,14 @@ def sweep_profile(scenario: Scenario, mode: SumMode) -> PowerProfile:
 
 def run_sweep(config: ScenarioConfig) -> PowerProfile:
     """Run the sweep described by a config; deterministic for a fixed config.
-    A plate too wide for its curvature at this link fails the convex capture
-    solve, a `GeometryError` raised here as a `ConfigError` on the radius."""
+    A sweep-time `GeometryError` is a `ConfigError` on the key that causes it:
+    the radius if the capture map is not monotone, else (a reflected ray runs
+    vertical, the one other error a config reaches) the plate height."""
     try:
         return sweep_profile(config.to_scenario(), config.mode)
     except GeometryError as exc:
-        raise ConfigError(f"{exc}; lower reflector.width or raise this radius",
-                          key="reflector.radius_of_curvature") from None
+        if "not monotone" in str(exc):
+            raise ConfigError(f"{exc}; lower reflector.width or raise this radius",
+                              key="reflector.radius_of_curvature") from None
+        raise ConfigError(f"{exc}; lower this height or raise geometry.tx_range",
+                          key="reflector.height") from None

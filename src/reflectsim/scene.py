@@ -17,8 +17,6 @@ from .antenna import AntennaPattern, Band
 INCH_M = 0.0254
 REFLECTOR_SIDE_16IN_M = 16 * INCH_M  # 0.4064 m
 
-_UP = np.array([0.0, 0.0, 1.0])
-
 # Every convex plate is summed as 16 height sections x 32 azimuth targets:
 # 512 rays per RX position.
 _HEIGHT_SECTIONS = 16
@@ -192,6 +190,12 @@ class Scenario:
     d_ref_m: float             # phase-reference path length
     alpha: float               # attenuation factor applied to every ray
     label: str
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.alpha <= 1.0:  # NaN fails it too
+            raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
+        if not math.isfinite(self.d_ref_m):
+            raise ValueError(f"d_ref_m must be finite, got {self.d_ref_m!r}")
 
     @property
     def wavelength_m(self) -> float:
@@ -445,10 +449,11 @@ def convex_path_geometry_batch(
     tx = geom.tx_position
 
     # TX -> launch leg, component by component: x and y are shared by every
-    # section, and d1 sums (x*x + y*y) + z*z, the order of np.linalg.norm.
+    # section, z is the section height (the TX lies in z = 0), and d1 sums
+    # (x*x + y*y) + z*z, the order of np.linalg.norm.
     x = arc_x - tx[0]
     y = arc_y - tx[1]
-    z = (heights - tx[2])[:, None]                                   # (H, 1)
+    z = heights[:, None]                                             # (H, 1)
     d1 = np.sqrt((x * x + y * y)[:, None] + z * z)                   # (G, H, K)
     ux = x[:, None] / d1
     uy = y[:, None] / d1
@@ -485,22 +490,13 @@ def convex_path_geometry_batch(
 
 
 def antenna_frame(boresight: np.ndarray) -> Frame:
-    """The unit boresight and the azimuth and elevation axes of an antenna,
-    split by the global vertical. A sweep builds each frame once."""
+    """The unit boresight b and the azimuth and elevation axes of an antenna.
+    b lies in the link plane z = 0 (`link_points`), so e_az is horizontal and
+    e_el = b x e_az points up. A sweep builds each frame once."""
     b = unit(boresight)
-    if abs(float(np.dot(b, _UP))) > 0.999:
-        raise GeometryError("vertical antenna boresights are not supported")
-    e_az = unit(_cross(_UP, b))
-    e_el = _cross(b, e_az)
+    e_az = unit(np.array([-b[1], b[0], 0.0]))
+    e_el = np.array([0.0, 0.0, b[0] * e_az[1] - b[1] * e_az[0]])
     return b, e_az, e_el
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b of two 3-vectors, formed component by component in np.cross's
-    own order, so it has np.cross's bits at a small part of its call cost."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def offset_angles_deg(directions: np.ndarray, frame: Frame):

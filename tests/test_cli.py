@@ -270,6 +270,19 @@ def test_plate_too_wide_for_its_curvature_is_validation_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_plate_too_tall_for_its_link_is_validation_error(tmp_path, capsys):
+    # A reflected ray off a plate 1e9 m tall, 1 mm from the TX, runs vertical
+    # at sweep time: that names the height (exit 1), not the radius.
+    cfg = write_config(tmp_path, "band = 28\nreflector.kind = convex\n"
+                       "reflector.radius_of_curvature = 0.5\nreflector.height = 1e9\n"
+                       "geometry.tx_range = 1e-3\ngeometry.n_positions = 11\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: reflector.height: reflected ray is vertical")
+    assert "radius" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_missing_measured_file_is_runtime_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["compare", "--config", str(cfg), str(tmp_path / "nope.csv")]) == 2

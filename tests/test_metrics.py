@@ -139,6 +139,21 @@ def test_fringes_of_the_golden_profiles_match_scipy_find_peaks():
         assert np.array_equal(actual, expected), name
 
 
+def test_stats_read_the_peak_off_the_profile_and_the_decay_from_it():
+    # A lobe at 0.6 m on a falling floor, over 301 samples. The peak is the
+    # profile's own maximum and its position, not the envelope's; the decay
+    # runs from the envelope at the peak to the sweep end, and the dynamic
+    # range is the envelope's maximum minus its minimum.
+    x = np.linspace(0.0, 1.8, 301)
+    power = -60.0 - 5.0 * x + 20.0 * np.exp(-(((x - 0.6) / 0.1) ** 2))
+    stats = analyze(make_profile(power, x))
+    env = smoothed_envelope_db(power)
+    assert (stats.peak_db, stats.peak_position_m) == (power[100], x[100])
+    assert stats.peak_db == power.max() > env.max() + 1.0
+    assert stats.rhs_decay_db == env[-1] - env[100] != env[-1] - env[0]
+    assert stats.envelope_dynamic_range_db == env.max() - env.min()
+
+
 def test_analyze_requires_enough_samples():
     with pytest.raises(ValueError, match="at least"):
         analyze(make_profile(np.zeros(100)))

@@ -95,13 +95,15 @@ def test_error_in_second_chunk_surfaces(monkeypatch):
 
 @pytest.mark.parametrize("mode", list(SumMode))
 def test_nan_sum_is_an_error_not_a_coverage_hole(mode):
-    # A NaN alpha makes every coherent sum NaN. The -inf no-capture sentinel
-    # comes only from a zero sum, so the profile rejects the NaN.
-    scn = ScenarioConfig(band=Band.GHZ28, n_positions=5).to_scenario()
-    bad = dataclasses.replace(scn, alpha=float("nan"))
-    assert np.all(np.isnan(sweep_power(bad, scn.geometry.rx_positions(), mode)))
-    with pytest.raises(ValueError, match=r"sample 0: power .* \(no NaN or \+inf\), got nan"):
-        sweep_profile(bad, mode)
+    # A NaN TX power makes every coherent sum NaN, on either plate. The -inf
+    # no-capture sentinel comes only from a zero sum, so the profile rejects
+    # the NaN.
+    for kind in ("flat", "convex"):
+        scn = ScenarioConfig(band=Band.GHZ28, reflector_kind=kind, n_positions=5).to_scenario()
+        bad = dataclasses.replace(scn, tx_power_dbm=float("nan"))
+        assert np.all(np.isnan(sweep_power(bad, scn.geometry.rx_positions(), mode)))
+        with pytest.raises(ValueError, match=r"sample 0: power .* \(no NaN or \+inf\), got nan"):
+            sweep_profile(bad, mode)
 
 
 def test_plate_too_wide_for_its_curvature_names_the_radius():
@@ -113,3 +115,16 @@ def test_plate_too_wide_for_its_curvature_names_the_radius():
     # sweep_profile, below the config, still raises the geometry error.
     with pytest.raises(GeometryError, match="not monotone"):
         sweep_profile(config.to_scenario(), config.mode)
+
+
+def test_plate_too_tall_for_its_link_names_the_height():
+    # A reflected ray off a plate 1e9 m tall, 1 mm from the TX, runs vertical:
+    # the height causes it, whatever the radius, and a 1 m plate runs.
+    text = ("band = 28\nreflector.kind = convex\nreflector.radius_of_curvature = {}\n"
+            "reflector.height = {}\ngeometry.tx_range = 1e-3\ngeometry.n_positions = 11\n")
+    for radius in ("0.5", "1e5"):
+        with pytest.raises(ConfigError, match="reflected ray is vertical") as info:
+            run_sweep(parse_config(text.format(radius, "1e9")))
+        assert (info.value.key, info.value.line) == ("reflector.height", None)
+        assert "radius" not in info.value.message
+    assert len(run_sweep(parse_config(text.format("0.5", "1")))) == 11

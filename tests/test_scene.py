@@ -636,41 +636,19 @@ def test_specular_path_length_image_source_oracle():
     assert_allclose(np.linalg.norm(s - tx_image), 5.0, atol=1e-12)
 
 
-def _axis_and_random_pairs():
-    """Axis-aligned 3-vectors with signed zeros, each paired with every
-    other, and 2,000 random pairs."""
-    axes = [np.array(v) for v in ([1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0],
-                                  [-0.0, 0.0, -1.0], [0.0, -0.0, 0.0], [-2.5, 0.0, -0.0])]
-    rng = np.random.default_rng(3)
-    rand = 10.0 ** rng.uniform(-3, 3, (2000, 2, 1)) * rng.standard_normal((2000, 2, 3))
-    return [(a, b) for a in axes for b in axes] + [(a, b) for a, b in rand]
-
-
-def test_cross_has_the_bits_of_np_cross():
-    for a, b in _axis_and_random_pairs():
-        # tobytes: array_equal does not tell -0.0 from 0.0.
-        assert scene._cross(a, b).tobytes() == np.cross(a, b).tobytes()
-
-
 def test_antenna_frame_has_the_bits_of_np_cross():
-    for b in (np.array([-1.0, 0.0, 0.0]), np.array([0.6, -0.8, 0.0]),
-              *np.random.default_rng(4).standard_normal((200, 3))):
+    # Boresights in the link plane z = 0: the +-x and +-y axes and random ones.
+    # The frame equals the np.cross frame value for value; array_equal, since
+    # some of its zero components differ from np.cross's in sign.
+    up = np.array([0.0, 0.0, 1.0])
+    random = np.random.default_rng(4).standard_normal((200, 2))
+    for b in (np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]),
+              np.array([0.0, 1.0, 0.0]), np.array([0.0, -1.0, 0.0]),
+              np.array([0.6, -0.8, 0.0]), *np.hstack([random, np.zeros((200, 1))])):
         b, e_az, e_el = antenna_frame(b)
-        want_az = scene.unit(np.cross(scene._UP, b))
-        assert e_az.tobytes() == want_az.tobytes()
-        assert e_el.tobytes() == np.cross(b, want_az).tobytes()
-
-
-def test_antenna_frame_rejects_boresights_near_the_vertical():
-    # The rejected cone is |b . z| > 0.999: 0.9995 lies in it, 0.998 outside.
-    for z, rejected in ((0.9995, True), (-0.9995, True), (0.998, False), (-0.998, False)):
-        b = np.array([math.sqrt(1.0 - z * z), 0.0, z])
-        if rejected:
-            with pytest.raises(GeometryError, match="vertical antenna boresights"):
-                antenna_frame(b)
-        else:
-            _, e_az, _ = antenna_frame(b)
-            assert_allclose(e_az, [0.0, 1.0, 0.0], atol=1e-12)
+        want_az = scene.unit(np.cross(up, b))
+        assert np.array_equal(e_az, want_az)
+        assert np.array_equal(e_el, np.cross(b, want_az))
 
 
 @pytest.mark.parametrize("band, facets_per_side", [(Band.GHZ28, 6), (Band.GHZ39, 7),
@@ -814,6 +792,21 @@ def test_reflector_spec_validation():
         FlatReflectorSpec(**{**flat, "reflection_efficiency": 1.5})
     with pytest.raises(ValueError, match="exceed"):
         ConvexReflectorSpec(**{**convex, "radius_of_curvature_m": 0.2})  # below chord/2
+
+
+def test_scenario_holds_alpha_in_0_1_and_a_finite_phase_reference():
+    # A code-built scenario outside these ranges would sum NaN rays with a
+    # RuntimeWarning (sqrt of a negative alpha, an infinite phase); it names
+    # the field instead. Every config gives values inside them.
+    scn = ScenarioConfig(band=Band.GHZ28, n_positions=5).to_scenario()
+    for alpha in (-1.0, 0.0, 1.0 + 1e-12, math.nan, math.inf):
+        with pytest.raises(ValueError, match=re.escape(f"alpha must be in (0, 1], got {alpha!r}")):
+            dataclasses.replace(scn, alpha=alpha)
+    for d_ref in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"d_ref_m must be finite, got {d_ref!r}")):
+            dataclasses.replace(scn, d_ref_m=d_ref)
+    for alpha in (1.0, 5e-324):
+        assert dataclasses.replace(scn, alpha=alpha).alpha == alpha
 
 
 def test_geometry_rejects_a_point_that_is_not_finite():
