@@ -10,17 +10,13 @@ from typing import Optional, Sequence
 
 from . import metrics
 from .antenna import Band
-from .config import ConfigError, ScenarioConfig, dump_config, parse_config
+from .config import _KEY_TABLE, ConfigError, ScenarioConfig, dump_config, parse_config
 from .profile_io import export_profile, import_measured
 from .runner import run_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
-
-# Config keys that command-line flags set, each flag's `dest`; a flag's value
-# wins over the document's.
-_FLAG_KEYS = ("band", "reflector.kind", "engine.mode", "output.dir")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,15 +50,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
-    data = b"" if args.config is None else args.config.read_bytes()
+    try:
+        data = b"" if args.config is None else args.config.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {str(args.config)!r}: {exc.strerror}") from None
     try:
         # utf-8-sig: editors such as Notepad start a UTF-8 file with a byte-order mark.
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
                           line=data.count(b"\n", 0, exc.start) + 1) from None
-    overrides = {key: str(getattr(args, key)) for key in _FLAG_KEYS
-                 if getattr(args, key, None) is not None}
+    # A flag whose `dest` is a config key sets that key, over the document.
+    overrides = {key: str(value) for key, value in vars(args).items()
+                 if key in _KEY_TABLE and value is not None}
     return parse_config(text, overrides)
 
 

@@ -113,34 +113,25 @@ class ScenarioConfig:
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             key = _FIELD_KEYS[field.name]
-            if key in _NUMBER_KEYS:
-                # None is 'auto', which only a field defaulting to it accepts.
-                if value is None and field.default is None:
-                    continue
-                integral = key in _INT_KEYS
+            _, parse, vtype, bound = _KEY_TABLE[key]
+            # None is 'auto', which only a field defaulting to it accepts.
+            if value is None and field.default is None:
+                continue
+            if vtype in (int, float):
                 # A bool is an int, but no document can write one.
-                _check(isinstance(value, numbers.Integral if integral else numbers.Real)
+                _check(isinstance(value, numbers.Integral if vtype is int else numbers.Real)
                        and not isinstance(value, bool), key,
-                       "must be an integer" if integral else "must be a number")
-                if integral:
-                    continue
+                       "must be an integer" if vtype is int else "must be a number")
+            else:
+                _check(isinstance(value, vtype), key, f"expected a {vtype.__name__}, got {value!r}")
+            if vtype is float:
                 # Stored as a float, so that it dumps as one.
                 value = float(value) if abs(value) <= sys.float_info.max else math.inf
                 object.__setattr__(self, field.name, value)
                 _check(math.isfinite(value), key, "must be a finite number")
-                if key == "geometry.sweep_offset":
-                    _check(abs(value) <= _MAX_LENGTH_M, key,
-                           f"must be at most {_MAX_LENGTH_M:g} m in magnitude")
-                elif key in _LENGTH_KEYS:
-                    _check(_MIN_LENGTH_M <= value <= _MAX_LENGTH_M, key,
-                           f"must be in [{_MIN_LENGTH_M:g}, {_MAX_LENGTH_M:g}] m")
-            elif key in _ENUM_KEYS:
-                enum = _ENUM_KEYS[key]
-                _check(isinstance(value, enum), key, f"expected a {enum.__name__}, got {value!r}")
-            else:
-                _check(isinstance(value, str), key, f"expected a str, got {value!r}")
+            elif vtype is str:
                 try:
-                    parsed = _KEY_TABLE[key][1](value)
+                    parsed = parse(value)
                 except ValueError as exc:
                     raise ConfigError(str(exc), key=key) from None
                 # The text format has no quoting: a value is one stripped line
@@ -150,25 +141,16 @@ class ScenarioConfig:
                        key, "must be one line without '#' or surrounding whitespace")
                 _check(parsed == value, key, f"expected {parsed!r}, got {value!r}")
                 _check("\0" not in value, key, "must not contain a NUL byte")
-        _check(self.output_dir != "", "output.dir", "must not be empty")
-        # The label names the output files inside output.dir.
-        _check(os.path.basename(self.label) == self.label, "output.label",
-               "must be a file name, not a path")
-        for key, kind in _KIND_KEYS.items():
-            name = _KEY_TABLE[key][0]
-            _check(kind == self.reflector_kind or getattr(self, name) == _DEFAULTS[name], key,
-                   f"only valid for {kind} reflectors")
-        _check(self.facets_per_side is None or 1 <= self.facets_per_side <= _MAX_FACETS_PER_SIDE,
-               "reflector.facets_per_side", f"must be in [1, {_MAX_FACETS_PER_SIDE}] or 'auto'")
-        _check(0.0 < self.reflection_efficiency <= 1.0,
-               "reflector.reflection_efficiency", "must be in (0, 1]")
+            only = _KIND_KEYS.get(key, self.reflector_kind)
+            _check(only == self.reflector_kind or value == field.default, key,
+                   f"only valid for {only} reflectors")
+            if bound is not None:
+                ok, message = bound
+                _check(ok(value), key, message)
         if self.reflector_kind == "convex":
             _check(self.radius_of_curvature_m > self.width_m / 2.0,
                    "reflector.radius_of_curvature",
                    f"must exceed half the chord width ({self.width_m / 2.0:.4f} m)")
-        _check(0.0 <= self.incidence_deg < 90.0, "geometry.incidence_deg", "must be in [0, 90)")
-        _check(2 <= self.n_positions <= _MAX_POSITIONS, "geometry.n_positions",
-               f"must be in [2, {_MAX_POSITIONS}]")
         try:
             self.to_scenario()
         except GeometryError as exc:
@@ -289,36 +271,43 @@ def _choice(*options: str):
     return parse_choice
 
 
-# key -> (config field, value parser)
+# A key's range: an "ok" condition on its stored value, and the message when
+# it fails. The five length keys share this one.
+_LENGTH_RANGE = (lambda v: _MIN_LENGTH_M <= v <= _MAX_LENGTH_M,
+                 f"must be in [{_MIN_LENGTH_M:g}, {_MAX_LENGTH_M:g}] m")
+
+# key -> (config field, value parser, value type, range or None)
 _KEY_TABLE = {
-    "band": ("band", Band.parse),
-    "engine.mode": ("mode", SumMode.parse),
-    "reflector.kind": ("reflector_kind", _choice("flat", "convex")),
-    "reflector.width": ("width_m", _parse_length),
-    "reflector.height": ("height_m", _parse_length),
-    "reflector.facets_per_side": ("facets_per_side", _auto(_parse_int)),
-    "reflector.radius_of_curvature": ("radius_of_curvature_m", _parse_length),
-    "reflector.reflection_efficiency": ("reflection_efficiency", _parse_float),
-    "geometry.tx_range": ("tx_range_m", _parse_length),
-    "geometry.rx_range": ("rx_range_m", _parse_length),
-    "geometry.incidence_deg": ("incidence_deg", _parse_float),
-    "geometry.sweep_length": ("sweep_length_m", _parse_length),
-    "geometry.n_positions": ("n_positions", _parse_int),
-    "geometry.sweep_offset": ("sweep_offset_m", _parse_length),
-    "output.dir": ("output_dir", str),
-    "output.label": ("label", str),
+    "band": ("band", Band.parse, Band, None),
+    "engine.mode": ("mode", SumMode.parse, SumMode, None),
+    "reflector.kind": ("reflector_kind", _choice("flat", "convex"), str, None),
+    "reflector.width": ("width_m", _parse_length, float, _LENGTH_RANGE),
+    "reflector.height": ("height_m", _parse_length, float, _LENGTH_RANGE),
+    "reflector.facets_per_side": ("facets_per_side", _auto(_parse_int), int, (
+        lambda v: 1 <= v <= _MAX_FACETS_PER_SIDE,
+        f"must be in [1, {_MAX_FACETS_PER_SIDE}] or 'auto'")),
+    # The radius only has to exceed half the chord, a rule of two fields:
+    # from PLANAR_LIMIT_RADIUS_M on it enters nothing but R/(R + 2d).
+    "reflector.radius_of_curvature": ("radius_of_curvature_m", _parse_length, float, None),
+    "reflector.reflection_efficiency": ("reflection_efficiency", _parse_float, float, (
+        lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")),
+    "geometry.tx_range": ("tx_range_m", _parse_length, float, _LENGTH_RANGE),
+    "geometry.rx_range": ("rx_range_m", _parse_length, float, _LENGTH_RANGE),
+    "geometry.incidence_deg": ("incidence_deg", _parse_float, float, (
+        lambda v: 0.0 <= v < 90.0, "must be in [0, 90)")),
+    "geometry.sweep_length": ("sweep_length_m", _parse_length, float, _LENGTH_RANGE),
+    "geometry.n_positions": ("n_positions", _parse_int, int, (
+        lambda v: 2 <= v <= _MAX_POSITIONS, f"must be in [2, {_MAX_POSITIONS}]")),
+    # The offset may be 0 or negative: only its magnitude is bounded.
+    "geometry.sweep_offset": ("sweep_offset_m", _parse_length, float, (
+        lambda v: abs(v) <= _MAX_LENGTH_M, f"must be at most {_MAX_LENGTH_M:g} m in magnitude")),
+    "output.dir": ("output_dir", str, str, (lambda v: v != "", "must not be empty")),
+    # The label names the output files inside output.dir.
+    "output.label": ("label", str, str, (
+        lambda v: os.path.basename(v) == v, "must be a file name, not a path")),
 }
 
-_FIELD_KEYS = {field_name: key for key, (field_name, _) in _KEY_TABLE.items()}
-_INT_KEYS = {"reflector.facets_per_side", "geometry.n_positions"}
-_ENUM_KEYS = {"band": Band, "engine.mode": SumMode}
-_NUMBER_KEYS = _INT_KEYS | {key for key, (_, parse) in _KEY_TABLE.items()
-                            if parse in (_parse_float, _parse_length)}
-# Keys held to the length range. The curvature radius only has to exceed half
-# the chord: from PLANAR_LIMIT_RADIUS_M on it enters nothing but R/(R + 2d).
-_LENGTH_KEYS = {key for key, (_, parse) in _KEY_TABLE.items()
-                if parse is _parse_length and key != "reflector.radius_of_curvature"}
-_DEFAULTS = {field.name: field.default for field in dataclasses.fields(ScenarioConfig)}
+_FIELD_KEYS = {row[0]: key for key, row in _KEY_TABLE.items()}
 
 # Key -> the one reflector kind that reads it. A field of the other kind would
 # be ignored by to_scenario() and dropped by dump_config(), so a config of the
@@ -345,7 +334,7 @@ def parse_config(text: str, overrides: Optional[Mapping[str, str]] = None) -> Sc
             raise ConfigError(f"unknown key {key!r}", key=key, line=line)
         if not value:
             raise ConfigError("missing value", key=key, line=line)
-        field_name, parser = _KEY_TABLE[key]
+        field_name, parser = _KEY_TABLE[key][:2]
         try:
             values[field_name] = parser(value)
         except ValueError as exc:
@@ -396,8 +385,7 @@ def dump_config(config: ScenarioConfig) -> str:
     for key in _KEY_TABLE:
         if _KIND_KEYS.get(key, config.reflector_kind) != config.reflector_kind:
             continue
-        field_name, _ = _KEY_TABLE[key]
-        value = getattr(config, field_name)
+        value = getattr(config, _KEY_TABLE[key][0])
         if key == "output.label" and value == "":
             continue
         # str() of a float is its repr, and of a Band or SumMode its value.

@@ -288,6 +288,17 @@ def test_compare_missing_measured_file_is_runtime_error(tmp_path, capsys):
     assert main(["compare", "--config", str(cfg), str(tmp_path / "nope.csv")]) == 2
 
 
+@pytest.mark.parametrize("text, error", [
+    ("position_m,power_db,note\n0.0,-54.0,a\n0.001,-55.0\n", "row 3: expected 3 columns"),
+    ("position_m,power_db\n\n", "no data rows")], ids=["short_row", "header_only"])
+def test_compare_rejects_a_measured_csv_without_full_rows(tmp_path, capsys, text, error):
+    cfg = write_config(tmp_path)
+    measured = tmp_path / "measured.csv"
+    measured.write_text(text)
+    assert main(["compare", "--config", str(cfg), str(measured)]) == 2
+    assert capsys.readouterr().err == f"error: {measured}: {error}\n"
+
+
 def test_compare_rejects_a_power_beyond_the_bound(tmp_path, capsys):
     cfg = write_config(tmp_path)
     measured = tmp_path / "loud.csv"
@@ -307,3 +318,38 @@ def test_bands_lists_all_three(capsys):
         "   39ghz        39     -10        20       16       15   0.007687      36\n"
         "  120ghz       120      10        21       13       13   0.002498     256\n"
     )
+
+
+@pytest.mark.parametrize("missing", [True, False], ids=["missing_file", "directory"])
+def test_unreadable_config_is_validation_error_naming_the_path(tmp_path, capsys, missing):
+    cfg = tmp_path / "nope.cfg" if missing else tmp_path
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    reason = "No such file or directory" if missing else "Is a directory"
+    # No key and no line: the error is the file's, not a value's.
+    assert capsys.readouterr().err == f"error: cannot read config file {str(cfg)!r}: {reason}\n"
+    assert not out.exists()
+
+
+def test_non_number_in_a_length_key_names_its_line_and_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, "band = 28\nreflector.width = wide\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 2: reflector.width: expected a number, got 'wide'\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_without_out_writes_the_report_to_stdout(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    measured = tmp_path / "measured.csv"
+    export_profile(PowerProfile(np.arange(200) * 1e-3, np.full(200, -60.0)), measured)
+    assert main(["compare", "--config", str(cfg), str(measured)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["sim_label"] == "28ghz_flat"
+    assert captured.err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["measured.csv", "scenario.cfg"]
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: reflectsim")

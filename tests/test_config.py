@@ -23,7 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Every key whose value is a float or a length, read off the key table.
 _NUMBER_PARSERS = (config_module._parse_float, config_module._parse_length)
-NUMBER_KEYS = sorted(key for key, (_, parser) in config_module._KEY_TABLE.items()
+NUMBER_KEYS = sorted(key for key, (_, parser, *_) in config_module._KEY_TABLE.items()
                      if parser in _NUMBER_PARSERS)
 
 
@@ -391,11 +391,14 @@ def test_configs_built_in_code_are_checked_too():
 
 def test_length_keys_share_one_range():
     lo, hi = config_module._MIN_LENGTH_M, config_module._MAX_LENGTH_M
-    assert config_module._LENGTH_KEYS == {
+    # Five keys share one range object; the offset is bounded in magnitude.
+    length_keys = {key for key, row in config_module._KEY_TABLE.items()
+                   if row[3] is config_module._LENGTH_RANGE} | {"geometry.sweep_offset"}
+    assert length_keys == {
         "reflector.width", "reflector.height", "geometry.tx_range",
         "geometry.rx_range", "geometry.sweep_length", "geometry.sweep_offset"}
     convex = dict(reflector_kind="convex", radius_of_curvature_m=0.5)
-    for key in sorted(config_module._LENGTH_KEYS):
+    for key in sorted(length_keys):
         field = config_module._KEY_TABLE[key][0]
         kind = convex if config_module._KIND_KEYS.get(key) == "convex" else {}
         # The offset may be 0 or negative: only its magnitude is bounded.

@@ -280,6 +280,8 @@ def test_profile_validation():
         PowerProfile(pos, np.full(10, np.inf))
     with pytest.raises(ValueError, match="equal length"):
         PowerProfile(pos, np.zeros(9))
+    with pytest.raises(ValueError, match="^profile must contain at least one sample$"):
+        PowerProfile(np.array([]), np.array([]))
     # An infinite end passes the strictly-increasing check on its own.
     for bad in ([-np.inf, 0.0, 1.0], [0.0, 1.0, np.inf], [np.inf]):
         with pytest.raises(ValueError, match="finite"):

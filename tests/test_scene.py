@@ -792,6 +792,21 @@ def test_reflector_spec_validation():
         FlatReflectorSpec(**{**flat, "reflection_efficiency": 1.5})
     with pytest.raises(ValueError, match="exceed"):
         ConvexReflectorSpec(**{**convex, "radius_of_curvature_m": 0.2})  # below chord/2
+    for size in (0.0, -SIDE):
+        for bad in ({"width_m": size}, {"height_m": size}):
+            with pytest.raises(ValueError, match="^reflector width and height must be positive$"):
+                FlatReflectorSpec(**{**flat, **bad})
+        for bad in ({"chord_width_m": size}, {"height_m": size}):
+            with pytest.raises(ValueError, match="^reflector chord width and height must be"):
+                ConvexReflectorSpec(**{**convex, **bad})
+    for efficiency in (0.0, -0.1, 1.0 + 1e-12, math.nan):
+        with pytest.raises(ValueError, match=re.escape("reflection_efficiency must be in (0, 1]")):
+            ConvexReflectorSpec(**{**convex, "reflection_efficiency": efficiency})
+
+
+def test_unit_of_a_zero_vector_is_a_geometry_error():
+    with pytest.raises(GeometryError, match="^cannot normalize a zero vector$"):
+        scene.unit(np.zeros(3))
 
 
 def test_scenario_holds_alpha_in_0_1_and_a_finite_phase_reference():

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import reflectsim
@@ -57,3 +58,16 @@ def test_every_module_level_name_is_used_or_exported():
               if not (name.startswith("__") and name.endswith("__"))
               and name not in read and name not in reflectsim.__all__]
     assert unused == []
+
+
+def test_every_mutant_row_finds_its_text_once():
+    # tools/mutants.py applies a row only where its old text occurs exactly
+    # once; an edit that moves or repeats that text would otherwise show only
+    # as "not applied" after the full mutation run.
+    path = PACKAGE.parents[1] / "tools" / "mutants.py"
+    spec = importlib.util.spec_from_file_location("mutants", path)
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    counts = {(name, old): (PACKAGE / name).read_text().count(old)
+              for name, old, *_ in mutants.MUTANTS}
+    assert {row: n for row, n in counts.items() if n != 1} == {}
