@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -74,17 +76,28 @@ def _write_json(path: Optional[Path], payload: dict) -> None:
         path.write_text(text, encoding="utf-8")
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Raise the OSError that making `out_dir` would raise if it, or its
+    nearest existing ancestor, is not a directory; make nothing. A sweep
+    then never runs for an output it cannot write."""
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        code = errno.EEXIST if existing == out_dir else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(out_dir))
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if args.dump_config:
         sys.stdout.write(dump_config(config))
         return EXIT_OK
 
+    out_dir = Path(config.output_dir)
+    _check_out_dir(out_dir)
     profile = run_sweep(config)
     stats = (metrics.analyze(profile).to_dict()
              if len(profile) >= metrics.MIN_ANALYZE_SAMPLES else None)
 
-    out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     label = config.resolved_label()
     profile_path = out_dir / f"{label}.csv"

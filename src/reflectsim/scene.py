@@ -23,13 +23,14 @@ _HEIGHT_SECTIONS = 16
 _AZIMUTH_TARGETS = 32
 
 _CAPTURE_GRID_POINTS = 4097
-# RX positions whose capture lines are solved together: each numpy call of a
-# block covers this many lines, so a larger block makes fewer calls, and
-# hands the GIL between a sweep's two threads less often. On a 2-CPU host,
-# two threads, the capture solves of the four `convex-bands` sweeps took
-# 0.65-0.74 s at 4 positions per block, 0.43-0.48 s at 8, 0.32-0.38 s at 16,
-# 0.28-0.34 s at 32 and 0.31-0.36 s at 64 (medians of 9 interleaved rounds,
-# two series). The three (32, 4097) buffers take 3 MB per thread.
+# RX positions whose capture lines the block check solves together (the
+# lines `_rising_lines` refuses): each numpy call of a block covers this many
+# lines, so a larger block makes fewer calls, and hands the GIL between a
+# sweep's two threads less often. Of the `convex-bands` sweeps only the one
+# 5 m off specular takes this path; on a 2-CPU host, two threads, its
+# capture solve took 81 ms at 8 positions per block, 67 ms at 16, 63 ms at
+# 32, 65 ms at 64 and 63 ms at 128 (medians of 7 interleaved rounds). The
+# three (32, 4097) buffers take 3 MB per thread.
 _CAPTURE_BLOCK = 32
 
 _NOT_MONOTONE = "arc reflection map is not monotone for this geometry"
@@ -257,6 +258,211 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
 
 
+def _intercepts(px, py, dx, dy, qx, qy, l0, l1, bufs, valid=None):
+    """Intersect the arc rays (px, py) + tau * (dx, dy) with the capture lines
+    (qx, qy) + s * (l0, l1), elementwise over the broadcast inputs, in the
+    three buffers `bufs` of the broadcast shape; returns s, in `bufs[0]`.
+
+    Every element is computed by the same IEEE operations whatever the array
+    shape, so a block of whole lines and a gather of single rays give the
+    same bits. If `valid` is given, it is set where the ray is not parallel
+    to its line and reaches it ahead of its launch point. A ray that runs
+    parallel to its line divides by ~0; it is not valid, so whatever that
+    gives is never read.
+    """
+    cross, tau, work = bufs
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.multiply(dx, l1, out=cross)
+        cross -= np.multiply(dy, l0, out=work)             # dx*l1 - dy*l0
+        np.subtract(qx, px, out=tau)
+        tau *= l1
+        np.subtract(qy, py, out=work)
+        work *= l0
+        tau -= work                                         # (qx-px)*l1 - (qy-py)*l0
+        if valid is not None:
+            np.greater(np.abs(cross, out=work), 1e-15, out=valid)
+        tau /= cross
+        if valid is not None:
+            valid &= tau > 1e-9
+        s = cross                                           # cross is not read again
+        np.multiply(tau, dx, out=s)
+        s += px
+        s -= qx
+        s *= l0                                             # (px + tau*dx - qx) * l0
+        np.multiply(tau, dy, out=work)
+        work += py
+        work -= qy
+        work *= l1                                          # (py + tau*dy - qy) * l1
+        s += work
+    return s
+
+
+def _rising_lines(px, py, dx, dy, q, line):
+    """Which capture lines every arc ray provably reaches, with intercepts
+    that provably rise along the arc: the (M,) mask of lines whose block
+    check (`_intercepts`, then the one-run and monotone rules) is known
+    beforehand to find all rays valid and the computed s strictly rising.
+
+    Notation: the arc rays P_j + tau * D_j, j = 0..N-1, and the line
+    Q + s * L, all read as exact reals from their stored floats; a x b =
+    a0*b1 - a1*b0. Per call, over the arc:
+
+    1. Rotation: every w_j = D_j x D_{j+1} has one sign sigma and clears its
+       rounding, so each ray turns from the last by an angle in (0, pi) in
+       the sense sigma, and no two adjacent rays are parallel.
+    2. Span: every D_j x D_{N-1}, j < N-1, has the sign sigma and clears its
+       rounding. With 1, the rays turn by less than pi in all: a turn of
+       pi or more would pass, in steps under pi, a ray whose angle to the
+       last lies in [pi, 2 pi), and that ray's product has the other sign.
+    3. A disk (c_P, rho_P) holding every arc point P_j, and a disk
+       (c_X, rho_X) holding every crossing X_j = P_j + a_j D_j of adjacent
+       rays, a_j = ((P_{j+1} - P_j) x D_{j+1}) / w_j, widened by the error
+       bound of its computed X_j.
+
+    Per line, in O(1):
+
+    4. Parallel: D_0 x L and D_{N-1} x L have one sign and clear their
+       rounding. By 1 and 2 the ray angles lie in an interval shorter than
+       pi whose ends are on one side of L, so no ray is parallel to L, every
+       c_j = D_j x L has that sign, and |sin| is smallest at an end:
+       |c_j| >= c_low = min |c_ends| * min|D| / max|D|.
+    5. Reach: (Q - c_P) x L has the sign of the c_j and clears rho_P*|L|, so
+       every (Q - P_j) x L has it too, and tau_j = ((Q - P_j) x L) / c_j is
+       at least n_low / (max|D| |L|) > 0; the bound must hold the computed
+       tau above the 1e-9 cut, and c_low - err(c) above the 1e-15 cut, with
+       a factor 2 to spare.
+    6. Rising side: (Q - c_X) x L has the sign sigma and clears rho_X*|L|:
+       every X_j lies on one side of the line, at least m_low / |L| off it.
+       Adjacent intercepts differ by s_{j+1} - s_j = |L|^2 m_j w_j /
+       (c_j c_{j+1}) with m_j = (Q - X_j) x L, so every exact step rises by
+       at least gap = m_low * min|w| / max|D|^2.
+    7. Gap against rounding: gap > 4 * err(s), where err(s) bounds the
+       distance of every computed s_j from its exact value: with the exact
+       tau_j at most t_high = n_high / c_low, err(tau) = (err(n) + t_high *
+       err(c)) / (c_low - err(c)) + 2u t_high, and err(s) = 10u ((t_high +
+       err(tau)) max|D| + max|P| + |Q|) |L| + err(tau) max|D| |L|, from
+       |fl(x op y) - x op y| <= u |x op y| (u = 2^-53) with each chain's
+       gamma_k = ku / (1 - ku) doubled. Then every computed step exceeds
+       gap - 2 err(s) > 0.
+
+    Each error term is at least twice the rounding it covers (a k-rounding
+    sum or product of terms S is charged 2ku S), so the few roundings of the
+    certificate's own arithmetic, on terms no larger, cannot turn a test;
+    the comparison in 7 keeps a further factor 2. A line that is refused
+    (a fan that folds or turns past pi, a line some ray runs parallel to or
+    misses, a falling line, a gap within rounding) is left to the block
+    check; a NaN or overflow on the way refuses too.
+    """
+    u = 2.0 ** -53  # the unit roundoff of float64
+    # 1. Rotation of each ray to the next.
+    w = dx[:-1] * dy[1:] - dy[:-1] * dx[1:]
+    w_err = 4 * u * (np.abs(dx[:-1] * dy[1:]) + np.abs(dy[:-1] * dx[1:]))
+    sigma = 1.0 if w[0] > 0.0 else -1.0
+    w_low = np.min(np.abs(w) - w_err)
+    # 2. Turn of each ray toward the last.
+    span = dx[:-1] * dy[-1] - dy[:-1] * dx[-1]
+    span_err = 4 * u * (np.abs(dx[:-1] * dy[-1]) + np.abs(dy[:-1] * dx[-1]))
+    if not (np.all(np.sign(w) == sigma) and w_low > 0.0 and np.all(sigma * span > span_err)):
+        return np.zeros(len(q), dtype=bool)
+    # An overflow or NaN on the way fails its test below, and refuses.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        norm2 = dx * dx + dy * dy
+        d_max = math.sqrt(np.max(norm2)) * (1 + 4 * u)
+        d_min = math.sqrt(np.min(norm2)) * (1 - 4 * u)
+
+        def disk(x, y, err=0.0):
+            """A center and a radius holding the points (x, y), each within `err`."""
+            cx, cy = 0.5 * (np.min(x) + np.max(x)), 0.5 * (np.min(y) + np.max(y))
+            return cx, cy, float(np.max(np.hypot(x - cx, y - cy) * (1 + 8 * u) + err))
+
+        # 3. Disks around the arc points and the crossings of adjacent rays.
+        cpx, cpy, rho_p = disk(px, py)
+        p_max = math.hypot(cpx, cpy) * (1 + 4 * u) + rho_p
+        dpx, dpy = px[1:] - px[:-1], py[1:] - py[:-1]
+        num = dpx * dy[1:] - dpy * dx[1:]
+        num_err = 6 * u * (np.abs(dpx * dy[1:]) + np.abs(dpy * dx[1:]))
+        a = num / w
+        a_err = (num_err + np.abs(a) * (1 + u) * w_err) / (np.abs(w) - w_err) + 2 * u * np.abs(a)
+        x_err = a_err * d_max + 6 * u * (p_max + np.abs(a) * d_max)
+        cxx, cxy, rho_x = disk(px[:-1] + a * dx[:-1], py[:-1] + a * dy[:-1], x_err)
+
+        qx, qy = q[:, 0], q[:, 1]
+        l0, l1 = line[:, 0], line[:, 1]
+        l_max = np.hypot(l0, l1) * (1 + 4 * u)
+        # 4. No ray parallel to the line.
+        c_ends = dx[[0, -1], None] * l1 - dy[[0, -1], None] * l0
+        c_end_err = 4 * u * (np.abs(dx[[0, -1], None] * l1) + np.abs(dy[[0, -1], None] * l0))
+        c_sign = np.sign(c_ends[0])
+        ok = (np.sign(c_ends[1]) == c_sign)
+        c_low = np.min(np.abs(c_ends) - c_end_err, axis=0) * (d_min / d_max)
+        c_err = 4 * u * d_max * l_max
+        # 5. Every ray reaches the line ahead of its launch point.
+        n_c = (qx - cpx) * l1 - (qy - cpy) * l0
+        n_c_err = 6 * u * (np.abs((qx - cpx) * l1) + np.abs((qy - cpy) * l0))
+        n_low = np.abs(n_c) - n_c_err - rho_p * l_max
+        n_high = np.abs(n_c) + n_c_err + rho_p * l_max
+        n_err = 6 * u * (np.hypot(qx - cpx, qy - cpy) * (1 + 4 * u) + rho_p) * l_max
+        ok &= (np.sign(n_c) == c_sign) & (c_low > 2 * c_err + 2e-15)
+        ok &= n_low - n_err > 2e-9 * (d_max * l_max + c_err)
+        # 6. Every crossing of adjacent rays on the rising side of the line.
+        m_c = (qx - cxx) * l1 - (qy - cxy) * l0
+        m_c_err = 6 * u * (np.abs((qx - cxx) * l1) + np.abs((qy - cxy) * l0))
+        m_low = np.abs(m_c) - m_c_err - rho_x * l_max
+        ok &= (np.sign(m_c) == sigma) & (m_low > 0.0)
+        # 7. The smallest exact step against the rounding of the computed s.
+        t_high = n_high / c_low
+        tau_err = (n_err + t_high * c_err) / (c_low - c_err) + 2 * u * t_high
+        s_err = (10 * u * ((t_high + tau_err) * d_max + p_max + np.hypot(qx, qy) * (1 + 4 * u))
+                 * l_max + tau_err * d_max * l_max)
+        ok &= m_low * w_low / (d_max * d_max) > 4 * s_err
+        return ok
+
+
+def _interp_rising(rays, beta, q, line, targets):
+    """np.interp(targets, s, beta, left=NaN, right=NaN) for capture lines
+    whose intercepts s over the whole arc strictly rise (`_rising_lines`),
+    without computing all of s: each target is bracketed by bisection on the
+    arc index, and s is computed by `_intercepts` at the indices read only.
+
+    `rays` holds (px, py, dx, dy) for each arc point, as an (N, 4) array.
+    np.interp finds, for s_0 <= t <= s_{N-1}, the last j with s_j <= t, and
+    returns beta_j if t == s_j (j = N-1 included), else the slope
+    (beta_{j+1} - beta_j) / (s_{j+1} - s_j) times (t - s_j) plus beta_j; its
+    retry of a NaN result is never taken, as a certified step is far from 0.
+    The same operations give the same bits here. The work runs on (target,
+    line) arrays, so each numpy loop runs along the lines.
+    """
+    n_pts = len(rays)
+    qx, qy, l0, l1 = q[:, 0], q[:, 1], line[:, 0], line[:, 1]
+
+    def s_at(index):
+        ray = np.take(rays, index, axis=0)
+        return _intercepts(*np.moveaxis(ray, -1, 0), qx, qy, l0, l1,
+                           np.empty((3,) + index.shape))
+
+    t = targets[:, None]
+    shape = (len(targets), len(q))
+    first, last = s_at(np.broadcast_to([[0], [n_pts - 1]], (2, len(q))))
+    lo, hi = np.zeros(shape, dtype=np.intp), np.full(shape, n_pts - 1)
+    s_lo, s_hi = np.broadcast_to(first, shape).copy(), np.broadcast_to(last, shape).copy()
+    # Keep s_lo <= t < s_hi while halving [lo, hi] down to one step.
+    for _ in range((n_pts - 2).bit_length()):
+        mid = (lo + hi) >> 1
+        s_mid = s_at(mid)
+        up = t >= s_mid
+        np.copyto(lo, mid, where=up)
+        np.copyto(s_lo, s_mid, where=up)
+        down = ~up
+        np.copyto(hi, mid, where=down)
+        np.copyto(s_hi, s_mid, where=down)
+    b_lo = beta[lo]
+    angles = (beta[hi] - b_lo) / (s_hi - s_lo) * (t - s_lo) + b_lo
+    np.copyto(angles, b_lo, where=t == s_lo)
+    np.copyto(angles, beta[-1], where=t == last)
+    angles[(t < first) | (t > last)] = np.nan
+    return angles.T
+
+
 def convex_captures(
     spec: ConvexReflectorSpec,
     geom: ScenarioGeometry,
@@ -275,12 +481,16 @@ def convex_captures(
     (the cylinder axis is vertical, so every height section shares the
     azimuth solution), at `_CAPTURE_GRID_POINTS` arc angles from +beta_max
     down to -beta_max; only their crossings with each capture line depend on
-    the RX point, and those are solved in place for `_CAPTURE_BLOCK` RX points
-    at a time. A capture line that two or more arc rays reach is read over
+    the RX point. A capture line that two or more arc rays reach is read over
     them, and they must be one contiguous run of the arc whose intercepts
     strictly fall or strictly rise along it, or a GeometryError is raised.
-    The rule is checked with the whole block; only the interpolation of the
-    targets runs once per RX point.
+
+    A line that `_rising_lines` proves every ray reaches, with rising
+    intercepts, is interpolated by bisection (`_interp_rising`), which reads
+    about 12 rays per target. Every other line is solved whole, in place for
+    `_CAPTURE_BLOCK` lines at a time: the rule is checked with the block,
+    and only the interpolation of the targets runs once per RX point. Both
+    give the bits of that block check and np.interp.
 
     Returns the captured arc angle of each target (M, n_az), NaN where the
     arc cannot reach it, and the target intercepts (M, n_az, 2) on the
@@ -315,45 +525,24 @@ def convex_captures(
     n_az = _AZIMUTH_TARGETS
     gamma = capture_length_m(pattern, geom.rx_range_m) / n_az
     targets = (np.arange(n_az) - (n_az - 1) / 2.0) * gamma
-    px, py = points.T.copy()
-    dx, dy = d_out.T.copy()
+    rays = np.hstack([points, d_out])
+    px, py, dx, dy = rays.T.copy()
     n_pts = _CAPTURE_GRID_POINTS
     angles = np.full((len(rx), n_az), np.nan)
+    certified = _rising_lines(px, py, dx, dy, rx, line)
+    if np.any(certified):
+        angles[certified] = _interp_rising(rays, beta, rx[certified], line[certified], targets)
+    rest = np.flatnonzero(~certified)
     # Every block is computed in place in three (block, arc point) buffers.
-    bufs = np.empty((3, min(_CAPTURE_BLOCK, len(rx)), n_pts))
+    bufs = np.empty((3, min(_CAPTURE_BLOCK, len(rest)), n_pts))
     valid_buf = np.empty(bufs.shape[1:], dtype=bool)
-    for start in range(0, len(rx), _CAPTURE_BLOCK):
-        block = slice(start, start + _CAPTURE_BLOCK)
-        # Intersect point + tau * d_out with each capture line q + s * line as
-        # (block, arc point) arrays. Each element is computed by the same
-        # operations whatever the block size, so blocking changes no bit.
-        qx, qy = rx[block, :1], rx[block, 1:2]
-        l0, l1 = line[block, :1], line[block, 1:]
-        cross, tau, work = bufs[:, :len(qx)]
-        valid = valid_buf[:len(qx)]
-        # A ray that runs parallel to its line divides by ~0; it is not valid,
-        # so whatever that gives is never read.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.multiply(dx, l1, out=cross)
-            cross -= np.multiply(dy, l0, out=work)             # dx*l1 - dy*l0
-            np.subtract(qx, px, out=tau)
-            tau *= l1
-            np.subtract(qy, py, out=work)
-            work *= l0
-            tau -= work                                         # (qx-px)*l1 - (qy-py)*l0
-            np.greater(np.abs(cross, out=work), 1e-15, out=valid)
-            tau /= cross
-            valid &= tau > 1e-9
-            s = cross                                           # cross is not read again
-            np.multiply(tau, dx, out=s)
-            s += px
-            s -= qx
-            s *= l0                                             # (px + tau*dx - qx) * l0
-            np.multiply(tau, dy, out=work)
-            work += py
-            work -= qy
-            work *= l1                                          # (py + tau*dy - qy) * l1
-            s += work
+    for start in range(0, len(rest), _CAPTURE_BLOCK):
+        block = rest[start:start + _CAPTURE_BLOCK]
+        # Intersect each arc ray with each capture line as (block, arc
+        # point) arrays.
+        valid = valid_buf[:len(block)]
+        s = _intercepts(px, py, dx, dy, rx[block, :1], rx[block, 1:2], line[block, :1],
+                        line[block, 1:], bufs[:, :len(block)], valid)
 
         # A line is read over its valid points, which must be one contiguous
         # run of the arc whose intercepts all rise or all fall along it: the
@@ -363,8 +552,8 @@ def convex_captures(
         # centimetres from the plate and off its reflected fan.
         rises = s[:, 1:] > s[:, :-1]
         if np.all(valid):
-            n_valid = np.full(len(qx), n_pts)
-            first = np.zeros(len(qx), dtype=int)
+            n_valid = np.full(len(block), n_pts)
+            first = np.zeros(len(block), dtype=int)
             one_run = True
             pairs = None
         else:
@@ -391,7 +580,7 @@ def convex_captures(
                 # np.interp needs increasing intercepts: it reads the run
                 # through reversed views, which it copies.
                 s_i, beta_i = s_i[::-1], beta_i[::-1]
-            angles[start + i] = np.interp(targets, s_i, beta_i, left=np.nan, right=np.nan)
+            angles[block[i]] = np.interp(targets, s_i, beta_i, left=np.nan, right=np.nan)
     intercepts = rx[:, None, :2] + targets[None, :, None] * seg[:, None, :]
     return angles, intercepts
 

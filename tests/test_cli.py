@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reflectsim import cli
 from reflectsim.cli import main
 from reflectsim.config import parse_config
 from reflectsim.profile_io import export_profile, import_measured
@@ -353,3 +354,19 @@ def test_compare_without_out_writes_the_report_to_stdout(tmp_path, capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: reflectsim")
+
+
+def test_output_directory_that_cannot_be_made_fails_before_the_sweep(tmp_path, capsys,
+                                                                    monkeypatch):
+    # A regular file where the output directory, or one of its parents,
+    # should be: the error that making it gives (exit 2), with no sweep run
+    # and nothing made.
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    monkeypatch.setattr(cli, "run_sweep", lambda config: pytest.fail("the sweep ran"))
+    for out in (afile, afile / "x", afile / "x" / "y"):
+        with pytest.raises(OSError) as made:
+            out.mkdir(parents=True, exist_ok=True)
+        assert main(["simulate", "--band", "28", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {made.value}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import image_source_specular_oracle
@@ -610,6 +610,141 @@ def test_capture_lines_whose_intercepts_fall_along_the_trace_match_the_per_row_s
 
     got, _ = convex_captures(spec, geom, rx, pattern)
     assert np.array_equal(got, want, equal_nan=True)
+
+
+def _certified(spec, geom, rx, line=None):
+    """`scene._rising_lines` on the rays that `convex_captures` traces for
+    the RX points `rx`: its verdict on each capture line, or on the lines
+    through `rx` along `line` if given."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scene, "_rising_lines", lambda *args: calls.append(args) or
+                      np.zeros(len(args[4]), dtype=bool))
+        try:
+            convex_captures(spec, geom, np.asarray(rx, dtype=float), Band.GHZ28.horn)
+        except GeometryError:  # the block check of a line the map folds on
+            pass
+    px, py, dx, dy, q, own_line = calls[0]
+    return scene._rising_lines(px, py, dx, dy, q, own_line if line is None else line)
+
+
+def _assert_block_check_bits(spec, geom, rx, pattern):
+    """`convex_captures` gives the angle and intercept bits, or raises the
+    GeometryError, that it gives with every line left to the block check."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scene, "_rising_lines", lambda *args: np.zeros(len(args[4]), dtype=bool))
+        try:
+            want = convex_captures(spec, geom, rx, pattern)
+        except GeometryError as exc:
+            want = exc
+    if isinstance(want, GeometryError):
+        with pytest.raises(GeometryError, match=re.escape(str(want))):
+            convex_captures(spec, geom, rx, pattern)
+    else:
+        got = convex_captures(spec, geom, rx, pattern)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("band", list(Band))
+def test_every_line_of_the_default_convex_sweeps_is_certified(band):
+    scn = ScenarioConfig(band=band, reflector_kind="convex").to_scenario()
+    assert np.all(_certified(scn.reflector, scn.geometry, scn.geometry.rx_positions()))
+
+
+def test_no_line_of_the_offset_sweep_is_certified():
+    # 5 m off specular, part of the arc reaches most capture lines, and some
+    # arc rays run parallel to them: every line keeps the block check.
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex",
+                         sweep_offset_m=5.0).to_scenario()
+    assert not np.any(_certified(scn.reflector, scn.geometry, scn.geometry.rx_positions()))
+
+
+# Found by search, each refused by one certificate condition alone (see
+# tools/mutants.py for the rows that drop them): (radius, plate width, TX,
+# RX). "span": a tight arc lit from near its edge turns its fan by more than
+# pi; "parallel": the capture line runs along the fan on one side but one
+# end ray all but runs along it; "reach": the capture line passes through
+# the disk of the arc points; "gap": the capture line runs nearly along the
+# last arc ray, so its intercepts are far out and their rounding outgrows
+# the certified step.
+ONE_CONDITION = {
+    "span": (0.2739588908488698, 0.5000455539538571,
+             [0.049364252563968404, 0.16740522343184863, 0.0],
+             [0.09664120651467034, 0.3901938686635563, 0.0]),
+    "parallel": (8.818220759684406, 0.611915293668073,
+                 [0.20099609658671316, 0.19584727756452175, 0.0],
+                 [0.4707774838501463, 0.16966156734461613, 0.0]),
+    "reach": (14.391057595098225, 1.1354563098051245,
+              [2.2640746262604377, -4.110475346244637, 0.0],
+              [0.08466574074577649, 0.14884931202882343, 0.0]),
+    "gap": (0.49836484301408424, SIDE, [3.044753344998262, -1.5991723651534928, 0.0],
+            [1.2902424994801995, -0.2649569348948014, 0.0]),
+}
+
+
+@pytest.mark.parametrize("condition", sorted(ONE_CONDITION))
+def test_certificate_refuses_a_line_that_one_condition_fails(condition):
+    radius, width, tx, rx = ONE_CONDITION[condition]
+    spec = ConvexReflectorSpec(chord_width_m=width, height_m=SIDE, radius_of_curvature_m=radius,
+                               reflection_efficiency=1.0)
+    geom = ScenarioGeometry(tx_position=tx, sweep_start=[2.5, -0.5, 0.0],
+                            sweep_end=[2.5, 0.5, 0.0], n_rx_positions=2)
+    assert not _certified(spec, geom, [rx])[0]
+    _assert_block_check_bits(spec, geom, np.array([rx]), Band.GHZ28.horn)
+
+
+def test_certificate_refuses_a_falling_line():
+    # The default sweep's midpoint line, read the other way along: every ray
+    # reaches it, but its intercepts fall, as the crossings of adjacent rays
+    # lie on its other side.
+    scn = ScenarioConfig(band=Band.GHZ28, reflector_kind="convex").to_scenario()
+    rx = scn.geometry.sweep_midpoint[None, :]
+    line = np.array([[-rx[0, 1], rx[0, 0]]]) / np.linalg.norm(rx[0, :2])
+    assert _certified(scn.reflector, scn.geometry, rx)[0]
+    assert not _certified(scn.reflector, scn.geometry, rx, line)[0]
+
+
+def test_certificate_refuses_a_fan_that_turns_back():
+    # Rays from one point whose direction turns forward, back and forward
+    # again, ending past every earlier direction: the span rule passes, and
+    # every crossing of adjacent rays is that point, but the intercepts on a
+    # line ahead fold. Only the rotation-sign rule refuses the fan.
+    x = np.linspace(0.0, 1.0, 4097)
+    theta = x + 0.2 * np.sin(2.0 * np.pi * x)
+    assert np.any(np.diff(theta) < 0.0) and np.all(theta[:-1] < theta[-1])
+    points = np.zeros(x.size)
+    q, line = np.array([[5.0, 0.0, 0.0]]), np.array([[0.0, 1.0]])
+    assert not scene._rising_lines(points, points, np.cos(theta), np.sin(theta), q, line)[0]
+    # The same fan turned forward throughout is certified.
+    theta = np.linspace(0.0, 1.0, 4097)
+    assert scene._rising_lines(points, points, np.cos(theta), np.sin(theta), q, line)[0]
+
+
+@st.composite
+def _short_convex_links(draw):
+    """A convex config of 41 positions with short ranges, sweeps up to 3 m
+    off specular and plates up to 3 m wide, whose lines are certified,
+    refused, partly reached or not monotone."""
+    width = draw(st.floats(0.41, 3.0))
+    try:
+        config = ScenarioConfig(
+            band=draw(st.sampled_from(list(Band))), reflector_kind="convex", width_m=width,
+            radius_of_curvature_m=draw(st.floats(0.5005 * width, 20.0)),
+            tx_range_m=draw(st.floats(0.05, 6.0)), rx_range_m=draw(st.floats(0.05, 6.0)),
+            incidence_deg=draw(st.floats(0.0, 60.0)), sweep_offset_m=draw(st.floats(-3.0, 3.0)),
+            sweep_length_m=draw(st.floats(0.05, 1.8)), n_positions=41)
+        scn = config.to_scenario()
+    except ConfigError:  # a sweep that reaches behind the plate
+        assume(False)
+    assume(scn.is_convex)
+    return scn
+
+
+@given(scn=_short_convex_links())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_certified_lines_give_the_bits_of_the_block_check(scn):
+    _assert_block_check_bits(scn.reflector, scn.geometry, scn.geometry.rx_positions(),
+                             scn.rx_pattern)
 
 
 def test_specular_point_is_sweep_midpoint_by_construction():

@@ -60,9 +60,10 @@ print(json.dumps(out))
 
 
 def bits_corpus() -> list[dict[str, str]]:
-    """518 config overrides: flat and convex plates over the three bands,
-    off specular and at incidence, near the planar limit and far wider than
-    the default plate, each in both sum modes."""
+    """554 config overrides: flat and convex plates over the three bands,
+    off specular and at incidence, near the planar limit, far wider than the
+    default plate and near the edges of the capture certificate, each in
+    both sum modes."""
     shared = {"geometry.n_positions": str(BITS_POSITIONS)}
     flat_places = [{}, {"geometry.sweep_offset": "0.7"}, {"geometry.incidence_deg": "60"}]
     convex_places = flat_places[:2] + [
@@ -85,6 +86,24 @@ def bits_corpus() -> list[dict[str, str]]:
                 plates += [{"band": band, "reflector.kind": "convex", "reflector.width": str(width),
                             "reflector.radius_of_curvature": repr(r),
                             "geometry.sweep_offset": offset} for offset in ("0", "0.7", "3")]
+    # Near the edges of the capture certificate (scene._rising_lines), where
+    # certified and refused lines meet in one sweep: 10 cm sweeps 0.1-0.3 m
+    # from the plate, and plates 1-3 m wide slid up to 3 m off specular, some
+    # curved almost to a half circle. (tx_range, rx_range, radius, incidence)
+    # and (width, radius, offset):
+    short = [("0.1", "0.2", "1", "0"), ("0.1", "0.3", "3", "30"), ("0.2", "0.2", "0.5", "0"),
+             ("0.2", "0.2", "1", "60"), ("0.2", "0.3", "1", "60"), ("0.2", "0.3", "3", "60"),
+             ("0.3", "0.2", "0.5", "30"), ("0.3", "0.3", "0.5", "60")]
+    wide = [("1", "1", "0"), ("1", "2", "-3"), ("1", "2", "3"), ("2", "2", "0"), ("2", "4", "3"),
+            ("3", "3", "0"), ("3", "6", "3")] + [("1", "0.5005", o) for o in ("-3", "0", "3")]
+    for i, (tx, rx, r, incidence) in enumerate(short):
+        plates.append({"band": BANDS[i % 3], "reflector.kind": "convex",
+                       "reflector.radius_of_curvature": r, "geometry.tx_range": tx,
+                       "geometry.rx_range": rx, "geometry.incidence_deg": incidence,
+                       "geometry.sweep_length": "0.1"})
+    for i, (width, r, offset) in enumerate(wide):
+        plates.append({"band": BANDS[i % 3], "reflector.kind": "convex", "reflector.width": width,
+                       "reflector.radius_of_curvature": r, "geometry.sweep_offset": offset})
     return [{**shared, **plate, "engine.mode": mode} for plate in plates for mode in MODES]
 
 

@@ -18,8 +18,10 @@ removes that text, so it fails on every mutant. Each mutant is then applied to
 the copy on its own, tier-1 runs again, and the file is restored. Every row
 runs; the record (baseline, then per mutant its outcome, the first killing
 test and the seconds taken) is written to MUTANTS.json at the repository root.
-The exit status is 1 if any outcome is not the one its row expects. Its file
-name keeps pytest from collecting it.
+The exit status is 1 if any outcome is not the one its row expects. On
+SIGTERM or SIGINT the running tier-1 is ended, the temporary copy removed,
+and the script exits with 128 + the signal number. Its file name keeps
+pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -85,10 +88,27 @@ MUTANTS = [
      "a read capture line that does not rise must fall, or it is rejected", "killed"),
     ("scene.py", "s_i, beta_i = s_i[::-1], beta_i[::-1]", "pass",
      "a falling capture line is interpolated over its run reversed", "killed"),
+    # Every line then falls: the certificate refuses it, and the block check
+    # reads it reversed with the same bits, so only a test of the certified
+    # lines can tell.
     ("scene.py", "_CAPTURE_GRID_POINTS)[::-1]", "_CAPTURE_GRID_POINTS)",
      "the arc is traced from +beta_max down, so config-built capture lines rise",
-     "equivalent: every line then falls and is read reversed, with the same bits; "
-     "only the copies and the falling test come back"),
+     "killed"),
+    ("scene.py", "np.all(np.sign(w) == sigma) and ", "",
+     "the certificate refuses a fan whose rays turn back", "killed"),
+    ("scene.py", " and np.all(sigma * span > span_err)", "",
+     "the certificate refuses a fan that turns by pi or more", "killed"),
+    ("scene.py", "ok = (np.sign(c_ends[1]) == c_sign)", "ok = np.ones(len(q), dtype=bool)",
+     "the certificate refuses a line whose end rays lie on its two sides", "killed"),
+    ("scene.py", "ok &= n_low - n_err > 2e-9 * (d_max * l_max + c_err)", "ok &= True",
+     "the certificate refuses a line that some arc ray may not reach (the tau bound)",
+     "killed"),
+    ("scene.py", "(np.sign(m_c) == sigma)", "(np.sign(m_c) != sigma)",
+     "the certificate passes rising lines only", "killed"),
+    ("scene.py", "ok &= m_low * w_low / (d_max * d_max) > 4 * s_err",
+     "ok &= m_low * w_low > 0.0",
+     "the certificate refuses a line whose certified step is within the rounding of s",
+     "killed"),
     ("scene.py", "if np.any(norm_seg < 1e-12):", "if np.any(norm_seg < 0.0):",
      "an RX point on the plate's vertical axis has no capture segment", "killed"),
     ("scene.py", "d2 = x * x\n    d2 += y * y\n    d2 += z * z",
@@ -164,12 +184,21 @@ MUTANTS = [
 
 
 def tier1(repo: Path) -> tuple[dict[str, bool], float]:
-    """Run tier-1 in `repo`: {test id: passed} and the seconds taken."""
+    """Run tier-1 in `repo`: {test id: passed} and the seconds taken. The
+    run is its own process group, which is ended if this call is left early
+    (a timeout, or a signal that `main` turns into SystemExit)."""
     report = repo / "tier1.xml"
     env = {**os.environ, "PYTHONPATH": str(repo / "src")}
     start = time.perf_counter()
-    subprocess.run([sys.executable, *TIER1, f"--junitxml={report}"], cwd=repo, env=env,
-                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=1800)
+    child = subprocess.Popen([sys.executable, *TIER1, f"--junitxml={report}"], cwd=repo,
+                             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                             start_new_session=True)
+    try:
+        child.wait(timeout=1800)
+    finally:
+        if child.poll() is None:
+            os.killpg(child.pid, signal.SIGTERM)
+            child.wait()
     seconds = time.perf_counter() - start
     results = {}
     for case in ET.parse(report).iter("testcase"):
@@ -180,7 +209,14 @@ def tier1(repo: Path) -> tuple[dict[str, bool], float]:
     return results, seconds
 
 
+def _exit_on_signal(signum, frame):
+    # Unwinds like an error: tier1 ends its child and the copy is removed.
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _exit_on_signal)
     with tempfile.TemporaryDirectory() as tmp:
         repo = Path(tmp) / "repo"
         shutil.copytree(ROOT, repo, ignore=shutil.ignore_patterns(
